@@ -210,7 +210,7 @@ class DimVecOrbit:
                     if -w > self.rc.cap:
                         self.rc = RewriteContext(self.pres,
                                                  max(-w + 2, self.rc.cap))
-                    vec.append(self.rc.basis(w).dim())
+                    vec.append(sum(self.rc.counts(w).values()))
             self._cache[i] = tuple(vec)
         return self._cache[i]
 

@@ -307,6 +307,18 @@ def _window(text):
     return (int(lo), int(hi))
 
 
+def _glue_window(argv):
+    """argparse takes a value such as -9..0 for an option of its own, so
+    `--window -9..0` becomes `--window=-9..0` before parsing."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--window":
+            out[-1] = f"--window={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="gradedcy",
@@ -391,7 +403,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _glue_window(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParseError as e:

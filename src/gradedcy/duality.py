@@ -543,7 +543,7 @@ def check_twisted_cy(pres, cplx, twist: TwistSpec, window=None, cap=None,
     direct = slice_cohomology(dual, rc, [v + a for v in shallow])
     direct_ok = True
     for v in range(hi, lo - 1, -1):
-        expected = rc.basis(v).dim() if v <= 0 else 0
+        expected = sum(rc.counts(v).values()) if v <= 0 else 0
         if v in shallow:
             got = direct.get((claimed_pos, v + a), 0)
             stray = any(d and pos != claimed_pos for (pos, w2), d in

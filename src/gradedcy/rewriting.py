@@ -4,9 +4,12 @@
 set, resolving every overlap whose ambiguity word has length <= cap.
 Rewriting under a length-lex order never increases path length, so the
 returned system computes unique normal forms for all paths of length
-<= cap.  Nothing is claimed beyond the cap; `graded_dimension` therefore
-double-checks itself by recomputing with cap+2 and raises NonStabilizing
-on mismatch (the signature of a degree-0 cycle surviving in the quotient).
+<= cap.  An automaton over the rule tips (the Ufnarovski graph) decides
+normality; `RewriteContext.counts` counts graded pieces by dynamic
+programming over it, and `basis` lists them only where a basis is needed.
+Nothing is claimed beyond the cap: both compare per-vertex-pair counts
+with cap+2 and raise NonStabilizing on mismatch (the signature of a
+degree-0 cycle surviving in the quotient), a heuristic, not a proof.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ class RewritingSystem:
         self.rules = []            # list of (lhs_arrows_tuple, source, rhs)
         self._by_first = {}        # first arrow index -> [rule indices]
         self._nf_cache = {}
+        self._tips = None          # tip automaton, built on first use
+        self._counts = None        # count_normal() table
 
     # -- rule bookkeeping ---------------------------------------------------
 
@@ -39,6 +44,7 @@ class RewritingSystem:
         self._by_first.setdefault(lead.arrows[0], []).append(
             len(self.rules) - 1)
         self._nf_cache.clear()
+        self._tips = self._counts = None
 
     def _find_redex(self, arrows):
         """Leftmost, then longest-overlap-first occurrence of a rule LHS."""
@@ -77,61 +83,84 @@ class RewritingSystem:
             out = out + self.reduce_path(p).scale(c)
         return out
 
-    def is_normal(self, arrows) -> bool:
-        return self._find_redex(arrows) is None
+    # -- normal words -------------------------------------------------------
 
-    def normal_suffix_ok(self, arrows) -> bool:
-        """For DFS extension: assuming arrows[:-1] normal, check no rule LHS
-        ends at the last position."""
-        n = len(arrows)
-        for lhs, _, _ in self.rules:
-            L = len(lhs)
-            if L <= n and arrows[n - L:] == lhs:
-                return False
-        return True
+    def _step(self, state, arrow):
+        """Aho-Corasick automaton over the rule left-hand sides (tips),
+        built lazily.  A state is the longest suffix of the word read so
+        far that is a proper prefix of a tip; () starts every path.  None
+        means a tip ends at `arrow`: the longer word is not normal."""
+        if self._tips is None:
+            tips = {lhs for lhs, _, _ in self.rules}
+            self._tips = (tips, {t[:k] for t in tips for k in range(len(t))}
+                          | {()}, {})
+        tips, prefixes, memo = self._tips
+        if (state, arrow) not in memo:
+            word = state + (arrow,)
+            suffixes = [word[k:] for k in range(len(word) + 1)]
+            memo[state, arrow] = None if tips.intersection(suffixes) else \
+                next(s for s in suffixes if s in prefixes)
+        return memo[state, arrow]
 
-    # -- normal form enumeration --------------------------------------------
-
-    def normal_paths(self, source, max_len, degree=None, target=None,
-                     prune_degree=True):
+    def normal_paths(self, source, max_len, degree=None):
         """All normal-form paths from `source` of length <= max_len.
 
-        With `degree` set, only paths of that internal degree are returned
-        (the DFS still explores everything reachable within max_len).  When
-        every arrow degree is <= 0 and prune_degree is on, branches whose
-        degree has dropped below `degree` are cut.
+        With `degree` set, only paths of that internal degree are returned.
+        When every arrow degree is <= 0, branches whose degree has dropped
+        below `degree` are cut.
         """
-        ctx = self.ctx
-        quiver = ctx.quiver
-        negatively = all(a.degree <= 0 for a in quiver.arrows)
+        quiver = self.ctx.quiver
+        prune = degree is not None and \
+            all(a.degree <= 0 for a in quiver.arrows)
         out = []
 
-        def visit(path, cur_deg, cur_tgt):
-            if ((degree is None or cur_deg == degree)
-                    and (target is None or cur_tgt == target)):
+        def visit(path, state, cur_deg, cur_tgt):
+            if degree is None or cur_deg == degree:
                 out.append(path)
             if len(path.arrows) == max_len:
                 return
             for i in quiver.arrows_by_source[cur_tgt]:
-                a = quiver.arrows[i]
+                a, nxt = quiver.arrows[i], self._step(state, i)
                 nd = cur_deg + a.degree
-                if (prune_degree and negatively and degree is not None
-                        and nd < degree):
-                    continue
-                new = Path(path.source, path.arrows + (i,))
-                if self.normal_suffix_ok(new.arrows):
-                    visit(new, nd, a.target)
+                if nxt is not None and not (prune and nd < degree):
+                    visit(Path(path.source, path.arrows + (i,)), nxt, nd,
+                          a.target)
 
-        visit(Path(source, ()), 0, source)
+        visit(Path(source, ()), (), 0, source)
         return out
+
+    def count_normal(self):
+        """(source, target) -> {degree: [number of normal paths of each
+        length 0..cap]}, by a dynamic program over (vertex, automaton
+        state, degree), one layer per length, that builds no path."""
+        if self._counts is None:
+            quiver, table = self.ctx.quiver, {}
+            layer = {(v, v, (), 0): 1 for v in quiver.vertices}
+            for length in range(self.cap + 1):
+                nxt = {}
+                for (s, t, state, deg), n in layer.items():
+                    table.setdefault((s, t), {}).setdefault(
+                        deg, [0] * (self.cap + 1))[length] += n
+                    for i in quiver.arrows_by_source[t]:
+                        st = self._step(state, i)
+                        if st is not None:
+                            a = quiver.arrows[i]
+                            key = (s, a.target, st, deg + a.degree)
+                            nxt[key] = nxt.get(key, 0) + n
+                layer = nxt
+            self._counts = table
+        return self._counts
 
 
 def truncated_rewriting(pres, cap) -> RewritingSystem:
     """Complete the relation set of `pres` up to ambiguity length `cap`."""
     if cap < pres.max_relation_length:
+        longest = max((p for r in pres.relations for p in r.terms),
+                      key=len, default=Path(None))
         raise CapTooSmall(
-            f"cap {cap} below maximal relation path length "
-            f"{pres.max_relation_length}")
+            f"--cap {cap} is below the longest relation path, of length "
+            f"{len(longest)} in degree {pres.ctx.degree(longest)}; use "
+            f"--cap {len(longest)} or more")
     ctx = pres.ctx
     rs = RewritingSystem(ctx, cap)
     pending = sorted(pres.relations,
@@ -179,29 +208,16 @@ def truncated_rewriting(pres, cap) -> RewritingSystem:
         if not queue:
             break
         _, _, a, b, k = heappop(queue)
-        la, src_a, ra = rs.rules[a]
-        lb, src_b, rb = rs.rules[b]
-        if k > 0:
-            # word = la + lb[k:]; spoly = ra*tail - head*rb
-            tail = lb[k:]
-            head = la[:len(la) - k]
-            s1 = NCPoly()
-            for q, c in ra.terms.items():
-                s1 = s1 + NCPoly.monomial(Path(q.source, q.arrows + tail), c)
-            s2 = NCPoly()
-            hsrc = src_a
-            for q, c in rb.terms.items():
-                s2 = s2 + NCPoly.monomial(Path(hsrc, head + q.arrows), c)
-            spoly = s1 - s2
-        else:
-            pos = -k - 1
-            pre = la[:pos]
-            post = la[pos + len(lb):]
-            s2 = NCPoly()
-            for q, c in rb.terms.items():
-                s2 = s2 + NCPoly.monomial(Path(src_a, pre + q.arrows + post),
-                                          c)
-            spoly = ra - s2
+        la, src, ra = rs.rules[a]
+        lb, _, rb = rs.rules[b]
+        if k > 0:   # word la + lb[k:]; spoly = ra*tail - head*rb
+            head, tail, post = la[:len(la) - k], lb[k:], ()
+        else:       # lb inside la at -k - 1; spoly = ra - head*rb*post
+            head, tail, post = la[:-k - 1], (), la[-k - 1 + len(lb):]
+        spoly = NCPoly({Path(src, q.arrows + tail): c
+                        for q, c in ra.terms.items()}) - \
+            NCPoly({Path(src, head + q.arrows + post): c
+                    for q, c in rb.terms.items()})
         red = rs.reduce(spoly)
         if red:
             rs._add_rule(red)
@@ -220,14 +236,15 @@ class GradedPieceBasis:
         self.by_pair = by_pair  # (source, target) -> list of Path
 
     def dim(self, source=None, target=None):
-        total = 0
-        for (s, t), paths in self.by_pair.items():
-            if source is not None and s != source:
-                continue
-            if target is not None and t != target:
-                continue
-            total += len(paths)
-        return total
+        return sum(len(paths) for (s, t), paths in self.by_pair.items()
+                   if source in (None, s) and target in (None, t))
+
+
+def _pair_counts(rs, degree):
+    """(source, target) -> number of normal paths of the degree within the
+    cap of `rs`; pairs with none are absent."""
+    return {pair: sum(rows[degree])
+            for pair, rows in rs.count_normal().items() if degree in rows}
 
 
 class RewriteContext:
@@ -241,35 +258,39 @@ class RewriteContext:
         self._checked_degrees = set()
         self._probe = None
 
-    def basis(self, degree, check_stability=True):
-        got = self._basis_cache.get(degree)
-        if got is None:
-            got = self._collect(self.rs, degree, self.cap)
-            self._basis_cache[degree] = got
+    def counts(self, degree, check_stability=True):
+        """(source, target) -> dimension of the graded piece, counted
+        without listing it; pairs of dimension 0 are absent.  The check
+        compares with the counts of a system completed at cap+2."""
+        got = _pair_counts(self.rs, degree)
         if check_stability and degree not in self._checked_degrees:
             probe_cap = self.cap + 2
             if self._probe is None:
                 self._probe = truncated_rewriting(self.pres, probe_cap)
-            probe = self._probe
-            again = self._collect(probe, degree, probe_cap)
-            if {k: len(v) for k, v in got.by_pair.items()} != \
-                    {k: len(v) for k, v in again.by_pair.items()}:
+            again = _pair_counts(self._probe, degree)
+            if got != again:
                 raise NonStabilizing(
-                    f"graded piece at degree {degree} changed between cap "
-                    f"{self.cap} and {probe_cap}")
+                    f"graded piece at degree {degree} changed between "
+                    f"--cap {self.cap} and {probe_cap} ({sum(got.values())}"
+                    f" vs {sum(again.values())}): a degree-0 cycle survives "
+                    f"or --cap is too small (cap versus cap+2 is a "
+                    f"heuristic)")
             self._checked_degrees.add(degree)
         return got
 
-    def _collect(self, rs, degree, cap):
-        ctx = self.pres.ctx
-        by_pair = {}
-        for v in self.pres.quiver.vertices:
-            for p in rs.normal_paths(v, cap, degree=degree):
-                key = (v, ctx.target(p))
-                by_pair.setdefault(key, []).append(p)
-        for paths in by_pair.values():
-            paths.sort(key=ctx.key)
-        return GradedPieceBasis(degree, by_pair)
+    def basis(self, degree, check_stability=True):
+        """Normal-form basis of the graded piece, checked like counts()."""
+        if check_stability and degree not in self._checked_degrees:
+            self.counts(degree)
+        if degree not in self._basis_cache:
+            ctx, by_pair = self.pres.ctx, {}
+            for v in self.pres.quiver.vertices:
+                for p in self.rs.normal_paths(v, self.cap, degree=degree):
+                    by_pair.setdefault((v, ctx.target(p)), []).append(p)
+            for paths in by_pair.values():
+                paths.sort(key=ctx.key)
+            self._basis_cache[degree] = GradedPieceBasis(degree, by_pair)
+        return self._basis_cache[degree]
 
     def normal_form(self, poly):
         return self.rs.reduce(poly)
@@ -286,13 +307,9 @@ def graded_dimension(pres, degree, source, target, cap,
 def dimension_table(pres, degrees, cap, check_stability=True):
     """degree -> {(source, target) -> dim} for the listed degrees."""
     rc = RewriteContext(pres, cap)
-    table = {}
-    for w in degrees:
-        basis = rc.basis(w, check_stability=check_stability)
-        table[w] = {pair: len(paths)
-                    for pair, paths in sorted(basis.by_pair.items(),
-                                              key=lambda kv: str(kv[0]))}
-    return table
+    return {w: dict(sorted(rc.counts(w, check_stability).items(),
+                           key=lambda kv: str(kv[0])))
+            for w in degrees}
 
 
 def length_table(pres, max_len):
@@ -302,11 +319,5 @@ def length_table(pres, max_len):
     of the same finite dimensional algebra.
     """
     rs = truncated_rewriting(pres, max_len)
-    ctx = pres.ctx
-    table = {}
-    for v in pres.quiver.vertices:
-        for p in rs.normal_paths(v, max_len):
-            key = (v, ctx.target(p))
-            counts = table.setdefault(key, [0] * (max_len + 1))
-            counts[len(p.arrows)] += 1
-    return table
+    return {pair: [sum(col) for col in zip(*rows.values())]
+            for pair, rows in rs.count_normal().items()}

@@ -252,7 +252,7 @@ def cluster_hom_shadow(pres, m, cap=None):
     if cap is None:
         cap = default_cap(-m + 1)
     rc = RewriteContext(pres, cap)
-    return rc.basis(m).dim()
+    return sum(rc.counts(m).values())
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,26 @@ def test_cy_check_exit_codes():
     assert code == 0
 
 
+@pytest.mark.parametrize("window", [["--window=-9..0"],
+                                    ["--window", "-9..0"]])
+def test_cy_check_window_spellings(window):
+    code, out, err = run("--format", "json", "cy-check",
+                         DATA / "skew_3.pres", "--twist", "id", *window)
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert [r["degree"] for r in rows] == list(range(0, -10, -1))
+    assert rows[-1]["computed"] == 6765     # coefficient of 1/(1-3t+t^2)
+
+
+def test_dims_non_stabilizing_exit_1(tmp_path):
+    loop = tmp_path / "loop.pres"
+    loop.write_text("[vertices]\nP\n[arrows]\nx P P 0\n")
+    code, out, err = run("dims", loop, "--max-degree", "2", "--cap", "5")
+    assert code == 1 and out == ""
+    assert "NonStabilizing" in err and "degree 0" in err
+    assert "--cap 5" in err and "heuristic" in err
+
+
 def test_ig_check():
     code, out, _ = run("ig-check", DATA / "k_xy.pres", "--a", "2",
                        "--d", "1")

@@ -9,7 +9,7 @@ from gradedcy.dimer import (DimerEdge, DimerModel, consistency_check,
                             parse_dimer, perfect_matchings)
 from gradedcy.errors import (NonStabilizing, NotBipartite, NotTorus,
                              ParseError)
-from gradedcy.rewriting import RewriteContext
+from gradedcy.rewriting import RewriteContext, dimension_table
 
 from helpers import DATA, brute_force_graded_dimension, matchings_by_subsets
 
@@ -244,6 +244,9 @@ def test_zero_grading_non_stabilizing():
     pres = jacobian_presentation(qp, g0)
     with pytest.raises(NonStabilizing):
         RewriteContext(pres, 6).basis(0)
+    with pytest.raises(NonStabilizing,
+                       match="degree 0 .* --cap 6 .* heuristic"):
+        dimension_table(pres, [0], 6)
 
 
 def test_four_face_slice_algebra_quivers():

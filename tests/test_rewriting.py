@@ -3,12 +3,16 @@ from math import comb
 
 import pytest
 
-from gradedcy.errors import CapTooSmall
+from gradedcy.dimer import (dual_qp, grading_from_matchings,
+                            jacobian_presentation, load_dimer,
+                            perfect_matchings)
+from gradedcy.errors import CapTooSmall, NonStabilizing
 from gradedcy.quiver import NCPoly, Path, parse_presentation
-from gradedcy.rewriting import (RewriteContext, graded_dimension,
-                                truncated_rewriting)
+from gradedcy.rewriting import (RewriteContext, RewritingSystem,
+                                dimension_table, graded_dimension,
+                                length_table, truncated_rewriting)
 
-from helpers import brute_force_graded_dimension, load
+from helpers import DATA, brute_force_graded_dimension, load
 
 
 def rule_names(pres, rs):
@@ -34,7 +38,7 @@ def test_skew_two_variable_completion():
 
 def test_cap_too_small():
     pres = load("skew_2.pres")
-    with pytest.raises(CapTooSmall):
+    with pytest.raises(CapTooSmall, match="--cap 1 .* degree -2"):
         truncated_rewriting(pres, 1)
 
 
@@ -112,8 +116,54 @@ def test_normal_form_idempotent(name):
         assert once.terms == twice.terms
 
 
+def test_dimension_table_counts_without_enumerating(monkeypatch):
+    """Degree -12 of one generic quadratic relation in four variables has
+    7 865 521 normal words; listing them (twice, with the stability probe)
+    took minutes, counting them takes milliseconds."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dimension_table enumerated normal paths")
+
+    monkeypatch.setattr(RewritingSystem, "normal_paths", refuse)
+    want = [1, 4]
+    while len(want) < 13:
+        want.append(4 * want[-1] - want[-2])    # 1/(1 - 4t + t^2)
+    table = dimension_table(load("skew_4.pres"), range(0, -13, -1), 16)
+    assert [table[-k] for k in range(13)] == [{("P", "P"): d} for d in want]
+    assert want[-1] == 7865521
+
+
+def _jacobian(name, matchings):
+    dimer = load_dimer(DATA / name)
+    if matchings is None:
+        matchings = perfect_matchings(dimer)[0]
+    deg = grading_from_matchings(dimer, matchings, [-1] * len(matchings))
+    return jacobian_presentation(dual_qp(dimer), deg)
+
+
+@pytest.mark.parametrize("name,matchings", [
+    ("hexagonal.dimer", None),
+    ("four_face.dimer", [("d1", "d2", "om")]),
+    ("four_face.dimer", [("d1", "d2", "om"), ("d1", "d2", "h2")])])
+def test_counts_match_bases_with_degree_zero_arrows(name, matchings):
+    """Multi-vertex Jacobian algebras: the counted and the enumerated
+    pieces agree per vertex pair, and a piece that does not stabilize by
+    the cap raises NonStabilizing on both paths."""
+    pres = _jacobian(name, matchings)
+
+    def piece(how, w):
+        rc = RewriteContext(pres, 12)
+        try:
+            if how == "counts":
+                return rc.counts(w)
+            return {k: len(v) for k, v in rc.basis(w).by_pair.items()}
+        except NonStabilizing:
+            return NonStabilizing
+
+    for w in range(0, -4, -1):
+        assert piece("counts", w) == piece("basis", w), (name, w)
+
+
 def test_length_table_counts_lazy_paths():
-    from gradedcy.rewriting import length_table
     pres = load("k_xy.pres")
     lt = length_table(pres, 3)
     assert lt[("P", "P")][0] == 1
@@ -155,20 +205,36 @@ def _random_presentation(rng):
 
 
 def test_fuzz_rewriting_against_oracle():
-    """Random homogeneous presentations: normal-form counts agree with the
-    path-space quotient, and reduction is multiplicative."""
+    """Random homogeneous presentations: per vertex pair, counted graded
+    dimensions agree with enumerated normal forms and with the path-space
+    quotient, length tables agree with enumeration, and reduction is
+    multiplicative."""
     from gradedcy.quiver import Path
 
     rng = random.Random(424242)
     for trial in range(60):
         pres = _random_presentation(rng)
-        rs = truncated_rewriting(pres, 6)
+        rc = RewriteContext(pres, 6)
+        rs = rc.rs
         ctx = pres.ctx
+        verts = pres.quiver.vertices
         for w in range(0, -5, -1):
-            got = sum(len(rs.normal_paths(v, 6, degree=w))
-                      for v in pres.quiver.vertices)
-            assert got == brute_force_graded_dimension(pres, w, 6), \
-                (trial, w)
+            listed = {}
+            for v in verts:
+                for p in rs.normal_paths(v, 6, degree=w):
+                    listed[v, ctx.target(p)] = \
+                        listed.get((v, ctx.target(p)), 0) + 1
+            assert rc.counts(w) == listed, (trial, w)
+            for s in verts:
+                for t in verts:
+                    assert listed.get((s, t), 0) == \
+                        brute_force_graded_dimension(pres, w, 6, s, t), \
+                        (trial, w, s, t)
+        histogram = {}
+        for v in verts:
+            for p in rs.normal_paths(v, 6):
+                histogram.setdefault((v, ctx.target(p)), [0] * 7)[len(p)] += 1
+        assert length_table(pres, 6) == histogram, trial
         # nf(p q) == nf(nf(p) nf(q)) for short random paths
         for _ in range(6):
             parts = []
