@@ -267,12 +267,3 @@ def verify_root(pres, a, steps, cap=None):
             failures.append((k, v0, pred, v1))
     return RootReport(steps, label_ok, not failures, failures)
 
-
-def orbit_table_json(pres, a, count, cap=None):
-    """Labels R(-i) with their dimension vectors, i = 0..count-1."""
-    import json
-
-    orbit = DimVecOrbit(pres, a, cap=cap)
-    table = {str(OrbitLabel(i, 0)): list(orbit.dimvec(OrbitLabel(i, 0)))
-             for i in range(count)}
-    return json.dumps(table, indent=2, sort_keys=True)

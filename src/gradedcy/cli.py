@@ -43,7 +43,7 @@ def _emit(args, text_lines, data):
 def cmd_dims(args):
     pres = load_presentation(args.file)
     degrees = list(range(0, -args.max_degree - 1, -1))
-    cap = args.cap or (args.max_degree + 4)
+    cap = args.max_degree + 4 if args.cap is None else args.cap
     table = dimension_table(pres, degrees, cap)
     lines = [f"graded dimensions of {args.file}"]
     data = {}
@@ -106,7 +106,8 @@ def cmd_qhat(args):
 
     pres = load_presentation(args.file)
     lq = layered_presentation(pres.quiver, args.n)
-    lt = length_table(lq, args.cap or 6)
+    cap = 6 if args.cap is None else args.cap
+    lt = length_table(lq, cap)
     total = sum(sum(v) for v in lt.values())
     data = {"vertices": len(lq.quiver.vertices),
             "arrows": len(lq.quiver.arrows),
@@ -115,7 +116,7 @@ def cmd_qhat(args):
     lines = [f"layered presentation of {args.file} at n = {args.n}:",
              f"  {data['vertices']} vertices, {data['arrows']} arrows, "
              f"{data['relations']} relations",
-             f"  total dimension (paths up to length {args.cap or 6}): "
+             f"  total dimension (paths up to length {cap}): "
              f"{total}"]
     if args.format == "dot":
         print(lq.quiver.to_dot("Qhat"))
@@ -285,9 +286,10 @@ def cmd_verify_root(args):
     from .arshadow import DimVecOrbit, OrbitLabel, verify_root
 
     pres = load_presentation(args.file)
+    default_cap = args.steps + 2 * args.a + 4
     report = verify_root(pres, args.a, args.steps,
-                         cap=args.cap or (args.steps + 2 * args.a + 4))
-    orbit = DimVecOrbit(pres, args.a, cap=args.steps + 2 * args.a + 4)
+                         cap=default_cap if args.cap is None else args.cap)
+    orbit = DimVecOrbit(pres, args.a, cap=default_cap)
     table = {str(OrbitLabel(i, 0)): list(orbit.dimvec(OrbitLabel(i, 0)))
              for i in range(min(args.steps, 8))}
     data = {"passed": report.passed, "steps": report.steps,
@@ -305,6 +307,18 @@ def cmd_verify_root(args):
 def _window(text):
     lo, hi = text.split("..")
     return (int(lo), int(hi))
+
+
+def _cap(text):
+    """A --cap value: a path length, so an integer >= 0."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, not {text!r}")
+    return cap
 
 
 def _glue_window(argv):
@@ -331,26 +345,26 @@ def build_parser():
     s = sub.add_parser("dims", help="graded dimension table")
     s.add_argument("file")
     s.add_argument("--max-degree", type=int, default=4)
-    s.add_argument("--cap", type=int)
+    s.add_argument("--cap", type=_cap)
     s.set_defaults(func=cmd_dims)
 
     s = sub.add_parser("build-abc", help="slice algebras A, U, B")
     s.add_argument("file")
     s.add_argument("--a", type=int, required=True)
-    s.add_argument("--cap", type=int)
+    s.add_argument("--cap", type=_cap)
     s.set_defaults(func=cmd_build_abc)
 
     s = sub.add_parser("tilde", help="n-fold block algebras")
     s.add_argument("file")
     s.add_argument("--a", type=int, required=True)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--cap", type=int)
+    s.add_argument("--cap", type=_cap)
     s.set_defaults(func=cmd_tilde)
 
     s = sub.add_parser("qhat", help="layered presentation of a quiver")
     s.add_argument("file")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--cap", type=int)
+    s.add_argument("--cap", type=_cap)
     s.set_defaults(func=cmd_qhat)
 
     s = sub.add_parser("corpi", help="block trivial extension of a quiver")
@@ -374,7 +388,7 @@ def build_parser():
     s.add_argument("--window", type=_window,
                    help="internal degree range LO..HI; default 0 down to "
                         "-(a+4)")
-    s.add_argument("--cap", type=int)
+    s.add_argument("--cap", type=_cap)
     s.add_argument("--resolution", help="complex file overriding the "
                                         "built-in resolution")
     s.set_defaults(func=cmd_cy_check)
@@ -383,7 +397,7 @@ def build_parser():
     s.add_argument("file")
     s.add_argument("--a", type=int, required=True)
     s.add_argument("--d", type=int, required=True)
-    s.add_argument("--cap", type=int)
+    s.add_argument("--cap", type=_cap)
     s.set_defaults(func=cmd_ig_check)
 
     s = sub.add_parser("knit", help="knit the translation component")
@@ -396,7 +410,7 @@ def build_parser():
     s.add_argument("file")
     s.add_argument("--a", type=int, required=True)
     s.add_argument("--steps", type=int, default=20)
-    s.add_argument("--cap", type=int)
+    s.add_argument("--cap", type=_cap)
     s.set_defaults(func=cmd_verify_root)
     return p
 

@@ -95,10 +95,6 @@ class BimoduleComplex:
 
     # -- slice bases ---------------------------------------------------------
 
-    def summand_shift(self, summand: FreeSummand):
-        """The l with term summand = S[l]-style shift; l = -degree."""
-        return -summand.degree
-
     def slice_basis(self, rc: RewriteContext, k, w):
         """Basis of the internal-degree-w slice of terms[k].
 

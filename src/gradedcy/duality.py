@@ -302,20 +302,24 @@ def slice_cohomology(cplx, rc, degrees):
     out = {}
     nterms = len(cplx.terms)
     for w in degrees:
-        bases = [cplx.slice_basis(rc, k, w) for k in range(nterms)]
-        ranks = []
-        for k in range(nterms - 1):
-            _, _, cols = slice_matrix(cplx, rc, k, w)
-            el = SparseEliminator()
-            for col in cols:
-                el.add(col)
-            ranks.append(el.rank)
-        for k in range(nterms):
-            dim = len(bases[k])
-            rank_in = ranks[k] if k < nterms - 1 else 0
-            rank_out = ranks[k - 1] if k > 0 else 0
-            out[(cplx.positions[k], w)] = dim - rank_in - rank_out
+        dims = [len(cplx.slice_basis(rc, k, w)) for k in range(nterms)]
+        _homology_dims(cplx, w, dims,
+                       lambda k: slice_matrix(cplx, rc, k, w)[2], out)
     return out
+
+
+def _homology_dims(cplx, w, dims, images, out):
+    """out[(position k, w)] = dims[k] - rank in - rank out, where images(k)
+    gives the images of the differential from term k + 1 to term k."""
+    ranks = [0]
+    for k in range(len(dims) - 1):
+        el = SparseEliminator()
+        for vec in images(k):
+            el.add(vec)
+        ranks.append(el.rank)
+    ranks.append(0)
+    for k, dim in enumerate(dims):
+        out[(cplx.positions[k], w)] = dim - ranks[k + 1] - ranks[k]
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +341,6 @@ def one_sided_complex(cplx, rc, degrees):
     ctx = cplx.pres.ctx
     nterms = len(cplx.terms)
 
-    def gen_degree(k, si, q):
-        s = cplx.terms[k][si]
-        return _deg(ctx, q) + s.degree
-
     def gens(k, w):
         out = []
         for si, s in enumerate(cplx.terms[k]):
@@ -361,85 +361,48 @@ def one_sided_complex(cplx, rc, degrees):
 
     def one_sided_image(k, si, q):
         """Image of generator (si in terms[k+1], q) in terms[k] generators."""
+        left = cplx.kind == "dg-left"
         out = {}
         for ti in range(len(cplx.terms[k])):
             entries = cplx.diffs[k].get((ti, si))
             if not entries:
                 continue
-            if cplx.kind == "graded":
-                for (c, u, v) in entries:
-                    if not u.is_lazy:
-                        continue
-                    comp = ctx.compose(v, q)
-                    if comp is None:
-                        continue
-                    nf = rc.normal_form(NCPoly.monomial(comp))
-                    for mono, cm in nf.terms.items():
-                        key = (ti, mono)
-                        val = out.get(key, 0) + c * cm
-                        if val:
-                            out[key] = val
-                        else:
-                            out.pop(key, None)
-            elif cplx.kind == "dg-right":
-                for (c, u, v) in entries:
-                    if not u.is_lazy:
-                        continue
-                    comp = ctx.compose(v, q)
-                    if comp is None:
-                        continue
-                    nf = rc.normal_form(NCPoly.monomial(comp))
-                    for mono, cm in nf.terms.items():
-                        key = (ti, mono)
-                        val = out.get(key, 0) + c * cm
-                        if val:
-                            out[key] = val
-                        else:
-                            out.pop(key, None)
-            else:  # dg-left
+            flip = False
+            if left:
                 lt = cplx.terms[k + 1][si].degree   # = l of source summand
                 ls = cplx.terms[k][ti].degree
-                base = ((_deg(ctx, q)) * (ls + lt)) % 2
-                for (c, u, v) in entries:
-                    if not u.is_lazy:
-                        continue
-                    comp = ctx.compose(q, v)
-                    if comp is None:
-                        continue
-                    c2 = c * Fraction((-1) ** base)
-                    nf = rc.normal_form(NCPoly.monomial(comp))
-                    for mono, cm in nf.terms.items():
-                        key = (ti, mono)
-                        val = out.get(key, 0) + c2 * cm
-                        if val:
-                            out[key] = val
-                        else:
-                            out.pop(key, None)
+                flip = (_deg(ctx, q) * (ls + lt)) % 2
+            for (c, u, v) in entries:
+                if not u.is_lazy:
+                    continue
+                comp = ctx.compose(q, v) if left else ctx.compose(v, q)
+                if comp is None:
+                    continue
+                c2 = -c if flip else c
+                nf = rc.normal_form(NCPoly.monomial(comp))
+                for mono, cm in nf.terms.items():
+                    key = (ti, mono)
+                    val = out.get(key, 0) + c2 * cm
+                    if val:
+                        out[key] = val
+                    else:
+                        out.pop(key, None)
         return out
 
     dims = {}
     for w in degrees:
         bases = [gens(k, w) for k in range(nterms)]
         indexes = [{g: i for i, g in enumerate(b)} for b in bases]
-        ranks = []
-        for k in range(nterms - 1):
-            el = SparseEliminator()
+
+        def images(k):
             for (si, q) in bases[k + 1]:
                 img = one_sided_image(k, si, q)
-                vec = {}
-                for (ti, mono), c in img.items():
-                    idx = indexes[k].get((ti, mono))
-                    if idx is None:
-                        continue
-                    vec[idx] = c
+                vec = {indexes[k][key]: c for key, c in img.items()
+                       if key in indexes[k]}
                 if vec:
-                    el.add(vec)
-            ranks.append(el.rank)
-        for k in range(nterms):
-            dim = len(bases[k])
-            rank_in = ranks[k] if k < nterms - 1 else 0
-            rank_out = ranks[k - 1] if k > 0 else 0
-            dims[(cplx.positions[k], w)] = dim - rank_in - rank_out
+                    yield vec
+
+        _homology_dims(cplx, w, [len(b) for b in bases], images, dims)
     return dims
 
 

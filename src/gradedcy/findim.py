@@ -75,11 +75,6 @@ def radical(alg: FDAlgebra) -> RadicalData:
     return RadicalData(jbasis, powers, len(powers) + 1)
 
 
-def radical_power_dims(alg: FDAlgebra):
-    rad = radical(alg)
-    return [p.rank for p in rad.powers]
-
-
 # ---------------------------------------------------------------------------
 # Gabriel quiver
 # ---------------------------------------------------------------------------
@@ -110,13 +105,11 @@ def gabriel_quiver(alg: FDAlgebra, basicify=False) -> Quiver:
             el = SparseEliminator()
             for r in j2.pivots.values():
                 el.add(r)
-            base = el.rank
             count = 0
             for b in jset:
                 v = alg.product(ei, alg.product(alg.basis_vec(b), ej))
                 if v and el.add(v):
                     count += 1
-            del base
             for m in range(count):
                 arrows.append(Arrow(f"a{i}_{j}_{m}", f"v{i}", f"v{j}", 0))
     return Quiver(vertices, arrows)
@@ -185,23 +178,6 @@ class RightModule:
                     if m[i][j]:
                         out[j] += c * m[i][j]
         return out
-
-    def submodule_spanned(self, vectors):
-        """Row span of vectors closed under the algebra action."""
-        el = SparseEliminator()
-        queue = []
-        for v in vectors:
-            sv = {i: c for i, c in enumerate(v) if c}
-            if el.add(sv):
-                queue.append(v)
-        while queue:
-            v = queue.pop()
-            for b in range(self.alg.dim):
-                w = self.act(v, b)
-                sw = {i: c for i, c in enumerate(w) if c}
-                if sw and el.add(sw):
-                    queue.append(w)
-        return el
 
     def check_module(self):
         for i in range(self.alg.dim):

@@ -1,12 +1,14 @@
 """Small exact linear algebra kit over the rationals.
 
-Matrices are lists of rows; entries are Fractions (or ints, which are
-upgraded on demand).  Everything here is dense and meant for the matrix
-sizes this package actually produces (a few hundred rows); sparse vectors
-are dicts index -> Fraction with zero entries absent.
+Sparse vectors are dicts index -> Fraction with zero entries absent.  All
+elimination goes through one kernel, `SparseEliminator`; the dense helpers
+(`nullspace_with_free`, `solve`, `mat_inv`, `mat_det`) take matrices as
+lists of rows (entries Fractions or ints), hand their nonzero entries to
+it and read the answer off its reduced row echelon form.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 
 def vec_add(u, v, c=1):
@@ -21,36 +23,42 @@ def vec_add(u, v, c=1):
     return out
 
 
-def vec_scale(u, c):
-    if not c:
-        return {}
-    return {k: c * x for k, x in u.items()}
-
-
 class SparseEliminator:
     """Incremental row reduction of sparse dict vectors over Q.
 
-    Rows are kept pivot-normalized.  `add(vec)` reduces vec against the
-    current span and either absorbs it (returning the reduced nonzero row)
-    or returns None when vec was already in the span.
+    Rows are kept pivot-normalized: the row at pivot p has 1 at p and no
+    index below p.  `add(vec)` reduces vec against the current span and
+    either absorbs it (returning the reduced nonzero row) or returns None
+    when vec was already in the span.
     """
 
     def __init__(self):
         self.pivots = {}  # pivot index -> normalized row (dict)
 
     def reduce(self, vec):
+        """vec minus the element of the span that clears every pivot index.
+
+        Subtracting the row at pivot k only touches indices >= k, so taking
+        pending pivot indices from a heap in increasing order clears them
+        all in one pass.
+        """
         vec = dict(vec)
-        for k in sorted(vec):
-            if k in vec and vec[k] and k in self.pivots:
-                vec = vec_add(vec, self.pivots[k], -Fraction(vec[k]))
-        # second pass: reduction may reintroduce earlier pivots
-        changed = True
-        while changed:
-            changed = False
-            for k in list(vec):
-                if vec.get(k) and k in self.pivots:
-                    vec = vec_add(vec, self.pivots[k], -Fraction(vec[k]))
-                    changed = True
+        pivots = self.pivots
+        heap = [k for k in vec if k in pivots]
+        heapify(heap)
+        while heap:
+            k = heappop(heap)
+            c = vec.get(k)
+            if not c:
+                continue
+            for j, x in pivots[k].items():
+                y = vec.get(j, 0) - c * x
+                if y:
+                    if j not in vec and j in pivots:
+                        heappush(heap, j)
+                    vec[j] = y
+                else:
+                    vec.pop(j, None)
         return vec
 
     def add(self, vec):
@@ -70,12 +78,19 @@ class SparseEliminator:
     def rank(self):
         return len(self.pivots)
 
+    def rref(self):
+        """pivot -> row of the reduced row echelon form of the span: 1 at
+        its pivot and 0 at every other pivot."""
+        out = {}
+        for p, row in self.pivots.items():
+            tail = dict(row)
+            del tail[p]
+            out[p] = {p: Fraction(1), **self.reduce(tail)}
+        return out
 
-def sparse_rank(rows):
-    el = SparseEliminator()
-    for r in rows:
-        el.add(r)
-    return el.rank
+
+def _sparse_rows(matrix):
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
 
 
 def mat_from_columns(cols, nrows):
@@ -86,102 +101,44 @@ def mat_from_columns(cols, nrows):
     return m
 
 
-def rank(matrix):
-    """Rank of a dense list-of-rows matrix, destructive-free."""
-    if not matrix:
-        return 0
-    m = [[Fraction(x) for x in row] for row in matrix]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                c = m[i][col]
-                m[i] = [a - c * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def nullspace(matrix, ncols=None):
-    """Basis of the right kernel of a dense matrix (rows = equations)."""
-    return nullspace_with_free(matrix, ncols)[0]
-
-
 def nullspace_with_free(matrix, ncols=None):
     """(kernel basis, free column list).
 
     Basis vector j has value 1 at free column j and 0 at every other free
     column, so the coordinates of any kernel vector in this basis are just
-    its values at the free columns.
+    its values at the free columns.  `ncols` is only read for a matrix
+    without rows.
     """
-    if not matrix:
-        n = ncols or 0
-        return [{j: Fraction(1)} for j in range(n)], list(range(n))
-    m = [[Fraction(x) for x in row] for row in matrix]
-    nrows, nc = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for col in range(nc):
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                c = m[i][col]
-                m[i] = [a - c * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    free = [j for j in range(nc) if j not in pivots]
+    nc = len(matrix[0]) if matrix else ncols or 0
+    el = SparseEliminator()
+    for row in _sparse_rows(matrix):
+        el.add(row)
+    rows = sorted(el.rref().items())
+    free = [j for j in range(nc) if j not in el.pivots]
     basis = []
     for f in free:
         v = {f: Fraction(1)}
-        for i, p in enumerate(pivots):
-            if m[i][f]:
-                v[p] = -m[i][f]
+        for p, row in rows:
+            if f in row:
+                v[p] = -row[f]
         basis.append(v)
     return basis, free
 
 
 def solve(matrix, rhs):
-    """One solution x of matrix @ x = rhs, or None if inconsistent."""
-    nrows = len(matrix)
-    nc = len(matrix[0]) if nrows else 0
-    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
-         for i, row in enumerate(matrix)]
-    pivots = []
-    r = 0
-    for col in range(nc):
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                c = m[i][col]
-                m[i] = [a - c * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, nrows):
-        if m[i][nc]:
-            return None
+    """One solution x of matrix @ x = rhs (0 at every free column), or
+    None if inconsistent."""
+    nc = len(matrix[0]) if matrix else 0
+    el = SparseEliminator()
+    for row, b in zip(_sparse_rows(matrix), rhs):
+        if b:
+            row[nc] = b
+        el.add(row)
+    if nc in el.pivots:
+        return None
     x = [Fraction(0)] * nc
-    for i, p in enumerate(pivots):
-        x[p] = m[i][nc]
+    for p, row in el.rref().items():
+        x[p] = row.get(nc, Fraction(0))
     return x
 
 
@@ -202,42 +159,38 @@ def mat_mul(a, b):
 
 
 def mat_inv(matrix):
-    """Exact inverse; raises ZeroDivisionError on singular input."""
+    """Exact inverse; raises ZeroDivisionError on singular input.
+
+    [A | I] reduces to [I | A^-1]; A is singular exactly when some pivot
+    falls in the identity block."""
     n = len(matrix)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                c = m[i][col]
-                m[i] = [a - c * b for a, b in zip(m[i], m[col])]
-    return [row[n:] for row in m]
+    el = SparseEliminator()
+    for i, row in enumerate(_sparse_rows(matrix)):
+        row[n + i] = 1
+        el.add(row)
+    if any(p >= n for p in el.pivots):
+        raise ZeroDivisionError("singular matrix")
+    rows = el.rref()
+    return [[rows[i].get(n + j, Fraction(0)) for j in range(n)]
+            for i in range(n)]
 
 
 def mat_det(matrix):
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
+    """Product of the pivots, times the sign of the order in which the
+    rows took their pivot columns."""
+    el = SparseEliminator()
     det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
+    order = []
+    for row in _sparse_rows(matrix):
+        row = el.reduce(row)
+        if not row:
             return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col]:
-                c = m[i][col] * inv
-                m[i] = [a - c * b for a, b in zip(m[i], m[col])]
-    return det
+        p = min(row)
+        det *= row[p]
+        order.append(p)
+        el.add(row)
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return -det if inversions % 2 else det
 
 
 def mat_vec(a, v):

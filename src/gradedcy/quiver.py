@@ -205,22 +205,6 @@ class NCPoly:
             (p.source, ctx.target(p), ctx.degree(p)) == sig for p in it
         )
 
-    def mul_path(self, ctx, left=None, right=None):
-        """left * self * right, with lazy paths for missing factors."""
-        out = {}
-        for p, c in self.terms.items():
-            q = p
-            if left is not None:
-                q = ctx.compose(left, q)
-                if q is None:
-                    continue
-            if right is not None:
-                q = ctx.compose(q, right)
-                if q is None:
-                    continue
-            out[q] = out.get(q, 0) + c
-        return NCPoly(out)
-
     def format(self, ctx):
         if not self.terms:
             return "0"

@@ -61,7 +61,6 @@ class RewritingSystem:
         cached = self._nf_cache.get(path)
         if cached is not None:
             return cached
-        ctx = self.ctx
         hit = self._find_redex(path.arrows)
         if hit is None:
             out = NCPoly.monomial(path)
@@ -69,19 +68,28 @@ class RewritingSystem:
             pos, ri = hit
             lhs, _, rhs = self.rules[ri]
             post_arrows = path.arrows[pos + len(lhs):]
-            out = NCPoly()
-            for q, c in rhs.terms.items():
-                mono = Path(path.source,
-                            path.arrows[:pos] + q.arrows + post_arrows)
-                out = out + self.reduce_path(mono).scale(c)
+            out = self._combine(
+                (Path(path.source, path.arrows[:pos] + q.arrows + post_arrows),
+                 c) for q, c in rhs.terms.items())
         self._nf_cache[path] = out
         return out
 
     def reduce(self, poly: NCPoly) -> NCPoly:
-        out = NCPoly()
-        for p, c in poly.terms.items():
-            out = out + self.reduce_path(p).scale(c)
-        return out
+        return self._combine(poly.terms.items())
+
+    def _combine(self, terms):
+        """Sum of c * normal form of p over (p, c) in terms, accumulated in
+        one dict; the terms come out in the order repeated NCPoly addition
+        gives them."""
+        out = {}
+        for p, c in terms:
+            for q, x in self.reduce_path(p).terms.items():
+                s = out.get(q, 0) + c * x
+                if s:
+                    out[q] = s
+                else:
+                    out.pop(q, None)
+        return NCPoly(out)
 
     # -- normal words -------------------------------------------------------
 

@@ -115,6 +115,19 @@ def test_dims_non_stabilizing_exit_1(tmp_path):
     assert "--cap 5" in err and "heuristic" in err
 
 
+def test_dims_explicit_cap_zero_is_used():
+    code, out, err = run("dims", DATA / "k_x.pres", "--cap", "0",
+                         "--max-degree", "2")
+    assert code == 1 and out == ""
+    assert "NonStabilizing" in err and "--cap 0" in err
+
+
+def test_negative_cap_rejected_at_parse_time():
+    with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+        main(["dims", str(DATA / "k_x.pres"), "--cap", "-1"])
+    assert exc.value.code == 2
+
+
 def test_ig_check():
     code, out, _ = run("ig-check", DATA / "k_xy.pres", "--a", "2",
                        "--d", "1")

@@ -1,0 +1,182 @@
+"""The elimination kernel and its dense wrappers, each checked against a
+property that needs no second elimination: planted ranks and spans,
+matrix products and the Leibniz expansion."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from gradedcy.linalg import (SparseEliminator, mat_det, mat_inv, mat_mul,
+                             mat_vec, nullspace_with_free, solve)
+
+
+def rand_entry(rng):
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def planted(rng, nrows, ncols, k):
+    """M = L R of rank exactly k: L (nrows x k) has the identity on the rows
+    `marks`, R (k x ncols) has the identity on k chosen columns.  A vector
+    b lies in the column span of M iff b = L b[marks]."""
+    marks = rng.sample(range(nrows), k)
+    L = [[rand_entry(rng) for _ in range(k)] for _ in range(nrows)]
+    for t, i in enumerate(marks):
+        L[i] = [Fraction(int(t == s)) for s in range(k)]
+    cols = rng.sample(range(ncols), k)
+    R = [[rand_entry(rng) if rng.random() < 0.6 else Fraction(0)
+          for _ in range(ncols)] for _ in range(k)]
+    for t, j in enumerate(cols):
+        for s in range(k):
+            R[s][j] = Fraction(int(s == t))
+    M = mat_mul(L, R) if k else [[Fraction(0)] * ncols
+                                 for _ in range(nrows)]
+    return M, L, marks
+
+
+def in_span(L, marks, b):
+    return mat_vec(L, [b[i] for i in marks]) == list(b)
+
+
+def dense(vec, n):
+    return [vec.get(j, 0) for j in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_nullspace_with_free(seed):
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+    k = rng.randint(0, min(nrows, ncols))
+    M, _, _ = planted(rng, nrows, ncols, k)
+    basis, free = nullspace_with_free(M)
+    assert k + len(basis) == ncols            # rank + nullity
+    assert len(free) == len(basis)
+    for f, v in zip(free, basis):
+        assert mat_vec(M, dense(v, ncols)) == [0] * nrows
+        assert {j: v.get(j, 0) for j in free} == \
+            {j: int(j == f) for j in free}
+        assert all(type(x) is Fraction and x for x in v.values())
+
+
+def test_nullspace_without_rows():
+    basis, free = nullspace_with_free([], ncols=3)
+    assert free == [0, 1, 2]
+    assert basis == [{0: 1}, {1: 1}, {2: 1}]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solve(seed):
+    rng = random.Random(100 + seed)
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+    k = rng.randint(0, min(nrows, ncols))
+    M, L, marks = planted(rng, nrows, ncols, k)
+    y = [rand_entry(rng) for _ in range(ncols)]
+    for b in (mat_vec(M, y), [rand_entry(rng) for _ in range(nrows)]):
+        x = solve(M, b)
+        if in_span(L, marks, b):
+            assert x is not None and mat_vec(M, x) == b
+            assert all(type(t) is Fraction for t in x)
+        else:
+            assert x is None
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_mat_inv(seed):
+    rng = random.Random(200 + seed)
+    n = rng.randint(1, 5)
+    A, _, _ = planted(rng, n, n, n)
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    assert mat_mul(A, mat_inv(A)) == identity
+    S, _, _ = planted(rng, n, n, rng.randint(0, n - 1))
+    with pytest.raises(ZeroDivisionError):
+        mat_inv(S)
+
+
+def leibniz(A):
+    n = len(A)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= A[i][j]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_mat_det(seed):
+    rng = random.Random(300 + seed)
+    n = rng.randint(0, 5)
+    dens = rng.choice([0.3, 0.7, 1.0])
+    A = [[rand_entry(rng) if rng.random() < dens else 0 for _ in range(n)]
+         for _ in range(n)]
+    assert mat_det(A) == leibniz(A)
+
+
+def check_reduce(el, B, marks, vec):
+    """The result has no pivot index, and vec - result lies in span(B),
+    where each row of B is 1 at its own mark and 0 at the other marks."""
+    red = el.reduce(vec)
+    assert not set(red) & set(el.pivots)
+    assert all(red.values())
+    d = {j: vec.get(j, 0) - red.get(j, 0) for j in set(vec) | set(red)}
+    comb = {}
+    for b, m in zip(B, marks):
+        for j, x in b.items():
+            comb[j] = comb.get(j, 0) + d.get(m, 0) * x
+    assert {j: x for j, x in d.items() if x} == \
+        {j: x for j, x in comb.items() if x}
+    return red
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reduce_random_spans(seed):
+    rng = random.Random(400 + seed)
+    n = rng.randint(2, 10)
+    marks = rng.sample(range(n), rng.randint(1, n - 1))
+    B = []
+    for m in marks:
+        row = {j: rand_entry(rng) for j in range(n)
+               if j not in marks and rng.random() < 0.5}
+        row[m] = Fraction(1)
+        B.append({j: x for j, x in row.items() if x})
+    # feed the eliminator a unitriangular recombination of B
+    el = SparseEliminator()
+    order = rng.sample(range(len(B)), len(B))
+    for pos, i in enumerate(order):
+        vec = dict(B[i])
+        for t in order[pos + 1:]:
+            c = rand_entry(rng) if rng.random() < 0.4 else 0
+            for j, x in B[t].items():
+                vec[j] = vec.get(j, 0) + c * x
+        assert el.add({j: x for j, x in vec.items() if x}) is not None
+    assert el.rank == len(B)
+    for _ in range(5):
+        vec = {j: rand_entry(rng) for j in range(n) if rng.random() < 0.6}
+        check_reduce(el, B, marks, {j: x for j, x in vec.items() if x})
+        assert el.contains(B[rng.randrange(len(B))])
+
+
+def test_reduce_brings_back_a_pivot_index():
+    """Clearing index 1 with the row at pivot 1 brings in index 2, itself
+    a pivot, which a pass over the sorted indices of the input misses."""
+    el = SparseEliminator()
+    el.add({1: 1, 2: 1})
+    el.add({2: 1})
+    assert set(el.pivots) == {1, 2}
+    red = check_reduce(el, [{1: 1}, {2: 1}], [1, 2], {1: 1, 3: 5})
+    assert red == {3: 5}
+
+
+def test_rref_zero_at_other_pivots():
+    el = SparseEliminator()
+    for vec in ({0: 1, 1: 2, 3: 1}, {1: 1, 2: 1}, {2: 1, 3: 4}):
+        el.add(vec)
+    rows = el.rref()
+    for p, row in rows.items():
+        assert row[p] == 1
+        assert all(q not in row for q in rows if q != p)
+    assert rows == {0: {0: 1, 3: 9}, 1: {1: 1, 3: -4}, 2: {2: 1, 3: 4}}
