@@ -7,7 +7,7 @@ the basis, verified to be a nilpotent ideal (NotSplitBasic otherwise);
 this matches computing the kernel of the projection onto the declared
 semisimple quotient.
 
-Modules are right modules given by their action matrices; left-sided
+Modules are right modules given by sparse action rows; left-sided
 questions go through the opposite algebra.
 """
 
@@ -128,26 +128,15 @@ def arrow_multiplicities(quiver: Quiver):
 # ---------------------------------------------------------------------------
 
 class RightModule:
-    """Right module over an FDAlgebra: action[i] is the matrix of the i-th
-    basis element acting on column vectors (rows = module basis)."""
+    """Right module over an FDAlgebra by sparse action rows: action[b]
+    maps a module basis index i to the sparse vector e_i . b, and zero
+    rows are absent."""
 
     def __init__(self, alg: FDAlgebra, dim, action, name=""):
         self.alg = alg
         self.dim = dim
-        self.action = action  # list of dim x dim row-major Fraction matrices
+        self.action = action  # per algebra basis element: {i: sparse row}
         self.name = name
-
-    @classmethod
-    def regular(cls, alg: FDAlgebra):
-        mats = []
-        for b in range(alg.dim):
-            m = [[Fraction(0)] * alg.dim for _ in range(alg.dim)]
-            for i in range(alg.dim):
-                prod = alg.mult.get((i, b), {})
-                for k, c in prod.items():
-                    m[i][k] = Fraction(c)
-            mats.append(m)
-        return cls(alg, alg.dim, mats, name="regular")
 
     @classmethod
     def dual_of_regular(cls, alg: FDAlgebra):
@@ -158,39 +147,31 @@ class RightModule:
         A^op-action; on dual basis vectors f_q . b = sum_i mult[(i,b)][q] f_i.
         """
         op = alg.opposite()
-        mats = []
-        for b in range(alg.dim):
-            m = [[Fraction(0)] * alg.dim for _ in range(alg.dim)]
-            for i in range(alg.dim):
-                prod = alg.mult.get((i, b), {})
-                for q, c in prod.items():
-                    m[q][i] += Fraction(c)
-            mats.append(m)
-        return cls(op, alg.dim, mats, name="D(regular)"), op
+        action = [{} for _ in range(alg.dim)]
+        for (i, b), prod in alg.mult.items():
+            for q, c in prod.items():
+                action[b].setdefault(q, {})[i] = c
+        return cls(op, alg.dim, action, name="D(regular)"), op
 
-    def act(self, row_vec, b):
-        """row vector times action matrix of basis element b."""
-        m = self.action[b]
-        out = [Fraction(0)] * self.dim
-        for i, c in enumerate(row_vec):
-            if c:
-                for j in range(self.dim):
-                    if m[i][j]:
-                        out[j] += c * m[i][j]
-        return out
+    def act(self, vec, b):
+        """The sparse module vector vec times basis element b."""
+        rows = self.action[b]
+        out = {}
+        for i, c in vec.items():
+            for j, x in rows.get(i, {}).items():
+                out[j] = out.get(j, 0) + c * x
+        return {j: x for j, x in out.items() if x}
 
     def check_module(self):
         for i in range(self.alg.dim):
             for j in range(self.alg.dim):
                 prod = self.alg.mult.get((i, j), {})
                 for r in range(self.dim):
-                    row = [Fraction(int(t == r)) for t in range(self.dim)]
-                    lhs = self.act(self.act(row, i), j)
-                    rhs = [Fraction(0)] * self.dim
+                    row = {r: Fraction(1)}
+                    rhs = {}
                     for k, c in prod.items():
-                        step = self.act(row, k)
-                        rhs = [x + c * y for x, y in zip(rhs, step)]
-                    if lhs != rhs:
+                        rhs = vec_add(rhs, self.act(row, k), c)
+                    if self.act(self.act(row, i), j) != rhs:
                         raise ValueError("module axiom fails")
         return True
 
@@ -207,43 +188,36 @@ class Resolution:
     finished_at: int   # index k with zero syzygy, or -1 if cap reached
 
 
-def projective_cover_data(M: RightModule):
+def projective_cover_data(M: RightModule, jbasis):
     """Top of M split by idempotent slots, with chosen lifts.
 
-    Returns (slots, lifts): parallel lists where lifts[r] is a module row
-    vector generating the cover summand e_{slots[r]} A.
+    `jbasis` indexes the basis elements spanning the radical J of M.alg.
+    Returns (slots, lifts): parallel lists where lifts[r] is a sparse
+    module vector generating the cover summand e_{slots[r]} A.
     """
-    alg = M.alg
-    rad = radical(alg)
-    # M J = span of m . j
-    mj = SparseEliminator()
+    # M J = span of e_r . j, the rows of the radical's actions
+    covered = SparseEliminator()
     for r in range(M.dim):
-        row = [Fraction(int(t == r)) for t in range(M.dim)]
-        for j in rad.basis:
-            w = M.act(row, j)
-            sw = {i: c for i, c in enumerate(w) if c}
-            if sw:
-                mj.add(sw)
+        for j in jbasis:
+            w = M.action[j].get(r)
+            if w:
+                covered.add(w)
     # choose top representatives per idempotent slot
     slots, lifts = [], []
-    covered = SparseEliminator()
-    for r in mj.pivots.values():
-        covered.add(dict(r))
-    for k, e in enumerate(alg.idempotents):
+    for k, e in enumerate(M.alg.idempotents):
         for r in range(M.dim):
-            row = [Fraction(int(t == r)) for t in range(M.dim)]
-            me = M.act(row, e)
-            sv = {i: c for i, c in enumerate(me) if c}
-            if sv and covered.add(sv):
+            me = M.action[e].get(r)
+            if me and covered.add(me):
                 slots.append(k)
                 lifts.append(me)
     return slots, lifts
 
 
-def syzygy(M: RightModule):
-    """Kernel of the projective cover P -> M as a right module."""
+def syzygy(M: RightModule, jbasis):
+    """Kernel of the projective cover P -> M as a right module; `jbasis`
+    as in projective_cover_data."""
     alg = M.alg
-    slots, lifts = projective_cover_data(M)
+    slots, lifts = projective_cover_data(M, jbasis)
     # basis of P: pairs (r, b) with b in e_{slots[r]} . A  (b = e b)
     pbasis = []
     for r, k in enumerate(slots):
@@ -251,57 +225,42 @@ def syzygy(M: RightModule):
         for b in range(alg.dim):
             if alg.mult.get((e, b), {}) == {b: Fraction(1)}:
                 pbasis.append((r, b))
-    # cover map on P-basis
-    cover_rows = []
-    for (r, b) in pbasis:
-        cover_rows.append(M.act(lifts[r], b))
-    # kernel of the linear map P -> M (rows of the matrix are images)
-    mat = [[cover_rows[i][j] for i in range(len(pbasis))]
-           for j in range(M.dim)]
-    if pbasis:
-        kern, free = nullspace_with_free(mat, ncols=len(pbasis))
-    else:
-        kern, free = [], []
-    kdim = len(kern)
-    if kdim == 0:
+    # kernel of the linear map P -> M (column i is the image of pbasis[i])
+    mat = [[0] * len(pbasis) for _ in range(M.dim)]
+    for i, (r, b) in enumerate(pbasis):
+        for j, c in M.act(lifts[r], b).items():
+            mat[j][i] = c
+    kern, free = nullspace_with_free(mat, ncols=len(pbasis))
+    if not kern:
         return slots, None
-    # action of alg on P in the pbasis coordinates
-    pindex = {pb: i for i, pb in enumerate(pbasis)}
-
-    def p_act(vec, b):
-        out = {}
-        for i, c in vec.items():
-            (r, pb) = pbasis[i]
-            prod = alg.mult.get((pb, b), {})
-            for k2, c2 in prod.items():
-                key = pindex.get((r, k2))
-                if key is not None:
-                    out = vec_add(out, {key: c * c2})
-        return out
-
     # The kernel basis is echelon over its free columns, so coordinates of
     # an action image are its values at the free columns.
-    action = []
+    coord = {pbasis[f]: row for row, f in enumerate(free)}
+    action = [{} for _ in range(alg.dim)]
     for b in range(alg.dim):
-        m = [[Fraction(0)] * kdim for _ in range(kdim)]
         for col, v in enumerate(kern):
-            w = p_act(v, b)
-            for row, f in enumerate(free):
-                c = w.get(f)
-                if c:
-                    m[col][row] = c
-        action.append(m)
-    return slots, RightModule(alg, kdim, action, name=M.name + ".syz")
+            w = {}
+            for i, c in v.items():
+                r, pb = pbasis[i]
+                for k2, c2 in alg.mult.get((pb, b), {}).items():
+                    row = coord.get((r, k2))
+                    if row is not None:
+                        w[row] = w.get(row, 0) + c * c2
+            w = {row: x for row, x in w.items() if x}
+            if w:
+                action[b][col] = w
+    return slots, RightModule(alg, len(kern), action, name=M.name + ".syz")
 
 
 def projective_resolution(M: RightModule, cap) -> Resolution:
     """Minimal resolution to length `cap`; Betti numbers per step."""
+    jbasis = radical(M.alg).basis
     steps = []
     cur = M
     for k in range(cap + 1):
         if cur.dim == 0:
             return Resolution(steps, finished_at=k - 1)
-        slots, nxt = syzygy(cur)
+        slots, nxt = syzygy(cur, jbasis)
         betti = {}
         for s in slots:
             betti[s] = betti.get(s, 0) + 1

@@ -60,19 +60,8 @@ def path_algebra(Q: Quiver) -> FDAlgebra:
     """kQ as an FDAlgebra (finite dimensional since Q is acyclic)."""
     if not Q.is_acyclic():
         raise Cyclic("path algebra is infinite dimensional for cyclic Q")
-    pres = GradedQuiverPresentation(Q, [])
-    ctx = pres.ctx
-    # enumerate all paths (no relations, acyclic: finite)
-    paths = []
-    frontier = [Path(v, ()) for v in Q.vertices]
-    while frontier:
-        paths.extend(frontier)
-        nxt = []
-        for p in frontier:
-            t = ctx.target(p)
-            for i in Q.arrows_by_source[t]:
-                nxt.append(Path(p.source, p.arrows + (i,)))
-        frontier = nxt
+    ctx = GradedQuiverPresentation(Q, []).ctx
+    paths = _plain_paths(Q)
     index = {p: i for i, p in enumerate(paths)}
     mult = {}
     for i, p in enumerate(paths):
@@ -81,13 +70,8 @@ def path_algebra(Q: Quiver) -> FDAlgebra:
             if c is not None:
                 mult[(i, j)] = {index[c]: Fraction(1)}
     idems = [index[Path(v, ())] for v in Q.vertices]
-    alg = FDAlgebra([ctx.format_path(p) for p in paths], mult, idems,
-                    name="kQ")
-    alg._paths = paths
-    alg._path_index = index
-    alg._quiver = Q
-    alg._pres = pres
-    return alg
+    return FDAlgebra([ctx.format_path(p) for p in paths], mult, idems,
+                     name="kQ")
 
 
 def ext_bimodule(Q: Quiver, cap=8) -> FDBimodule:
@@ -113,32 +97,24 @@ def ext_bimodule(Q: Quiver, cap=8) -> FDBimodule:
         out = Path(p.source, tuple(pp.quiver.arrow_index[n] for n in names))
         return out
 
+    def to_vec(comp):
+        if comp is None:
+            return {}
+        nf = rc.normal_form(NCPoly.monomial(comp))
+        return {u_index[mono]: c for mono, c in nf.terms.items()}
+
     left, right = {}, {}
-    for ai, ap in enumerate(A._paths):
+    for ai, ap in enumerate(_plain_paths(Q)):
         ep = embed(ap)
         for ui, up in enumerate(u_paths):
-            comp = ctx.compose(ep, up)
-            if comp is not None:
-                nf = rc.normal_form(NCPoly.monomial(comp))
-                vec = {}
-                for mono, c in nf.terms.items():
-                    vec[u_index[mono]] = vec.get(u_index[mono], 0) + c
-                if vec:
-                    left[(ai, ui)] = vec
-            comp = ctx.compose(up, ep)
-            if comp is not None:
-                nf = rc.normal_form(NCPoly.monomial(comp))
-                vec = {}
-                for mono, c in nf.terms.items():
-                    vec[u_index[mono]] = vec.get(u_index[mono], 0) + c
-                if vec:
-                    right[(ui, ai)] = vec
-    bim = FDBimodule(A, [ctx.format_path(p) for p in u_paths], left, right,
-                     name="ext_bimodule")
-    bim._u_paths = u_paths
-    bim._pp = pp
-    bim._rc = rc
-    return bim
+            vec = to_vec(ctx.compose(ep, up))
+            if vec:
+                left[(ai, ui)] = vec
+            vec = to_vec(ctx.compose(up, ep))
+            if vec:
+                right[(ui, ai)] = vec
+    return FDBimodule(A, [ctx.format_path(p) for p in u_paths], left, right,
+                      name="ext_bimodule")
 
 
 def block_trivial_extension(Q: Quiver, n, cap=8):

@@ -23,12 +23,18 @@ class LPResult:
 
 
 def _pivot(T, basis, row, col):
-    piv = T[row][col]
-    T[row] = [v / piv for v in T[row]]
-    for r in range(len(T)):
-        if r != row and T[r][col]:
-            f = T[r][col]
-            T[r] = [a - f * b for a, b in zip(T[r], T[row])]
+    """Pivot in place, touching each row only at the pivot row's nonzero
+    columns."""
+    prow = T[row]
+    piv = prow[col]
+    support = [j for j, v in enumerate(prow) if v]
+    for j in support:
+        prow[j] /= piv
+    for r, trow in enumerate(T):
+        f = trow[col]
+        if r != row and f:
+            for j in support:
+                trow[j] -= f * prow[j]
     basis[row] = col
 
 

@@ -66,6 +66,10 @@ def _slice_elements(sb: SliceBasis, a, offset):
     return out
 
 
+def _slice_labels(ctx, elements, sep):
+    return [f"({s}{sep}{t}){ctx.format_path(p)}" for s, t, p in elements]
+
+
 def _product_into_basis(sb, index_of, s, u, p, q):
     """Expand (path p)(path q) in normal form and map to basis indices of
     the (s, u, *) block."""
@@ -92,7 +96,7 @@ def build_A(pres, a, cap=None) -> FDAlgebra:
     sb = SliceBasis(pres, a - 1, cap)
     ctx = pres.ctx
     elements = _slice_elements(sb, a, 0)
-    labels = [f"({s}->{t}){ctx.format_path(p)}" for s, t, p in elements]
+    labels = _slice_labels(ctx, elements, "->")
     index_of = {e: i for i, e in enumerate(elements)}
     mult = {}
     for i, (s, t, p) in enumerate(elements):
@@ -105,23 +109,22 @@ def build_A(pres, a, cap=None) -> FDAlgebra:
     idems = [index_of[(s, s, p)] for s in range(a)
              for p in sb.paths(0) if p.is_lazy and (s, s, p) in index_of]
     grading = [s - t for s, t, _ in elements]
-    alg = FDAlgebra(labels, mult, idems, grading=grading,
-                    name=f"A({pres.name or 'R'},a={a})")
-    alg._slice_data = (sb, elements, index_of, a)
-    return alg
+    return FDAlgebra(labels, mult, idems, grading=grading,
+                     name=f"A({pres.name or 'R'},a={a})")
 
 
 def build_U(pres, a, cap=None, A: FDAlgebra = None) -> FDBimodule:
     """(A, A)-bimodule whose (s, t) entry is the degree s - t - 1 piece."""
     if A is None:
         A = build_A(pres, a, cap)
-    sb, a_elements, a_index, a_check = A._slice_data
-    assert a_check == a
     ctx = pres.ctx
-    if min(sb.pieces) > -a:
-        sb = SliceBasis(pres, a, cap)
+    sb = SliceBasis(pres, a, cap)
+    a_elements = _slice_elements(sb, a, 0)
+    if _slice_labels(ctx, a_elements, "->") != A.labels:
+        raise ValueError(f"A is not the slice algebra of this presentation "
+                         f"at a = {a}")
     u_elements = _slice_elements(sb, a, 1)
-    labels = [f"({s}=>{t}){ctx.format_path(p)}" for s, t, p in u_elements]
+    labels = _slice_labels(ctx, u_elements, "=>")
     u_index = {e: i for i, e in enumerate(u_elements)}
     left, right = {}, {}
     for i, (s, t, p) in enumerate(a_elements):
@@ -138,10 +141,8 @@ def build_U(pres, a, cap=None, A: FDAlgebra = None) -> FDBimodule:
             v = _product_into_basis(sb, u_index, s, u, q, p)
             if v:
                 right[(j, i)] = v
-    bim = FDBimodule(A, labels, left, right,
-                     name=f"U({pres.name or 'R'},a={a})")
-    bim._slice_data = (sb, u_elements, u_index, a)
-    return bim
+    return FDBimodule(A, labels, left, right,
+                      name=f"U({pres.name or 'R'},a={a})")
 
 
 def build_B(A: FDAlgebra, U: FDBimodule) -> FDAlgebra:

@@ -2,15 +2,18 @@
 
 The oracles here deliberately avoid the rewriting machinery: graded
 dimensions are recomputed by spanning the whole path space and quotienting
-by the ideal slice, and matchings by exhausting edge subsets.
+by the ideal slice, and matchings by exhausting edge subsets.  Minimal
+resolutions are recomputed with dense action matrices.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from pathlib import Path as FsPath
 
-from gradedcy.linalg import SparseEliminator
+from gradedcy.findim import radical
+from gradedcy.linalg import SparseEliminator, nullspace_with_free
 from gradedcy.quiver import NCPoly, Path, load_presentation
 
 DATA = FsPath(__file__).resolve().parent.parent / "data"
@@ -104,3 +107,105 @@ def dimension_table_of_algebra(alg):
                     count += 1
             table[(i, j)] = count
     return table
+
+
+# ---------------------------------------------------------------------------
+# dense reference resolution: modules as one dim x dim Fraction matrix per
+# algebra basis element (row vector times matrix), the format findim used
+# before its sparse action rows
+# ---------------------------------------------------------------------------
+
+def sparse_action(mats):
+    """Dense action matrices as RightModule's sparse action rows."""
+    return [{i: {j: Fraction(x) for j, x in enumerate(row) if x}
+             for i, row in enumerate(m) if any(row)} for m in mats]
+
+
+def dense_dual_of_regular(alg):
+    """Action matrices of D(A) over A^op:
+    f_q . b = sum_i mult[(i,b)][q] f_i."""
+    mats = []
+    for b in range(alg.dim):
+        m = [[Fraction(0)] * alg.dim for _ in range(alg.dim)]
+        for i in range(alg.dim):
+            for q, c in alg.mult.get((i, b), {}).items():
+                m[q][i] += Fraction(c)
+        mats.append(m)
+    return mats
+
+
+def _dense_act(mats, row_vec, b):
+    m = mats[b]
+    out = [Fraction(0)] * len(row_vec)
+    for i, c in enumerate(row_vec):
+        if c:
+            for j, x in enumerate(m[i]):
+                if x:
+                    out[j] += c * x
+    return out
+
+
+def _dense_syzygy(alg, jbasis, dim, mats):
+    """(slots, kernel dim, kernel action matrices) of the projective cover
+    of the module (dim, mats)."""
+    def unit(r):
+        row = [0] * dim
+        row[r] = 1
+        return row
+
+    covered = SparseEliminator()
+    for r in range(dim):
+        for j in jbasis:
+            w = _dense_act(mats, unit(r), j)
+            if any(w):
+                covered.add({i: c for i, c in enumerate(w) if c})
+    slots, lifts = [], []
+    for k, e in enumerate(alg.idempotents):
+        for r in range(dim):
+            me = _dense_act(mats, unit(r), e)
+            if any(me) and covered.add(
+                    {i: c for i, c in enumerate(me) if c}):
+                slots.append(k)
+                lifts.append(me)
+    pbasis = [(r, b) for r, k in enumerate(slots) for b in range(alg.dim)
+              if alg.mult.get((alg.idempotents[k], b), {}) == {b: 1}]
+    images = [_dense_act(mats, lifts[r], b) for r, b in pbasis]
+    mat = [[images[i][j] for i in range(len(pbasis))] for j in range(dim)]
+    kern, free = nullspace_with_free(mat, ncols=len(pbasis)) if pbasis \
+        else ([], [])
+    pindex = {pb: i for i, pb in enumerate(pbasis)}
+    kmats = []
+    for b in range(alg.dim):
+        m = [[Fraction(0)] * len(kern) for _ in kern]
+        for col, v in enumerate(kern):
+            w = {}
+            for i, c in v.items():
+                r, pb = pbasis[i]
+                for k2, c2 in alg.mult.get((pb, b), {}).items():
+                    key = pindex.get((r, k2))
+                    if key is not None:
+                        w[key] = w.get(key, 0) + c * c2
+            for row, f in enumerate(free):
+                if w.get(f):
+                    m[col][row] = w[f]
+        kmats.append(m)
+    return slots, len(kern), kmats
+
+
+def dense_resolution(alg, dim, mats, cap):
+    """(Betti dicts per step, finished_at) of the minimal resolution of the
+    module with action matrices `mats`, the conventions of
+    findim.projective_resolution."""
+    jbasis = radical(alg).basis
+    steps = []
+    for k in range(cap + 1):
+        if dim == 0:
+            return steps, k - 1
+        slots, dim, mats = _dense_syzygy(alg, jbasis, dim, mats)
+        betti = {}
+        for s in slots:
+            betti[s] = betti.get(s, 0) + 1
+        steps.append(betti)
+        if dim == 0:
+            return steps, k
+    return steps, -1

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import gradedcy
 from gradedcy.cli import main
 
 from helpers import DATA
@@ -134,6 +139,33 @@ def test_ig_check():
     assert code == 0 and "holds" in out
     code, out, _ = run("ig-check", DATA / "k_x.pres", "--a", "1", "--d", "1")
     assert code == 0
+
+
+def test_ig_check_k_xyz_json():
+    code, out, _ = run("--format", "json", "ig-check", DATA / "k_xyz.pres",
+                       "--a", "3", "--d", "2")
+    assert code == 0
+    assert json.loads(out) == {"d": 2, "holds": True, "inj_dim_left": 2,
+                               "inj_dim_right": 2}
+
+
+def test_package_imports_lazily():
+    """Importing the CLI loads only the modules it uses at start-up; the
+    package's public names still resolve, and unknown names raise."""
+    src = str(Path(gradedcy.__file__).resolve().parent.parent)
+    probe = ("import sys, gradedcy.cli; "
+             "print([m for m in sys.modules if m.startswith('gradedcy')])")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert "gradedcy.findim" not in out and "gradedcy.dimer" not in out
+    from gradedcy import RightModule, cli, findim
+    assert RightModule is findim.RightModule and cli.main is main
+    names = {}
+    exec("from gradedcy import *", names)
+    assert set(gradedcy.__all__) <= set(names)
+    with pytest.raises(AttributeError):
+        gradedcy.no_such_name
 
 
 def test_knit_and_verify_root():

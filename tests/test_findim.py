@@ -11,7 +11,8 @@ from gradedcy.findim import (RightModule, arrow_multiplicities,
                              radical)
 from gradedcy.slice_algebras import build_AUB, build_tilde
 
-from helpers import load
+from helpers import (dense_dual_of_regular, dense_resolution, load,
+                     sparse_action)
 
 
 def dual_numbers():
@@ -41,14 +42,22 @@ def test_radical_semisimple():
     assert rad.basis == [] and rad.loewy_length == 1
 
 
-def test_not_split_basic():
+def t_squared_one():
     # basis {1, t} with t*t = 1: the complement of the idempotent is not
     # an ideal
-    alg = FDAlgebra(["one", "t"],
-                    {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
-                     (1, 1): {0: 1}}, [0])
+    return FDAlgebra(["one", "t"],
+                     {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                      (1, 1): {0: 1}}, [0])
+
+
+def test_not_split_basic():
     with pytest.raises(NotSplitBasic):
-        radical(alg)
+        radical(t_squared_one())
+
+
+def test_gorenstein_check_not_split_basic():
+    with pytest.raises(NotSplitBasic):
+        is_iwanaga_gorenstein(t_squared_one(), 1, 3)
 
 
 def test_gabriel_quiver_engine():
@@ -58,7 +67,8 @@ def test_gabriel_quiver_engine():
 
 def test_simple_module_periodic_betti():
     B = dual_numbers()
-    S = RightModule(B, 1, [[[Fraction(1)]], [[Fraction(0)]]], name="S")
+    S = RightModule(B, 1, sparse_action([[[Fraction(1)]], [[Fraction(0)]]]),
+                    name="S")
     res = projective_resolution(S, 6)
     assert res.finished_at == -1
     assert [s.total_rank for s in res.steps] == [1] * 7
@@ -72,7 +82,7 @@ def test_sink_simple_is_projective():
     e1 = A.idempotents[1]
     for b in range(A.dim):
         acts.append([[Fraction(1 if b == e1 else 0)]])
-    S = RightModule(A, dim, acts, name="S_sink")
+    S = RightModule(A, dim, sparse_action(acts), name="S_sink")
     res = projective_resolution(S, 4)
     assert res.finished_at == 0
 
@@ -135,9 +145,9 @@ def test_betti_numbers_basis_independent():
             break
         except ZeroDivisionError:
             continue
-    acts = [mat_mul(mat_mul(ginv, m), g) for m in D.action]
+    acts = [mat_mul(mat_mul(ginv, m), g) for m in dense_dual_of_regular(B)]
     # action in the new basis: row convention needs g on the other side
-    twisted = RightModule(op, n, acts, name="twisted")
+    twisted = RightModule(op, n, sparse_action(acts), name="twisted")
     twisted.check_module()
     assert [s.betti for s in projective_resolution(twisted, 3).steps] == base
 
@@ -155,7 +165,8 @@ def test_json_reports():
     from gradedcy.findim import betti_table_json, ig_report_json
 
     B = dual_numbers()
-    S = RightModule(B, 1, [[[Fraction(1)]], [[Fraction(0)]]], name="S")
+    S = RightModule(B, 1, sparse_action([[[Fraction(1)]], [[Fraction(0)]]]),
+                    name="S")
     res = projective_resolution(S, 3)
     data = json.loads(betti_table_json(res))
     assert [s["total"] for s in data["steps"]] == [1, 1, 1, 1]
@@ -180,3 +191,29 @@ def test_gorenstein_invariant_across_corpus():
         rep = is_iwanaga_gorenstein(B, d, d + 2)
         assert rep.holds, name
         assert rep.inj_dim_left == rep.inj_dim_right == exact, name
+
+
+def test_resolutions_match_dense_oracle_on_corpus():
+    """Sparse resolutions of D(B) on both sides, and the IG reports built
+    from them, against the dense reference resolution."""
+    for name in ("k_x.pres", "k_xy.pres", "skew_2.pres", "skew_3.pres",
+                 "k_xy_23.pres", "k_xyz.pres"):
+        pres = load(name)
+        d = pres.cy.dimension - 1
+        _, _, B = build_AUB(pres, pres.cy.a_invariant)
+        inj = {}
+        for side, alg in (("right", B), ("left", B.opposite())):
+            D, op = RightModule.dual_of_regular(alg)
+            dense = dense_dual_of_regular(alg)
+            assert D.action == sparse_action(dense), (name, side)
+            res = projective_resolution(D, d + 2)
+            steps, finished = dense_resolution(op, alg.dim, dense, d + 2)
+            assert [s.betti for s in res.steps] == steps, (name, side)
+            assert res.finished_at == finished, (name, side)
+            assert [s.total_rank for s in res.steps] == \
+                [sum(b.values()) for b in steps], (name, side)
+            inj[side] = finished if finished >= 0 else None
+        rep = is_iwanaga_gorenstein(B, d, d + 2)
+        assert (rep.inj_dim_left, rep.inj_dim_right) == \
+            (inj["left"], inj["right"]), name
+        assert rep.holds == (inj["left"] <= d and inj["right"] <= d), name

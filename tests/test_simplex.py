@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 from gradedcy.linalg import mat_det, mat_inv, mat_vec
-from gradedcy.simplex import solve_lp
+from gradedcy.simplex import _pivot, solve_lp
 
 
 def brute_force_lp(A, b, c):
@@ -70,3 +70,35 @@ def test_simplex_against_vertex_enumeration():
             assert all(v >= 0 for v in ya) and yb < 0
         agree += 1
     assert agree == 60
+
+
+def dense_pivot(T, basis, row, col):
+    """Reference pivot: rewrite every affected row over all columns."""
+    piv = T[row][col]
+    T[row] = [v / piv for v in T[row]]
+    for r in range(len(T)):
+        if r != row and T[r][col]:
+            f = T[r][col]
+            T[r] = [a - f * b for a, b in zip(T[r], T[row])]
+    basis[row] = col
+
+
+def test_pivot_matches_dense_reference():
+    """Sparse in-place pivots give the tableau and basis of the dense
+    row rewrite, step by step along a random pivot sequence."""
+    rng = random.Random(20261018)
+    for trial in range(200):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 8)
+        T = [[Fraction(rng.choice((0, 0, 0, 1, -1, 2, -3)),
+                       rng.randrange(1, 4)) for _ in range(n + 1)]
+             for _ in range(m + 1)]
+        basis = list(range(m))
+        ref, ref_basis = [list(r) for r in T], list(basis)
+        for _ in range(4):
+            choices = [(r, c) for r in range(m) for c in range(n) if T[r][c]]
+            if not choices:
+                break
+            r, c = rng.choice(choices)
+            _pivot(T, basis, r, c)
+            dense_pivot(ref, ref_basis, r, c)
+            assert T == ref and basis == ref_basis, trial

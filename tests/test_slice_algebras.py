@@ -7,7 +7,8 @@ from gradedcy.fdalgebra import direct_sum_decomposition_by_idempotents
 from gradedcy.findim import arrow_multiplicities, gabriel_quiver, radical
 from gradedcy.quiver import parse_presentation
 from gradedcy.slice_algebras import (build_A, build_AUB, build_tilde,
-                                     cluster_hom_shadow, multiply_grading,
+                                     build_U, cluster_hom_shadow,
+                                     multiply_grading,
                                      relations_from_structure)
 
 from helpers import load
@@ -61,6 +62,15 @@ def test_positive_degree_rejected():
     pres = parse_presentation("[vertices]\nP\n[arrows]\nx P P 1\n")
     with pytest.raises(PositiveDegree):
         build_A(pres, 2)
+
+
+def test_build_U_rejects_a_foreign_A():
+    pres = load("k_xy.pres")
+    U = build_U(pres, 2, A=build_A(pres, 2))
+    assert U.dim == build_U(pres, 2).dim == 8
+    for other in (build_A(pres, 3), build_A(load("skew_2.pres"), 2)):
+        with pytest.raises(ValueError, match="slice algebra"):
+            build_U(pres, 2, A=other)
 
 
 def test_U_part_squares_to_zero():
