@@ -182,9 +182,23 @@ def cmd_dimer(args):
     if sub == "jacobian":
         ms, _ = perfect_matchings(dimer)
         if args.matchings:
-            picks = [int(i) for i in args.matchings.split(",")]
-            coeffs = [int(c) for c in args.coeffs.split(",")] \
-                if args.coeffs else [-1] * len(picks)
+            try:
+                picks = [int(i) for i in args.matchings.split(",")]
+                coeffs = [int(c) for c in args.coeffs.split(",")] \
+                    if args.coeffs else [-1] * len(picks)
+            except ValueError:
+                return _fail("--matchings and --coeffs take comma "
+                             "separated integers")
+            for i in picks:
+                if not 0 <= i < len(ms):
+                    return _fail(f"--matchings index {i} is out of range: "
+                                 f"{args.file} has {len(ms)} perfect "
+                                 f"matchings, numbered from 0")
+            if len(coeffs) != len(picks):
+                return _fail(f"--coeffs needs one coefficient per index "
+                             f"in --matchings: got {len(coeffs)} for "
+                             f"{len(picks)} ({args.file} has {len(ms)} "
+                             f"perfect matchings)")
             chosen = [ms[i] for i in picks]
         else:
             chosen = ms

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .complexes import BimoduleComplex, FreeSummand
 from .errors import Inhomogeneous, NotBipartite, NotTorus, ParseError
@@ -60,7 +61,11 @@ class DimerModel:
 
     def other(self, edge_name, v):
         b, w = self.ends(edge_name)
-        return w if v == b else b
+        if v == b:
+            return w
+        if v == w:
+            return b
+        raise ValueError(f"vertex {v} is not an end of edge {edge_name}")
 
     # -- face tracing -----------------------------------------------------
 
@@ -239,41 +244,64 @@ def _verify_charge(dimer, faces, charge):
 # ---------------------------------------------------------------------------
 
 def perfect_matchings(dimer: DimerModel, limit=10 ** 6):
-    """All perfect matchings by backtracking over white vertices.
+    """Perfect matchings by backtracking over white vertices.
 
     Returns (matchings, truncated); each matching is a sorted tuple of
-    edge names.  `truncated` flags hitting the enumeration limit.
+    edge names, and the list is sorted.  `truncated` is true exactly when
+    the dimer has more than `limit` perfect matchings; the list then holds
+    the first `limit` found, with whites taken in sorted order and each
+    white's edges in rotation order.
     """
     whites = sorted(v for v, c in dimer.colors.items() if c == "white")
     blacks = sorted(v for v, c in dimer.colors.items() if c == "black")
     if len(whites) != len(blacks):
         return [], False
-    out = []
-    used_black = set()
+    bit = {b: 1 << k for k, b in enumerate(blacks)}
+    adjacency = [[(e, bit[dimer.ends(e)[0]])
+                  for e in dimer.rotation.get(w, ())] for w in whites]
+    ms = list(islice(_matchings(adjacency, set()), limit + 1))
+    return sorted(ms[:limit]), len(ms) > limit
+
+
+def _matchings(adjacency, dead):
+    """Yield the matchings that cover every white, in search order.
+
+    adjacency[i] lists (edge, black bit) for white i; the search matches
+    white 0, 1, ... in turn, tries each white's pairs in list order and
+    carries the used blacks as one int.  Whether whites i.. can still be
+    matched depends only on `used & reach[i]`, the used blacks adjacent
+    to one of them.  A state (i, used & reach[i]) whose subtree yielded
+    nothing is added to `dead`, and the search never enters it again.
+    Only a finished subtree is recorded: when the caller stops iterating,
+    the generators on the current path are closed before their loops end.
+    """
+    n = len(adjacency)
+    reach = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        reach[i] = reach[i + 1]
+        for _, b in adjacency[i]:
+            reach[i] |= b
     chosen = []
-    truncated = False
 
-    def backtrack(i):
-        nonlocal truncated
-        if truncated:
+    def search(i, used):
+        if i == n:
+            yield tuple(sorted(chosen))
             return
-        if i == len(whites):
-            out.append(tuple(sorted(chosen)))
-            if len(out) >= limit:
-                truncated = True
+        key = (i, used & reach[i])
+        if key in dead:
             return
-        w = whites[i]
-        for e in dimer.rotation[w]:
-            b = dimer.other(e, w)
-            if b not in used_black:
-                used_black.add(b)
+        found = False
+        for e, b in adjacency[i]:
+            if not used & b:
                 chosen.append(e)
-                backtrack(i + 1)
+                for m in search(i + 1, used | b):
+                    found = True
+                    yield m
                 chosen.pop()
-                used_black.discard(b)
+        if not found:
+            dead.add(key)
 
-    backtrack(0)
-    return sorted(out), truncated
+    return search(0, 0)
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the rewriting machinery: graded
 dimensions are recomputed by spanning the whole path space and quotienting
-by the ideal slice, and matchings by exhausting edge subsets.  Minimal
-resolutions are recomputed with dense action matrices.
+by the ideal slice, and matchings by exhausting edge subsets or by a plain
+backtracker.  Minimal resolutions are recomputed with dense action
+matrices.
 """
 
 from __future__ import annotations
@@ -91,6 +92,47 @@ def matchings_by_subsets(dimer):
                 out.append(tuple(sorted(subset)))
             del ok
     return sorted(out)
+
+
+def matchings_by_backtracking(dimer, limit=10 ** 6):
+    """All perfect matchings by backtracking over white vertices.
+
+    The search `perfect_matchings` ran before its dead-state cache, kept
+    as the order oracle: it stops at the `limit`-th matching found, with
+    whites in sorted order and each white's edges in rotation order.
+    Returns (matchings, truncated); `truncated` is set when the limit is
+    hit, even if no further matching exists.
+    """
+    whites = sorted(v for v, c in dimer.colors.items() if c == "white")
+    blacks = sorted(v for v, c in dimer.colors.items() if c == "black")
+    if len(whites) != len(blacks):
+        return [], False
+    out = []
+    used_black = set()
+    chosen = []
+    truncated = False
+
+    def backtrack(i):
+        nonlocal truncated
+        if truncated:
+            return
+        if i == len(whites):
+            out.append(tuple(sorted(chosen)))
+            if len(out) >= limit:
+                truncated = True
+            return
+        w = whites[i]
+        for e in dimer.rotation[w]:
+            b = dimer.other(e, w)
+            if b not in used_black:
+                used_black.add(b)
+                chosen.append(e)
+                backtrack(i + 1)
+                chosen.pop()
+                used_black.discard(b)
+
+    backtrack(0)
+    return sorted(out), truncated
 
 
 def dimension_table_of_algebra(alg):

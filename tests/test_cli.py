@@ -85,6 +85,19 @@ def test_dimer_subcommands():
     assert code == 0
 
 
+def test_dimer_jacobian_input_errors_exit_2():
+    for flags, wanted in (
+            (["--matchings", "0,9"], ["--matchings index 9", "has 3"]),
+            (["--matchings", "-1"], ["--matchings index -1", "has 3"]),
+            (["--matchings", "0,1", "--coeffs", "-1"],
+             ["--coeffs", "got 1 for 2", "has 3"]),
+            (["--matchings", "0,x"], ["--matchings", "integers"])):
+        code, out, err = run("dimer", "jacobian", DATA / "hexagonal.dimer",
+                             *flags)
+        assert code == 2 and out == ""
+        assert all(w in err for w in wanted), err
+
+
 def test_cy_check_exit_codes():
     code, _, _ = run("cy-check", DATA / "k_xy.pres", "--twist", "sigma")
     assert code == 0

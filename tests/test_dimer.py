@@ -1,8 +1,12 @@
+import inspect
 import itertools
+import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+from gradedcy import dimer as dimer_module
 from gradedcy.dimer import (DimerEdge, DimerModel, consistency_check,
                             cy3_complex, dual_qp, grading_from_matchings,
                             jacobian_presentation, load_dimer,
@@ -11,7 +15,8 @@ from gradedcy.errors import (NonStabilizing, NotBipartite, NotTorus,
                              ParseError)
 from gradedcy.rewriting import RewriteContext, dimension_table
 
-from helpers import DATA, brute_force_graded_dimension, matchings_by_subsets
+from helpers import (DATA, brute_force_graded_dimension,
+                     matchings_by_backtracking, matchings_by_subsets)
 
 
 def hexagonal():
@@ -168,6 +173,123 @@ w2: e2
 """)
     ms, _ = perfect_matchings(dimer)
     assert ms == []
+    # an isolated vertex may have no rotation line at all
+    dimer = parse_dimer("""
+[vertices]
+b1 black
+b2 black
+w1 white
+w2 white
+[edges]
+e1 b1 w1
+[rotation]
+b1: e1
+w1: e1
+""")
+    assert perfect_matchings(dimer) == ([], False)
+
+
+def test_other_rejects_a_foreign_vertex():
+    dimer = hexagonal()
+    assert dimer.other("e1", "b") == "w"
+    assert dimer.other("e1", "w") == "b"
+    with pytest.raises(ValueError, match="nonexistent.*e1"):
+        dimer.other("e1", "nonexistent")
+
+
+def _random_bipartite(rng):
+    """A small bipartite graph with a random rotation at every vertex:
+    multi-edges, sometimes unbalanced colours, isolated vertices."""
+    nb = rng.randint(0, 5)
+    nw = nb if rng.random() < 0.85 else rng.randint(0, 5)
+    blacks = [f"b{k}" for k in rng.sample(range(10), nb)]
+    whites = [f"w{k}" for k in rng.sample(range(10), nw)]
+    edges = []
+    if blacks and whites:
+        for k in range(rng.randint(0, 5 * max(nb, nw))):
+            edges.append(DimerEdge(f"e{k}", rng.choice(blacks),
+                                   rng.choice(whites)))
+    rotation = {v: [] for v in blacks + whites}
+    for e in edges:
+        rotation[e.black].append(e.name)
+        rotation[e.white].append(e.name)
+    for rot in rotation.values():
+        rng.shuffle(rot)
+    colors = {v: "black" for v in blacks}
+    colors.update({v: "white" for v in whites})
+    return DimerModel(colors, edges, rotation)
+
+
+def _search_faults(dimer):
+    """Where perfect_matchings and the dead-state search it runs disagree
+    with the backtracking and edge-subset oracles on `dimer`."""
+    faults = []
+    want, _ = matchings_by_backtracking(dimer)
+    if perfect_matchings(dimer) != (want, False):
+        faults.append("full search")
+    if len(dimer.edges) <= 14 and want != matchings_by_subsets(dimer):
+        faults.append("edge subsets")
+    for limit in range(1, len(want) + 2):
+        first, _ = matchings_by_backtracking(dimer, limit)
+        if perfect_matchings(dimer, limit) != (first, len(want) > limit):
+            faults.append(f"limit {limit}")
+    # A dead set left by a search stopped after k matchings holds only
+    # finished states, each keyed by the blacks later whites can use.
+    whites = sorted(v for v, c in dimer.colors.items() if c == "white")
+    blacks = sorted(v for v, c in dimer.colors.items() if c == "black")
+    if len(whites) != len(blacks):
+        return faults
+    bit = {b: 1 << k for k, b in enumerate(blacks)}
+    adjacency = [[(e, bit[dimer.ends(e)[0]]) for e in dimer.rotation[w]]
+                 for w in whites]
+    reach = [sum(bit[b] for b in {dimer.ends(e)[0] for w in whites[i:]
+                                  for e in dimer.rotation[w]})
+             for i in range(len(whites))]
+    for k in range(len(want) + 1):
+        dead = set()
+        search = dimer_module._matchings(adjacency, dead)
+        list(itertools.islice(search, k))
+        search.close()
+        if sorted(dimer_module._matchings(adjacency, dead)) != want:
+            faults.append(f"dead set after {k} matchings")
+        if any(m & ~reach[i] for i, m in dead):
+            faults.append("dead key outside reach")
+    return faults
+
+
+def _random_graphs():
+    rng = random.Random(20261018)
+    return [_random_bipartite(rng) for _ in range(300)]
+
+
+def test_matchings_differential_against_oracles():
+    graphs = _random_graphs()
+    # enough of the sample has many matchings and dead branches to matter
+    assert sum(1 for d in graphs if len(perfect_matchings(d)[0]) > 5) > 50
+    for dimer in graphs:
+        assert _search_faults(dimer) == [], dimer.rotation
+
+
+@pytest.mark.parametrize("edits", [
+    # sound, but states that differ only in blacks no later white can
+    # use get separate keys, so the cache misses
+    [("key = (i, used & reach[i])", "key = (i, used)")],
+    # forgets the blacks only white i can use
+    [("key = (i, used & reach[i])", "key = (i, used & reach[i + 1])")],
+    # records a state before its subtree has been searched to the end
+    [("found = False", "found = False\n        dead.add(key)"),
+     ("if not found:\n            dead.add(key)",
+      "if found:\n            dead.discard(key)")],
+])
+def test_matchings_differential_catches_mutants(monkeypatch, edits):
+    source = textwrap.dedent(inspect.getsource(dimer_module._matchings))
+    for old, new in edits:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    namespace = {}
+    exec(source, namespace)
+    monkeypatch.setattr(dimer_module, "_matchings", namespace["_matchings"])
+    assert any(_search_faults(dimer) for dimer in _random_graphs())
 
 
 def test_gradings_of_four_face():
@@ -296,7 +418,10 @@ def test_four_face_slice_algebra_quivers():
 
 def test_matchings_truncation_flag():
     ms, truncated = perfect_matchings(hexagonal(), limit=2)
-    assert truncated and len(ms) == 2
+    assert truncated and ms == [("e1",), ("e2",)]
+    for limit in (3, 4):
+        ms, truncated = perfect_matchings(hexagonal(), limit=limit)
+        assert not truncated and len(ms) == 3
 
 
 def test_potential_cycle_lengths_equal_valence():
