@@ -13,7 +13,6 @@ import sys
 
 from .errors import GradedCYError, ParseError
 from .quiver import load_presentation
-from .rewriting import dimension_table
 
 CONVENTIONS = (
     "# conventions: paths compose left-to-right (p*q = first p then q); "
@@ -41,6 +40,8 @@ def _emit(args, text_lines, data):
 # ---------------------------------------------------------------------------
 
 def cmd_dims(args):
+    from .rewriting import dimension_table
+
     pres = load_presentation(args.file)
     degrees = list(range(0, -args.max_degree - 1, -1))
     cap = args.max_degree + 4 if args.cap is None else args.cap
@@ -200,6 +201,9 @@ def cmd_dimer(args):
                              f"{len(picks)} ({args.file} has {len(ms)} "
                              f"perfect matchings)")
             chosen = [ms[i] for i in picks]
+        elif args.coeffs:
+            return _fail("--coeffs needs --matchings: give the indices of "
+                         "the matchings the coefficients belong to")
         else:
             chosen = ms
             coeffs = [-1] * len(ms)

@@ -28,8 +28,8 @@ from fractions import Fraction
 from .complexes import BimoduleComplex, FreeSummand
 from .errors import NotFree, WindowTooSmall
 from .linalg import SparseEliminator
-from .quiver import NCPoly, Path
-from .rewriting import RewriteContext
+from .quiver import Path
+from .rewriting import RewriteContext, as_exact
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +230,19 @@ def dualize(cplx: BimoduleComplex) -> BimoduleComplex:
 # slice evaluation
 # ---------------------------------------------------------------------------
 
+def _product(rc, p, path, left):
+    """Normal form of p * path, or of path * p when `left`, for a listed
+    normal word p, as {Path: coefficient}."""
+    degree = rc.pres.ctx.degree(p)
+    i = rc.listing(degree)[1][p.source, p.arrows]
+    words = rc.listing(degree + rc.pres.ctx.degree(path))[0]
+    return {words[j]: c for j, c in rc.times(i, degree, path, left).items()}
+
+
 def _entry_images(cplx, rc, k, ti, si, p, q):
     """Images (coeff, p', q') of the slice element (si, p, q) of
-    terms[k+1] under the (ti, si) component of diffs[k], before
-    normal-form expansion."""
+    terms[k+1] under the (ti, si) component of diffs[k], with p' and q'
+    normal forms {Path: coefficient}."""
     ctx = cplx.pres.ctx
     entries = cplx.diffs[k].get((ti, si))
     if not entries:
@@ -242,14 +251,11 @@ def _entry_images(cplx, rc, k, ti, si, p, q):
     kind = cplx.kind
     if kind in ("graded", "dg-right"):
         for (c, u, v) in entries:
-            lp = ctx.compose(p, u)
-            rp = ctx.compose(v, q)
-            if lp is None or rp is None:
-                continue
             if kind == "dg-right":
                 sgn = ((_deg(ctx, u) + _deg(ctx, v)) * _deg(ctx, p)) % 2
                 c = c * Fraction((-1) ** sgn)
-            out.append((c, lp, rp))
+            out.append((c, _product(rc, p, u, False),
+                        _product(rc, q, v, True)))
     else:  # dg-left
         ls = _shift(cplx.terms[k][ti])      # target shift (deeper dual)
         lt = _shift(cplx.terms[k + 1][si])  # source shift
@@ -258,12 +264,9 @@ def _entry_images(cplx, rc, k, ti, si, p, q):
         ls, lt = -ls, -lt
         base = ((_deg(ctx, p) + _deg(ctx, q)) * (ls + lt)) % 2
         for (c, u, v) in entries:
-            lp = ctx.compose(u, p)
-            rp = ctx.compose(q, v)
-            if lp is None or rp is None:
-                continue
             sgn = (base + (_deg(ctx, p) + _deg(ctx, q)) * _deg(ctx, u)) % 2
-            out.append((c * Fraction((-1) ** sgn), lp, rp))
+            out.append((c * Fraction((-1) ** sgn), _product(rc, p, u, True),
+                        _product(rc, q, v, False)))
     return out
 
 
@@ -278,11 +281,9 @@ def slice_matrix(cplx, rc, k, w):
     for (si, p, q) in src:
         col = {}
         for ti in range(len(cplx.terms[k])):
-            for (c, lp, rp) in _entry_images(cplx, rc, k, ti, si, p, q):
-                lnf = rc.normal_form(NCPoly.monomial(lp))
-                rnf = rc.normal_form(NCPoly.monomial(rp))
-                for pl, cl in lnf.terms.items():
-                    for pr, cr in rnf.terms.items():
+            for (c, lnf, rnf) in _entry_images(cplx, rc, k, ti, si, p, q):
+                for pl, cl in lnf.items():
+                    for pr, cr in rnf.items():
                         key = (ti, pl, pr)
                         idx = tindex.get(key)
                         if idx is None:
@@ -337,9 +338,13 @@ def one_sided_complex(cplx, rc, degrees):
     plus trivial pairs, so these homology dims are exactly the generator
     multiplicities of the minimal part; nonzero entries away from the
     expected spot falsify the duality claim.
+
+    A generator's right path q is kept as its position in
+    rc.listing(|q|), and its image is q * v (dg-left) or v * q through the
+    context's arrow maps.
     """
-    ctx = cplx.pres.ctx
     nterms = len(cplx.terms)
+    dg_left = cplx.kind == "dg-left"
 
     def gens(k, w):
         out = []
@@ -348,46 +353,27 @@ def one_sided_complex(cplx, rc, degrees):
             if qdeg > 0:
                 continue
             basis = rc.basis(qdeg)
+            index = rc.listing(qdeg)[1]
             for (a, b), plist in sorted(basis.by_pair.items(),
                                         key=lambda kv: str(kv[0])):
-                for q in plist:
-                    if cplx.kind in ("graded", "dg-right"):
-                        if a == s.right_vertex:
-                            out.append((si, q))
-                    else:
-                        if b == s.right_vertex:
-                            out.append((si, q))
+                if (b if dg_left else a) == s.right_vertex:
+                    out.extend((si, index[q.source, q.arrows])
+                               for q in plist)
         return out
 
-    def one_sided_image(k, si, q):
-        """Image of generator (si in terms[k+1], q) in terms[k] generators."""
-        left = cplx.kind == "dg-left"
-        out = {}
-        for ti in range(len(cplx.terms[k])):
-            entries = cplx.diffs[k].get((ti, si))
-            if not entries:
-                continue
-            flip = False
-            if left:
-                lt = cplx.terms[k + 1][si].degree   # = l of source summand
-                ls = cplx.terms[k][ti].degree
-                flip = (_deg(ctx, q) * (ls + lt)) % 2
-            for (c, u, v) in entries:
-                if not u.is_lazy:
-                    continue
-                comp = ctx.compose(q, v) if left else ctx.compose(v, q)
-                if comp is None:
-                    continue
-                c2 = -c if flip else c
-                nf = rc.normal_form(NCPoly.monomial(comp))
-                for mono, cm in nf.terms.items():
-                    key = (ti, mono)
-                    val = out.get(key, 0) + c2 * cm
-                    if val:
-                        out[key] = val
-                    else:
-                        out.pop(key, None)
-        return out
+    def entry_plan(k, w, si):
+        """Degree of the right paths of summand si of terms[k+1] at
+        generator degree w, and the (ti, coefficient, v) of its entries
+        with lazy left path, signed for dg-left."""
+        ctx, s = cplx.pres.ctx, cplx.terms[k + 1][si]
+        qdeg = w - s.degree
+        plan = []
+        for ti, t in enumerate(cplx.terms[k]):
+            flip = dg_left and (qdeg * (t.degree + s.degree)) % 2
+            for (c, u, v) in cplx.diffs[k].get((ti, si), ()):
+                if u.is_lazy and qdeg + ctx.degree(v) == w - t.degree:
+                    plan.append((ti, as_exact(-c if flip else c), v))
+        return qdeg, plan
 
     dims = {}
     for w in degrees:
@@ -395,10 +381,22 @@ def one_sided_complex(cplx, rc, degrees):
         indexes = [{g: i for i, g in enumerate(b)} for b in bases]
 
         def images(k):
-            for (si, q) in bases[k + 1]:
-                img = one_sided_image(k, si, q)
-                vec = {indexes[k][key]: c for key, c in img.items()
-                       if key in indexes[k]}
+            plans, index = {}, indexes[k]
+            for (si, i) in bases[k + 1]:
+                if si not in plans:
+                    plans[si] = entry_plan(k, w, si)
+                qdeg, plan = plans[si]
+                vec = {}
+                for ti, c, v in plan:
+                    for j, cm in rc.times(i, qdeg, v, not dg_left).items():
+                        g = index.get((ti, j))
+                        if g is None:
+                            continue
+                        val = vec.get(g, 0) + c * cm
+                        if val:
+                            vec[g] = val
+                        else:
+                            vec.pop(g, None)
                 if vec:
                     yield vec
 
@@ -406,15 +404,14 @@ def one_sided_complex(cplx, rc, degrees):
     return dims
 
 
-def exactness_probe(pres, cplx, window, cap):
+def exactness_probe(cplx, window, rc):
     """The augmented resolution is exact in the window: its one-sided
     generator complex has homology only at position 0, degree 0, of
     dimension = number of vertices."""
-    rc = RewriteContext(pres, cap)
     lo = min(window)
     degrees = range(0, lo - 1, -1)
     dims = one_sided_complex(cplx, rc, degrees)
-    nverts = len(pres.quiver.vertices)
+    nverts = len(cplx.pres.quiver.vertices)
     bad = {}
     for (pos, w), d in sorted(dims.items()):
         expected = nverts if (pos == 0 and w == 0) else 0
@@ -478,11 +475,15 @@ def check_twisted_cy(pres, cplx, twist: TwistSpec, window=None, cap=None,
     if window is None:
         window = (0, -(a + 4))
     hi, lo = max(window), min(window)
+    if not lo <= 0 <= hi:
+        raise WindowTooSmall(
+            f"--window {lo}..{hi} does not contain degree 0, where the top "
+            f"generator is certified; widen --window to reach 0")
     if cap is None:
         cap = max(-lo + 2, pres.max_relation_length + 2, a + 2)
     rc = RewriteContext(pres, cap)
 
-    probe_failures = exactness_probe(pres, cplx, window, cap)
+    probe_failures = exactness_probe(cplx, window, rc)
 
     dual = dualize(cplx)
     claimed_pos = twist.shift - a
@@ -495,9 +496,6 @@ def check_twisted_cy(pres, cplx, twist: TwistSpec, window=None, cap=None,
         expected = 1 if (pos == claimed_pos and w == a) else 0
         if d != expected:
             certificate[(pos, w)] = (d, expected)
-    if a > hi + a or a < lo + a:
-        raise WindowTooSmall("window must contain degree 0 so the top "
-                             "generator is certified")
     certified = not certificate
 
     # direct slice computation in the shallow part of the window

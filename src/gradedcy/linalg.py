@@ -1,10 +1,11 @@
 """Small exact linear algebra kit over the rationals.
 
-Sparse vectors are dicts index -> Fraction with zero entries absent.  All
-elimination goes through one kernel, `SparseEliminator`; the dense helpers
-(`nullspace_with_free`, `solve`, `mat_inv`, `mat_det`) take matrices as
-lists of rows (entries Fractions or ints), hand their nonzero entries to
-it and read the answer off its reduced row echelon form.
+Sparse vectors are dicts index -> exact number (int or Fraction) with
+zero entries absent.  All elimination goes through one kernel,
+`SparseEliminator`; the dense helpers (`nullspace_with_free`, `solve`,
+`mat_inv`, `mat_det`) take matrices as lists of rows (entries Fractions or
+ints), hand their nonzero entries to it as Fractions and read the answer
+off its reduced row echelon form, so their answers are Fractions.
 """
 
 from fractions import Fraction
@@ -29,7 +30,9 @@ class SparseEliminator:
     Rows are kept pivot-normalized: the row at pivot p has 1 at p and no
     index below p.  `add(vec)` reduces vec against the current span and
     either absorbs it (returning the reduced nonzero row) or returns None
-    when vec was already in the span.
+    when vec was already in the span.  A row whose pivot entry is already
+    1 or -1 is kept or negated rather than divided, so integer rows stay
+    integer.
     """
 
     def __init__(self):
@@ -66,8 +69,14 @@ class SparseEliminator:
         if not vec:
             return None
         p = min(vec)
-        c = Fraction(vec[p])
-        row = {k: Fraction(x) / c for k, x in vec.items()}
+        c = vec[p]
+        if c == 1:
+            row = vec
+        elif c == -1:
+            row = {k: -x for k, x in vec.items()}
+        else:
+            c = Fraction(c)
+            row = {k: x / c for k, x in vec.items()}
         self.pivots[p] = row
         return row
 
@@ -90,7 +99,8 @@ class SparseEliminator:
 
 
 def _sparse_rows(matrix):
-    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+    return [{j: Fraction(x) for j, x in enumerate(row) if x}
+            for row in matrix]
 
 
 def mat_from_columns(cols, nrows):
@@ -132,7 +142,7 @@ def solve(matrix, rhs):
     el = SparseEliminator()
     for row, b in zip(_sparse_rows(matrix), rhs):
         if b:
-            row[nc] = b
+            row[nc] = Fraction(b)
         el.add(row)
     if nc in el.pivots:
         return None
@@ -166,7 +176,7 @@ def mat_inv(matrix):
     n = len(matrix)
     el = SparseEliminator()
     for i, row in enumerate(_sparse_rows(matrix)):
-        row[n + i] = 1
+        row[n + i] = Fraction(1)
         el.add(row)
     if any(p >= n for p in el.pivots):
         raise ZeroDivisionError("singular matrix")

@@ -162,7 +162,8 @@ class NCPoly:
         self.terms = {}
         if terms:
             for p, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     self.terms[p] = c
 

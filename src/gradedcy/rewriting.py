@@ -7,6 +7,9 @@ returned system computes unique normal forms for all paths of length
 <= cap.  An automaton over the rule tips (the Ufnarovski graph) decides
 normality; `RewriteContext.counts` counts graded pieces by dynamic
 programming over it, and `basis` lists them only where a basis is needed.
+`RewriteContext.times` multiplies listed normal words by paths one arrow
+at a time, through per-degree maps read off the same automaton and the
+rules (Green's multiplication maps for a Groebner basis).
 Nothing is claimed beyond the cap: both compare per-vertex-pair counts
 with cap+2 and raise NonStabilizing on mismatch (the signature of a
 degree-0 cycle surviving in the quotient), a heuristic, not a proof.
@@ -110,12 +113,13 @@ class RewritingSystem:
                 next(s for s in suffixes if s in prefixes)
         return memo[state, arrow]
 
-    def normal_paths(self, source, max_len, degree=None):
+    def normal_paths(self, source, max_len, degree=None, states=None):
         """All normal-form paths from `source` of length <= max_len.
 
         With `degree` set, only paths of that internal degree are returned.
         When every arrow degree is <= 0, branches whose degree has dropped
-        below `degree` are cut.
+        below `degree` are cut.  A list passed as `states` receives the
+        automaton state reached by each returned path, in the same order.
         """
         quiver = self.ctx.quiver
         prune = degree is not None and \
@@ -125,6 +129,8 @@ class RewritingSystem:
         def visit(path, state, cur_deg, cur_tgt):
             if degree is None or cur_deg == degree:
                 out.append(path)
+                if states is not None:
+                    states.append(state)
             if len(path.arrows) == max_len:
                 return
             for i in quiver.arrows_by_source[cur_tgt]:
@@ -239,13 +245,32 @@ def truncated_rewriting(pres, cap) -> RewritingSystem:
 class GradedPieceBasis:
     """Normal-form basis of one graded piece, split by vertex pair."""
 
-    def __init__(self, degree, by_pair):
+    def __init__(self, degree, by_pair, states):
         self.degree = degree
         self.by_pair = by_pair  # (source, target) -> list of Path
+        self.states = states    # (source, target) -> automaton state per path
 
     def dim(self, source=None, target=None):
         return sum(len(paths) for (s, t), paths in self.by_pair.items()
                    if source in (None, s) and target in (None, t))
+
+
+def as_exact(c):
+    """c as an int when it is an integer, else unchanged (a Fraction): the
+    arrow maps carry integer coefficients as ints."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _add_into(out, vec, c):
+    """out += c * vec for sparse dicts, dropping the entries that cancel.
+    Written here, not taken from linalg, so that `dims`, which needs only
+    this module, does not import linalg on every start."""
+    for k, x in vec.items():
+        y = out.get(k, 0) + c * x
+        if y:
+            out[k] = y
+        else:
+            out.pop(k, None)
 
 
 def _pair_counts(rs, degree):
@@ -256,7 +281,8 @@ def _pair_counts(rs, degree):
 
 
 class RewriteContext:
-    """Caches the rewriting system and graded bases for one presentation."""
+    """Caches the rewriting system, graded bases and the maps 'multiply by
+    one arrow' for one presentation."""
 
     def __init__(self, pres, cap):
         self.pres = pres
@@ -265,6 +291,11 @@ class RewriteContext:
         self._basis_cache = {}
         self._checked_degrees = set()
         self._probe = None
+        self._listings = {}
+        self._rows = {}     # (degree, arrow, left) -> rows, None = not yet
+        self._rules = {lhs: (pres.ctx.degree(Path(src, lhs)),
+                             [(q, as_exact(c)) for q, c in rhs.terms.items()])
+                       for lhs, src, rhs in self.rs.rules}
 
     def counts(self, degree, check_stability=True):
         """(source, target) -> dimension of the graded piece, counted
@@ -291,14 +322,114 @@ class RewriteContext:
         if check_stability and degree not in self._checked_degrees:
             self.counts(degree)
         if degree not in self._basis_cache:
-            ctx, by_pair = self.pres.ctx, {}
+            ctx, found = self.pres.ctx, {}
             for v in self.pres.quiver.vertices:
-                for p in self.rs.normal_paths(v, self.cap, degree=degree):
-                    by_pair.setdefault((v, ctx.target(p)), []).append(p)
-            for paths in by_pair.values():
-                paths.sort(key=ctx.key)
-            self._basis_cache[degree] = GradedPieceBasis(degree, by_pair)
+                states = []
+                paths = self.rs.normal_paths(v, self.cap, degree=degree,
+                                             states=states)
+                for p, state in zip(paths, states):
+                    found.setdefault((v, ctx.target(p)), []).append(
+                        (p, state))
+            for words in found.values():
+                words.sort(key=lambda ps: ctx.key(ps[0]))
+            self._basis_cache[degree] = GradedPieceBasis(
+                degree, {pair: [p for p, _ in words]
+                         for pair, words in found.items()},
+                {pair: [st for _, st in words]
+                 for pair, words in found.items()})
         return self._basis_cache[degree]
+
+    def listing(self, degree):
+        """(words, index, states) for basis(degree) in one flat order: the
+        paths, (source, arrows) -> position, and each path's automaton
+        state.  The multiplication maps are indexed by these positions."""
+        got = self._listings.get(degree)
+        if got is None:
+            basis = self.basis(degree, check_stability=False)
+            words = [p for paths in basis.by_pair.values() for p in paths]
+            got = self._listings[degree] = (
+                words, {(p.source, p.arrows): i for i, p in enumerate(words)},
+                [st for sts in basis.states.values() for st in sts])
+        return got
+
+    def times(self, i, degree, path, left=False):
+        """Normal form of q * path, or of path * q when `left`, for the word
+        q at position i of listing(degree), as a sparse dict over
+        listing(degree + |path|).  Words outside that listing (longer than
+        the cap) are dropped, and a path that does not compose with q
+        gives 0.  The path is applied one arrow at a time through cached
+        rows; the caller must not modify the result."""
+        arrows = path.arrows[::-1] if left else path.arrows
+        if not arrows:
+            q = self.listing(degree)[0][i]
+            end = q.source if left else self.pres.ctx.target(q)
+            return {i: 1} if end == path.source else {}
+        quiver = self.pres.quiver
+        vec = self._row(degree, arrows[0], i, left)
+        for prev, x in zip(arrows, arrows[1:]):
+            degree += quiver.arrows[prev].degree
+            out = {}
+            for j, c in vec.items():
+                _add_into(out, self._row(degree, x, j, left), c)
+            vec = out
+        return vec
+
+    def _row(self, degree, x, i, left):
+        """Word i of listing(degree) times arrow x, cached.  Rows are built
+        one at a time, on first use: a row needs rows of strictly smaller
+        products only (in the monomial order), so a map may be asked for
+        its own rows while it is being filled.  Most products are one
+        listed word, and such a row is kept as that word's index alone."""
+        rows = self._rows.get((degree, x, left))
+        if rows is None:
+            rows = self._rows[degree, x, left] = \
+                [None] * len(self.listing(degree)[0])
+        row = rows[i]
+        if row is None:
+            row = rows[i] = self._arrow_product(degree, x, i, left)
+        return {row: 1} if type(row) is int else row
+
+    def _arrow_product(self, degree, x, i, left):
+        """x * q (left) or q * x for the normal word q = listing(degree)[i].
+
+        q * x is normal exactly when the automaton steps from q's state;
+        otherwise the longest tip that ends the word fires, as in
+        reduce_path.  In x * q only a tip starting with x can fire, the
+        first of them in rule order.  The word is then (rest) * tip or
+        tip * (rest) with `rest` normal, and each term of the tip's
+        right-hand side is multiplied onto `rest` by the maps again.  A
+        product that is one listed normal word comes back as its index."""
+        words, _, states = self.listing(degree)
+        q, arrow, rs = words[i], self.pres.quiver.arrows[x], self.rs
+        if left:
+            if arrow.target != q.source:
+                return {}
+            word, source = (x,) + q.arrows, arrow.source
+            tips = [rs.rules[r][0] for r in rs._by_first.get(x, ())]
+            tip = next((t for t in tips if word[:len(t)] == t), None)
+        else:
+            if self.pres.ctx.target(q) != arrow.source:
+                return {}
+            word, source, tip = q.arrows + (x,), q.source, None
+            if rs._step(states[i], x) is None:
+                end = states[i] + (x,)
+                tip = next(end[k:] for k in range(len(end))
+                           if end[k:] in self._rules)
+        if tip is None:
+            j = self.listing(degree + arrow.degree)[1].get((source, word))
+            return {} if j is None else j
+        tip_degree, rhs = self._rules[tip]
+        if left:
+            rest = word[len(tip):]
+            rest_source = self.pres.quiver.arrows[tip[-1]].target
+        else:
+            rest, rest_source = word[:len(word) - len(tip)], source
+        rest_degree = degree + arrow.degree - tip_degree
+        start = self.listing(rest_degree)[1][rest_source, rest]
+        out = {}
+        for r, c in rhs:
+            _add_into(out, self.times(start, rest_degree, r, left), c)
+        return out
 
     def normal_form(self, poly):
         return self.rs.reduce(poly)

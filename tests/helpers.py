@@ -1,10 +1,11 @@
 """Shared fixtures and independent oracles for the test suite.
 
-The oracles here deliberately avoid the rewriting machinery: graded
+The oracles here deliberately avoid the machinery they check: graded
 dimensions are recomputed by spanning the whole path space and quotienting
 by the ideal slice, and matchings by exhausting edge subsets or by a plain
 backtracker.  Minimal resolutions are recomputed with dense action
-matrices.
+matrices, and one-sided generator complexes by reducing every product from
+scratch instead of multiplying through arrow maps.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 from fractions import Fraction
 from pathlib import Path as FsPath
 
+from gradedcy.duality import _deg, _homology_dims
 from gradedcy.findim import radical
 from gradedcy.linalg import SparseEliminator, nullspace_with_free
 from gradedcy.quiver import NCPoly, Path, load_presentation
@@ -251,3 +253,87 @@ def dense_resolution(alg, dim, mats, cap):
         if dim == 0:
             return steps, k
     return steps, -1
+
+
+def one_sided_complex_by_reduction(cplx, rc, degrees):
+    """The one-sided generator complex as the package built it before it
+    multiplied through arrow maps: every product q.v or v.q is reduced
+    from scratch by the rewriting system.
+
+    Kill the left tensor factor: generators (term k, summand, right
+    path); the induced differential keeps only entry terms whose left path
+    is lazy.  Returns homology dims per (position, generator degree).
+
+    Generator degree of (summand s, q) is |q| + shift-offset so that it
+    matches the internal degree of the corresponding slice elements.
+    The complex of free graded one-sided modules splits as a minimal part
+    plus trivial pairs, so these homology dims are exactly the generator
+    multiplicities of the minimal part; nonzero entries away from the
+    expected spot falsify the duality claim.
+    """
+    ctx = cplx.pres.ctx
+    nterms = len(cplx.terms)
+
+    def gens(k, w):
+        out = []
+        for si, s in enumerate(cplx.terms[k]):
+            qdeg = w - s.degree
+            if qdeg > 0:
+                continue
+            basis = rc.basis(qdeg)
+            for (a, b), plist in sorted(basis.by_pair.items(),
+                                        key=lambda kv: str(kv[0])):
+                for q in plist:
+                    if cplx.kind in ("graded", "dg-right"):
+                        if a == s.right_vertex:
+                            out.append((si, q))
+                    else:
+                        if b == s.right_vertex:
+                            out.append((si, q))
+        return out
+
+    def one_sided_image(k, si, q):
+        """Image of generator (si in terms[k+1], q) in terms[k] generators."""
+        left = cplx.kind == "dg-left"
+        out = {}
+        for ti in range(len(cplx.terms[k])):
+            entries = cplx.diffs[k].get((ti, si))
+            if not entries:
+                continue
+            flip = False
+            if left:
+                lt = cplx.terms[k + 1][si].degree   # = l of source summand
+                ls = cplx.terms[k][ti].degree
+                flip = (_deg(ctx, q) * (ls + lt)) % 2
+            for (c, u, v) in entries:
+                if not u.is_lazy:
+                    continue
+                comp = ctx.compose(q, v) if left else ctx.compose(v, q)
+                if comp is None:
+                    continue
+                c2 = -c if flip else c
+                nf = rc.normal_form(NCPoly.monomial(comp))
+                for mono, cm in nf.terms.items():
+                    key = (ti, mono)
+                    val = out.get(key, 0) + c2 * cm
+                    if val:
+                        out[key] = val
+                    else:
+                        out.pop(key, None)
+        return out
+
+    dims = {}
+    for w in degrees:
+        bases = [gens(k, w) for k in range(nterms)]
+        indexes = [{g: i for i, g in enumerate(b)} for b in bases]
+
+        def images(k):
+            for (si, q) in bases[k + 1]:
+                img = one_sided_image(k, si, q)
+                vec = {indexes[k][key]: c for key, c in img.items()
+                       if key in indexes[k]}
+                if vec:
+                    yield vec
+
+        _homology_dims(cplx, w, [len(b) for b in bases], images, dims)
+    return dims

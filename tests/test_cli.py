@@ -91,7 +91,8 @@ def test_dimer_jacobian_input_errors_exit_2():
             (["--matchings", "-1"], ["--matchings index -1", "has 3"]),
             (["--matchings", "0,1", "--coeffs", "-1"],
              ["--coeffs", "got 1 for 2", "has 3"]),
-            (["--matchings", "0,x"], ["--matchings", "integers"])):
+            (["--matchings", "0,x"], ["--matchings", "integers"]),
+            (["--coeffs", "5,7"], ["--coeffs needs --matchings"])):
         code, out, err = run("dimer", "jacobian", DATA / "hexagonal.dimer",
                              *flags)
         assert code == 2 and out == ""
@@ -171,7 +172,8 @@ def test_package_imports_lazily():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
-    assert "gradedcy.findim" not in out and "gradedcy.dimer" not in out
+    assert all(f"gradedcy.{m}'" not in out
+               for m in ("findim", "dimer", "rewriting", "linalg"))
     from gradedcy import RightModule, cli, findim
     assert RightModule is findim.RightModule and cli.main is main
     names = {}

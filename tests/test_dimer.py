@@ -441,8 +441,8 @@ def test_cy3_complexes_are_resolutions():
     ms, _ = perfect_matchings(hexagonal())
     deg = grading_from_matchings(hexagonal(), ms, [-1] * 3)
     pres = jacobian_presentation(qp, deg)
-    assert exactness_probe(pres, cy3_complex(qp, deg, pres),
-                           (0, -5), cap=8) == {}
+    assert exactness_probe(cy3_complex(qp, deg, pres), (0, -5),
+                           RewriteContext(pres, 8)) == {}
 
     di = four_face()
     qp = dual_qp(di)
@@ -451,8 +451,8 @@ def test_cy3_complexes_are_resolutions():
             ([("d1", "d2", "om"), ("d1", "d2", "h2")], [-1, -1], (0, -3))):
         g = grading_from_matchings(di, matchings, coeffs)
         p = jacobian_presentation(qp, g)
-        assert exactness_probe(p, cy3_complex(qp, g, p), window,
-                               cap=12) == {}
+        assert exactness_probe(cy3_complex(qp, g, p), window,
+                               RewriteContext(p, 12)) == {}
 
 
 def test_hexagonal_duality_via_dimer_resolution():

@@ -8,7 +8,7 @@ from gradedcy.duality import (builtin_resolution, check_twisted_cy,
 from gradedcy.errors import NotComplex, NotFree, WindowTooSmall
 from gradedcy.rewriting import RewriteContext
 
-from helpers import DATA, load
+from helpers import DATA, load, one_sided_complex_by_reduction
 
 
 def entries(cplx, k):
@@ -87,7 +87,7 @@ def test_resolutions_are_complexes_and_exact():
         pres = load(name)
         cpx = builtin_resolution(pres)
         assert cpx.check_complex(6)
-        assert exactness_probe(pres, cpx, (0, -6), cap=8) == {}
+        assert exactness_probe(cpx, (0, -6), RewriteContext(pres, 8)) == {}
 
 
 def test_broken_complex_detected():
@@ -108,7 +108,7 @@ def test_probe_catches_wrong_relation():
         "[vertices]\nP\n[arrows]\nx P P -1\ny P P -1\n[relations]\n"
         "x*x\n", filename="wrong")
     cpx = koszul_complex(wrong)
-    bad = exactness_probe(wrong, cpx, (0, -4), cap=6)
+    bad = exactness_probe(cpx, (0, -4), RewriteContext(wrong, 6))
     assert bad
 
 
@@ -143,11 +143,22 @@ def test_wrong_shift_fails():
     assert not v.passed
 
 
-def test_window_must_contain_zero():
+def test_window_must_contain_zero(monkeypatch):
+    """The window is checked before any completion runs, and the message
+    names the flag and the window it got."""
+    from gradedcy import rewriting
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("completion ran before the window check")
+
+    monkeypatch.setattr(rewriting, "truncated_rewriting", refuse)
     pres = load("k_xy.pres")
     cpx = builtin_resolution(pres)
-    with pytest.raises(WindowTooSmall):
-        check_twisted_cy(pres, cpx, sign_twist(pres, 4), window=(-2, -4))
+    for window in ((-2, -4), (3, 1)):
+        with pytest.raises(WindowTooSmall) as err:
+            check_twisted_cy(pres, cpx, sign_twist(pres, 4), window=window)
+        lo, hi = min(window), max(window)
+        assert f"--window {lo}..{hi}" in str(err.value)
 
 
 def test_double_dual_dimensions():
@@ -199,7 +210,7 @@ def test_complex_file_round_trip():
     with open(DATA / "koszul_xy.cpx", "r", encoding="utf-8") as fh:
         parsed = parse_complex(fh.read(), pres, filename="koszul_xy.cpx")
     assert parsed.check_complex(6)
-    assert exactness_probe(pres, parsed, (0, -4), cap=6) == {}
+    assert exactness_probe(parsed, (0, -4), RewriteContext(pres, 6)) == {}
     v = check_twisted_cy(pres, parsed, sign_twist(pres, 4), window=(0, -4))
     assert v.passed
     v2 = check_twisted_cy(pres, parsed, identity_twist(4), window=(0, -4))
@@ -233,3 +244,65 @@ def test_all_variants_compose_to_zero_on_slices():
         for c in (cpx, dg_transport(cpx), dualize(cpx),
                   dualize(dualize(cpx))):
             assert composite_vanishes(c, rc, [0, -1, -2, -3]), (name, c.kind)
+
+
+def _corpus_complexes():
+    """(presentation, complex, cap, number of degrees) for every corpus
+    complex: the built-in resolutions, the two complex files and the dimer
+    resolutions of hexagonal and four_face (whose entries v have two
+    arrows, and whose Jacobian algebra has degree-0 arrows)."""
+    from gradedcy.dimer import (cy3_complex, dual_qp,
+                                grading_from_matchings, jacobian_presentation,
+                                load_dimer, perfect_matchings)
+
+    for name in ("k_x.pres", "k_xy.pres", "k_xyz.pres", "skew_2.pres",
+                 "skew_3.pres"):
+        pres = load(name)
+        yield pres, builtin_resolution(pres), 8, 6
+    for name, cpx in (("k_xy.pres", "koszul_xy.cpx"),
+                      ("skew_2.pres", "skew2.cpx")):
+        pres = load(name)
+        with open(DATA / cpx, "r", encoding="utf-8") as fh:
+            yield pres, parse_complex(fh.read(), pres, filename=cpx), 8, 6
+    hexagonal = load_dimer(DATA / "hexagonal.dimer")
+    ms, _ = perfect_matchings(hexagonal)
+    deg = grading_from_matchings(hexagonal, ms, [-1] * 3)
+    pres = jacobian_presentation(dual_qp(hexagonal), deg)
+    yield pres, cy3_complex(dual_qp(hexagonal), deg, pres), 8, 5
+    four_face = load_dimer(DATA / "four_face.dimer")
+    for matchings, depth in (([("d1", "d2", "om")], 2),
+                             ([("d1", "d2", "om"), ("d1", "d2", "h2")], 3)):
+        deg = grading_from_matchings(four_face, matchings,
+                                     [-1] * len(matchings))
+        pres = jacobian_presentation(dual_qp(four_face), deg)
+        yield pres, cy3_complex(dual_qp(four_face), deg, pres), 12, depth
+
+
+def test_one_sided_complex_matches_reduction_oracle():
+    """Homology dims of the one-sided generator complex built through the
+    arrow maps equal those of the former build, which reduces every
+    product from scratch, on every corpus complex and its dual."""
+    from gradedcy.duality import one_sided_complex
+
+    for pres, cpx, cap, depth in _corpus_complexes():
+        rc = RewriteContext(pres, cap)
+        for c in (cpx, dualize(cpx)):
+            top = max(s.degree for t in c.terms for s in t)
+            degrees = range(top, top - depth - 1, -1)
+            assert one_sided_complex(c, rc, degrees) == \
+                one_sided_complex_by_reduction(c, rc, degrees), \
+                (cpx.name, c.kind)
+
+
+def test_wide_window_skew_three():
+    """skew_3 at window -11..0 (about 16 s in process before the arrow
+    maps): every row equals the Hilbert series 1/(1-3t+t^2)."""
+    pres = load("skew_3.pres")
+    v = check_twisted_cy(pres, builtin_resolution(pres), identity_twist(4),
+                         window=(0, -11))
+    assert v.passed, v.summary()
+    series = [1, 3]
+    while len(series) < 12:
+        series.append(3 * series[-1] - series[-2])
+    assert [(d, e, g) for d, e, g, _ in v.dim_rows] == \
+        [(-n, series[n], series[n]) for n in range(12)]

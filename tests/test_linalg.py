@@ -180,3 +180,28 @@ def test_rref_zero_at_other_pivots():
         assert row[p] == 1
         assert all(q not in row for q in rows if q != p)
     assert rows == {0: {0: 1, 3: 9}, 1: {1: 1, 3: -4}, 2: {2: 1, 3: 4}}
+
+
+def test_pivot_of_one_keeps_integer_rows():
+    """A pivot entry of 1 keeps the row and -1 negates it, so integer rows
+    stay integer; any other pivot divides, as a Fraction."""
+    el = SparseEliminator()
+    assert el.add({0: 1, 2: 3}) == {0: 1, 2: 3}
+    assert el.add({1: -1, 2: 4}) == {1: 1, 2: -4}
+    assert el.add({2: 2, 3: 1}) == {2: 1, 3: Fraction(1, 2)}
+    assert all(type(x) is int for p in (0, 1) for x in el.pivots[p].values())
+    assert type(el.pivots[2][3]) is Fraction
+    assert el.contains({0: 1, 1: 1, 3: Fraction(1, 2)})
+
+
+def test_dense_helpers_answer_in_fractions():
+    """Integer input still gives Fraction answers (their JSON is strings)."""
+    basis, free = nullspace_with_free([[1, 2, 0], [0, 0, 1]])
+    assert free == [1] and basis == [{1: 1, 0: -2}]
+    x = solve([[1, 0], [0, -1]], [3, 4])
+    inv = mat_inv([[1, 1], [0, -1]])
+    det = mat_det([[2, 1], [1, 1]])
+    assert x == [3, -4] and inv == [[1, 1], [0, -1]] and det == 1
+    values = [v for vec in basis for v in vec.values()] + x + inv[0] + \
+        inv[1] + [det]
+    assert all(type(v) is Fraction for v in values)

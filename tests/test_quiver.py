@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from gradedcy.errors import ParseError
@@ -105,3 +107,13 @@ y P P -1
     rel = pres.relations[0]
     from fractions import Fraction
     assert sorted(rel.terms.values()) == [Fraction(-1, 2), Fraction(1, 2)]
+
+
+def test_ncpoly_stores_fractions():
+    """Coefficients are stored as Fractions, an exact one as it is, and
+    zeros are dropped."""
+    p, q = Path("P", ()), Path("P", (0,))
+    half = Fraction(1, 2)
+    poly = NCPoly({p: 2, q: half, Path("P", (1,)): Fraction(0)})
+    assert poly.terms == {p: 2, q: half}
+    assert type(poly.terms[p]) is Fraction and poly.terms[q] is half

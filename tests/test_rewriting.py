@@ -1,8 +1,11 @@
+import inspect
 import random
+import textwrap
 from math import comb
 
 import pytest
 
+from gradedcy import rewriting as rewriting_module
 from gradedcy.dimer import (dual_qp, grading_from_matchings,
                             jacobian_presentation, load_dimer,
                             perfect_matchings)
@@ -262,3 +265,106 @@ def test_fuzz_rewriting_against_oracle():
                         recombined = recombined + \
                             rs.reduce(NCPoly.monomial(comp)).scale(cp * cq)
             assert direct.terms == recombined.terms, trial
+
+
+def _walk(quiver, rng, vertex, length, backward):
+    """A random path of up to `length` arrows that starts at `vertex`, or
+    ends there when `backward`."""
+    arrows, end = [], vertex
+    for _ in range(length):
+        nxt = (quiver.arrows_by_target if backward
+               else quiver.arrows_by_source)[end]
+        if not nxt:
+            break
+        i = rng.choice(nxt)
+        arrows.append(i)
+        end = quiver.arrows[i].source if backward else quiver.arrows[i].target
+    if backward:
+        return Path(end, tuple(reversed(arrows)))
+    return Path(vertex, tuple(arrows))
+
+
+def _arrow_map_faults(pres, cap, degrees, rng, trials=20):
+    """(word, path, left) wherever the arrow maps of a RewriteContext
+    disagree with reduce_path: every listed normal word shorter than the
+    cap times every arrow, on both sides, and per degree `trials` seeded
+    random words of one to three arrows that compose with it."""
+    rc = RewriteContext(pres, cap)
+    ctx, quiver = pres.ctx, pres.quiver
+
+    def fault(degree, i, path, left):
+        q = rc.listing(degree)[0][i]
+        prod = ctx.compose(path, q) if left else ctx.compose(q, path)
+        want = {} if prod is None else rc.rs.reduce_path(prod).terms
+        words = rc.listing(degree + ctx.degree(path))[0]
+        got = {words[j]: c
+               for j, c in rc.times(i, degree, path, left).items()}
+        return [] if got == want else [(q, path, left)]
+
+    faults = []
+    for d in degrees:
+        words = rc.listing(d)[0]
+        for i, q in enumerate(words):
+            if len(q) < rc.cap:
+                for x, a in enumerate(quiver.arrows):
+                    for left in (False, True):
+                        faults += fault(d, i, Path(a.source, (x,)), left)
+        short = [i for i, q in enumerate(words) if len(q) + 3 <= rc.cap]
+        for _ in range(trials if short else 0):
+            i = rng.choice(short)
+            q, m = words[i], rng.randrange(1, 4)
+            faults += fault(d, i, _walk(quiver, rng, ctx.target(q), m,
+                                        False), False)
+            faults += fault(d, i, _walk(quiver, rng, q.source, m, True),
+                            True)
+    return faults
+
+
+def _four_face_jacobian():
+    dimer = load_dimer(DATA / "four_face.dimer")
+    g = grading_from_matchings(dimer, [("d1", "d2", "om")], [-1])
+    return jacobian_presentation(dual_qp(dimer), g)
+
+
+def test_arrow_maps_match_reduce_path_on_random_presentations():
+    """Multiplying by arrows through the cached maps agrees with reducing
+    the product from scratch, on seeded random presentations (arrow
+    degrees -1 and -2, so words of length <= 6 reach degree -12)."""
+    rng = random.Random(424242)
+    for trial in range(60):
+        pres = _random_presentation(rng)
+        assert _arrow_map_faults(pres, 6, range(0, -13, -1), rng) == [], \
+            trial
+
+
+@pytest.mark.parametrize("name", ["skew_2.pres", "skew_3.pres",
+                                  "skew_4.pres", "k_xyz.pres",
+                                  "k_xy_23.pres", "four_face"])
+def test_arrow_maps_match_reduce_path_on_corpus(name):
+    """The same differential on the corpus; four_face's Jacobian algebra
+    has degree-0 arrows, so its words of one degree have many lengths."""
+    rng = random.Random(sum(map(ord, name)))
+    if name == "four_face":
+        pres, cap, degrees = _four_face_jacobian(), 12, range(0, -3, -1)
+    else:
+        pres, cap, degrees = load(name), 6, range(0, -7, -1)
+    assert _arrow_map_faults(pres, cap, degrees, rng) == []
+
+
+@pytest.mark.parametrize("old,new", [
+    # the normal-word fast path taken without asking the automaton
+    ("if rs._step(states[i], x) is None:", "if False:"),
+    # a rule's right-hand side applied with the wrong sign
+    ("_add_into(out, self.times(start, rest_degree, r, left), c)",
+     "_add_into(out, self.times(start, rest_degree, r, left), -c)"),
+])
+def test_arrow_map_differential_catches_mutants(monkeypatch, old, new):
+    source = textwrap.dedent(
+        inspect.getsource(RewriteContext._arrow_product))
+    assert source.count(old) == 1
+    namespace = dict(vars(rewriting_module))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(RewriteContext, "_arrow_product",
+                        namespace["_arrow_product"])
+    assert _arrow_map_faults(load("skew_3.pres"), 6, range(0, -5, -1),
+                             random.Random(7))
