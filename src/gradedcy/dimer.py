@@ -22,7 +22,7 @@ from .complexes import BimoduleComplex, FreeSummand
 from .errors import Inhomogeneous, NotBipartite, NotTorus, ParseError
 from .quiver import Arrow, CYData, GradedQuiverPresentation, NCPoly, Path, \
     Quiver
-from .simplex import solve_lp
+from .simplex import _check, solve_lp
 
 
 @dataclass
@@ -202,27 +202,25 @@ def consistency_check(dimer: DimerModel) -> Consistency:
     # variables: s_e (nE), tp, tm
     rows, rhs = [], []
     for v, rot in dimer.rotation.items():
-        row = [Fraction(0)] * (nE + 2)
+        row = [0] * (nE + 2)
         for e in rot:
             row[eidx[e]] += 1
-        row[nE] = Fraction(len(rot))
-        row[nE + 1] = Fraction(-len(rot))
+        row[nE], row[nE + 1] = len(rot), -len(rot)
         rows.append(row)
-        rhs.append(Fraction(2))
+        rhs.append(2)
     for face in faces:
-        row = [Fraction(0)] * (nE + 2)
+        row = [0] * (nE + 2)
         sides = len(face)
         for (e, _, _) in face:
             row[eidx[e]] += 1
-        row[nE] = Fraction(sides)
-        row[nE + 1] = Fraction(-sides)
+        row[nE], row[nE + 1] = sides, -sides
         rows.append(row)
-        rhs.append(Fraction(sides - 2))
-    c = [Fraction(0)] * nE + [Fraction(1), Fraction(-1)]
+        rhs.append(sides - 2)
+    c = [0] * nE + [1, -1]
     res = solve_lp(rows, rhs, c)
     if res.status == "infeasible":
         return Consistency(False, None, None, res.farkas)
-    assert res.status == "optimal", res.status
+    _check(res.status == "optimal", f"consistency LP status {res.status}")
     t = res.x[nE] - res.x[nE + 1]
     charge = {e: t + res.x[eidx[e]] for e in edges}
     if t <= 0:
@@ -233,10 +231,10 @@ def consistency_check(dimer: DimerModel) -> Consistency:
 
 def _verify_charge(dimer, faces, charge):
     for v, rot in dimer.rotation.items():
-        assert sum(charge[e] for e in rot) == 2, f"vertex sum fails at {v}"
+        _check(sum(charge[e] for e in rot) == 2, f"R-charge vertex sum at {v}")
     for face in faces:
-        total = sum(1 - charge[e] for (e, _, _) in face)
-        assert total == 2, "face sum fails"
+        _check(sum(1 - charge[e] for e, _, _ in face) == 2,
+               f"R-charge face sum at {face[0][0]}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Exact rational simplex for small feasibility problems.
 
-Standard form: maximize c.x subject to A x = b, x >= 0, over Fractions,
-with Bland's rule so termination is guaranteed.  Two phases; phase one
-leaves either a feasible basis or a Farkas certificate y with y.A <= 0
-and y.b > 0.  Optimality returns the dual vector so callers can verify
-the bound independently.
+Standard form: maximize c.x subject to A x = b, x >= 0, with Bland's rule
+so termination is guaranteed.  Tableau row r is a pair (N, d) of ints with
+d > 0, standing for N / d and kept primitive, so sign tests read N alone.
+Two phases; phase one leaves either a feasible basis or a Farkas
+certificate y with y.A >= 0 and y.b < 0.  At an optimum the dual y is read
+off the objective row and checked exactly (y.A >= c, y.b = value), so
+callers can verify the bound (A, b with the rows where b_i < 0 negated).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,22 +22,46 @@ class LPResult:
     x: list | None
     value: Fraction | None
     dual: list | None    # y with y.A >= c (componentwise), y.b = value
-    farkas: list | None  # y with y.A <= 0, y.b > 0 when infeasible
+    farkas: list | None  # y with y.A >= 0, y.b < 0 when infeasible
+
+
+def _check(ok, what):
+    # an exact check that must hold: failing it is a bug, not bad input
+    if not ok:
+        raise RuntimeError(f"exact check failed: {what}")
+
+
+def _primitive(N, d):
+    g = math.gcd(d, *N)
+    return ([v // g for v in N], d // g) if g > 1 else (N, d)
+
+
+def _combine(y, rows, width):
+    """sum_i y_i * rows_i for ints y_i and (N, d) rows of the given width,
+    as an int list over the lcm L of the d; returns (list, L)."""
+    lcm = math.lcm(*(d for _, d in rows))
+    out = [0] * width
+    for yi, (N, d) in zip(y, rows):
+        if yi:
+            f = yi * (lcm // d)
+            out = [o + f * v for o, v in zip(out, N)]
+    return out, lcm
 
 
 def _pivot(T, basis, row, col):
-    """Pivot in place, touching each row only at the pivot row's nonzero
-    columns."""
-    prow = T[row]
-    piv = prow[col]
-    support = [j for j, v in enumerate(prow) if v]
-    for j in support:
-        prow[j] /= piv
-    for r, trow in enumerate(T):
-        f = trow[col]
+    """Pivot in place.  The pivot row N / p takes p's sign into N; every
+    other row with f = N_r[col] != 0 becomes (dp N_r - f N', d_r dp), where
+    (N', dp) is the new pivot row.  Rows with f = 0 are not touched."""
+    N, _ = T[row]
+    p = N[col]
+    if p < 0:
+        N, p = [-v for v in N], -p
+    T[row] = (Np, dp) = _primitive(N, p)
+    for r, (Nr, dr) in enumerate(T):
+        f = Nr[col]
         if r != row and f:
-            for j in support:
-                trow[j] -= f * prow[j]
+            T[r] = _primitive([dp * a - f * v for a, v in zip(Nr, Np)],
+                              dr * dp)
     basis[row] = col
 
 
@@ -43,94 +70,89 @@ def _simplex_phase(T, basis, ncols):
     usual tableau convention (row = c_B B^-1 A - c)."""
     m = len(T) - 1
     while True:
-        col = next((j for j in range(ncols) if T[-1][j] < 0), None)
+        obj = T[-1][0]
+        col = next((j for j in range(ncols) if obj[j] < 0), None)
         if col is None:
             return "optimal"
         best = None
         for r in range(m):
-            if T[r][col] > 0:
-                ratio = T[r][-1] / T[r][col]
-                if best is None or ratio < best[0] or \
-                        (ratio == best[0] and basis[r] < basis[best[1]]):
-                    best = (ratio, r)
+            N = T[r][0]
+            # least ratio N[-1] / N[col] (d_r cancels; cross-multiplied),
+            # ties to the least basic variable
+            if N[col] > 0 and (best is None or (N[-1] * Nb[col], basis[r])
+                               < (Nb[-1] * N[col], basis[best])):
+                best, Nb = r, N
         if best is None:
             return "unbounded"
-        _pivot(T, basis, best[1], col)
+        _pivot(T, basis, best, col)
+
+
+def _exact_row(values):
+    """(N, d) with N / d equal to the values (ints or Fractions)."""
+    values = [v if isinstance(v, int) else Fraction(v) for v in values]
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def solve_lp(A, b, c):
     """Maximize c.x st A x = b, x >= 0 (all entries Fractions or ints)."""
     m = len(A)
     n = len(A[0]) if m else len(c)
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
+    for i, row in enumerate(A):
+        if len(row) != n:
+            raise ValueError(f"row {i} of A has length {len(row)}, not {n}")
+    if len(b) != m:
+        raise ValueError(f"len(b) = {len(b)} but A has {m} rows")
+    if len(c) != n:
+        raise ValueError(f"len(c) = {len(c)} but A has {n} columns")
+    # rows (A_i | b_i) over one denominator each, negated where b_i < 0
+    rows = [_exact_row([*A[i], b[i]]) for i in range(m)]
+    rows = [([-v for v in N] if N[-1] < 0 else N, d) for N, d in rows]
 
-    # phase 1: artificials
+    # phase 1: artificials, objective -sum of the rows off their columns
     total = n + m
-    T = []
-    for i in range(m):
-        T.append(A[i] + [Fraction(int(j == i)) for j in range(m)] + [b[i]])
-    obj = [Fraction(0)] * total + [Fraction(0)]
-    for i in range(m):
-        obj = [o - a for o, a in zip(obj, T[i])]
-    for j in range(n, total):
-        obj[j] = Fraction(0)
-    T.append(obj)
+    T = [(N[:n] + [d * (j == i) for j in range(m)] + N[n:], d)
+         for i, (N, d) in enumerate(rows)]
+    obj, lcm = _combine([-1] * m, rows, n + 1)
+    T.append(_primitive(obj[:n] + [0] * m + obj[n:], lcm))
     basis = [n + i for i in range(m)]
     _simplex_phase(T, basis, total)
-    if -T[-1][-1] > 0:
-        # infeasible: Farkas certificate y with y.A >= 0 and y.b < 0
-        # (then 0 <= y.A.x = y.b < 0 is absurd for any feasible x >= 0),
-        # read off the phase-1 duals at the artificial columns.
-        y = [T[-1][n + i] - 1 for i in range(m)]
-        ya = [sum(y[i] * A[i][j] for i in range(m)) for j in range(n)]
-        yb = sum(y[i] * b[i] for i in range(m))
-        if not (all(v >= 0 for v in ya) and yb < 0):
-            y = [-v for v in y]
-            ya = [-v for v in ya]
-            yb = -yb
-        assert all(v >= 0 for v in ya) and yb < 0, "bad Farkas certificate"
-        return LPResult("infeasible", None, None, None, y)
+    N, d = T[-1]
+    if N[-1] < 0:
+        # infeasible: the phase-1 duals y at the artificial columns give, up
+        # to sign, y.A >= 0 and y.b < 0, absurd as y.A.x = y.b for x >= 0
+        y = [N[n + i] - d for i in range(m)]
+        ya, _ = _combine(y, rows, n + 1)
+        if ya[n] > 0:  # the sign with y.b < 0
+            y, ya = [-v for v in y], [-v for v in ya]
+        _check(all(v >= 0 for v in ya[:n]) and ya[n] < 0,
+               "Farkas certificate y.A >= 0, y.b < 0")
+        return LPResult("infeasible", None, None, None,
+                        [Fraction(v, d) for v in y])
 
     # drive artificials out of the basis where possible
     for r in range(m):
         if basis[r] >= n:
-            col = next((j for j in range(n) if T[r][j]), None)
+            col = next((j for j in range(n) if T[r][0][j]), None)
             if col is not None:
                 _pivot(T, basis, r, col)
 
     # phase 2 (pivot columns restricted to the originals, so artificials
-    # cannot re-enter)
-    T[-1] = [Fraction(0)] * (total + 1)
-    for j in range(n):
-        T[-1][j] = -c[j]
-    for r in range(m):
-        bj = basis[r]
-        if bj < n and c[bj]:
-            f = c[bj]
-            T[-1] = [o + f * v for o, v in zip(T[-1], T[r])]
-    status = _simplex_phase(T, basis, n)
-    if status == "unbounded":
+    # cannot re-enter), objective (sum of c_B-weighted rows) - c, c = cn / cd
+    cn, cd = _exact_row(c)
+    obj, k = _combine([cn[j] if j < n else 0 for j in basis], T[:m], total + 1)
+    T[-1] = _primitive([o - k * v for o, v in zip(obj, cn)] + obj[n:], cd * k)
+    if _simplex_phase(T, basis, n) == "unbounded":
         return LPResult("unbounded", None, None, None, None)
     x = [Fraction(0)] * n
     for r in range(m):
         if basis[r] < n:
-            x[basis[r]] = T[r][-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    # dual vector from the final basis: solve y . A_B = c_B exactly
-    # (an artificial in the basis at level zero contributes cost zero)
-    from .linalg import solve as _solve
-
-    cols = basis
-    mat = [[A[i][j] if j < n else Fraction(int(i == j - n))
-            for j in cols] for i in range(m)]
-    cb = [c[j] if j < n else Fraction(0) for j in cols]
-    mat_t = [[mat[i][r] for i in range(m)] for r in range(m)]
-    y = _solve(mat_t, cb)
-    assert y is not None, "degenerate final basis"
-    return LPResult("optimal", x, value, y, None)
+            x[basis[r]] = Fraction(T[r][0][-1], T[r][1])
+    value = sum(Fraction(cj, cd) * xj for cj, xj in zip(cn, x))
+    # dual y = c_B B^-1 at the artificial columns (an artificial basic at
+    # level zero costs zero), the unique solution of y.A_B = c_B
+    y, d = T[-1][0][n:n + m], T[-1][1]
+    ya, lcm = _combine(y, rows, n + 1)
+    _check(all(v * cd >= cj * d * lcm for v, cj in zip(ya, cn))
+           and ya[n] == value * d * lcm, "optimal dual y.A >= c, y.b = value")
+    return LPResult("optimal", x, value, [Fraction(v, d) for v in y], None)

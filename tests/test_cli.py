@@ -238,3 +238,18 @@ def test_skew_resolution_file():
     code, _, _ = run("cy-check", DATA / "skew_2.pres", "--twist", "sigma",
                      "--resolution", DATA / "skew2.cpx")
     assert code == 1
+
+
+def test_dimer_consistency_is_the_same_under_python_O():
+    """The exact checks behind `dimer consistency` are explicit raises, so
+    `python -O`, which strips assert statements, prints the same bytes."""
+    src = str(Path(gradedcy.__file__).resolve().parent.parent)
+
+    def consistency(*flags):
+        return subprocess.run(
+            [sys.executable, *flags, "-m", "gradedcy.cli", "--format",
+             "json", "dimer", "consistency", str(DATA / "hexagonal.dimer")],
+            capture_output=True, check=True,
+            env={**os.environ, "PYTHONPATH": src}).stdout
+
+    assert consistency("-O") == consistency()

@@ -14,9 +14,11 @@ from gradedcy.dimer import (DimerEdge, DimerModel, consistency_check,
 from gradedcy.errors import (NonStabilizing, NotBipartite, NotTorus,
                              ParseError)
 from gradedcy.rewriting import RewriteContext, dimension_table
+from gradedcy.simplex import LPResult
 
-from helpers import (DATA, brute_force_graded_dimension,
-                     matchings_by_backtracking, matchings_by_subsets)
+from helpers import (DATA, brute_force_graded_dimension, honeycomb_torus,
+                     matchings_by_backtracking, matchings_by_subsets,
+                     solve_lp_by_fractions)
 
 
 def hexagonal():
@@ -508,6 +510,60 @@ def test_consistency_margin_zero_with_dual_bound():
           for j in range(nE + 2)]
     assert all(v >= cj for v, cj in zip(ya, c))
     assert sum(y[i] * rhs[i] for i in range(len(rhs))) == 0
+
+
+def _consistency_outcome(dimer):
+    try:
+        return consistency_check(dimer)
+    except NotTorus:
+        return NotTorus
+
+
+@pytest.mark.parametrize("name", ["digon", "four_face", "hexagonal",
+                                  "pendant", "theta", "3x3", "4x4",
+                                  "6x6"])
+def test_consistency_matches_fraction_oracle(monkeypatch, name):
+    """consistency_check gives the same charges, margin and certificate
+    with the integer simplex as with the Fraction-tableau oracle, on every
+    shipped dimer and on honeycomb tori."""
+    if name[0].isdigit():
+        m, n = map(int, name.split("x"))
+        dimer = honeycomb_torus(m, n)
+    else:
+        dimer = load_dimer(DATA / f"{name}.dimer")
+    got = _consistency_outcome(dimer)
+    monkeypatch.setattr(dimer_module, "solve_lp", solve_lp_by_fractions)
+    assert got == _consistency_outcome(dimer)
+
+
+def test_consistency_on_bench_scale_honeycomb():
+    """The 6 x 6 honeycomb torus (108 LP rows, 110 columns) is consistent
+    with margin 2/3, every charge 2/3."""
+    res = consistency_check(honeycomb_torus(6, 6))
+    assert res.feasible and res.margin == Fraction(2, 3)
+    assert len(res.rcharge) == 108
+    assert set(res.rcharge.values()) == {Fraction(2, 3)}
+
+
+def test_consistency_raises_on_a_corrupted_lp_answer(monkeypatch):
+    """The exact substitution checks are explicit raises, not asserts: a
+    solution that breaks the vertex sums, or a status that is neither
+    optimal nor infeasible, stops consistency_check."""
+    solve = dimer_module.solve_lp
+
+    def corrupted(A, b, c):
+        res = solve(A, b, c)
+        res.x[0] += 1
+        return res
+
+    monkeypatch.setattr(dimer_module, "solve_lp", corrupted)
+    with pytest.raises(RuntimeError, match="R-charge vertex sum"):
+        consistency_check(hexagonal())
+    monkeypatch.setattr(dimer_module, "solve_lp",
+                        lambda A, b, c: LPResult("unbounded", None, None,
+                                                 None, None))
+    with pytest.raises(RuntimeError, match="status unbounded"):
+        consistency_check(hexagonal())
 
 
 def test_four_face_second_grading_slice_quiver():
