@@ -251,17 +251,13 @@ def cmd_cy_check(args):
         window = (hi, lo)
     verdict = check_twisted_cy(pres, cplx, twist, window=window,
                                cap=args.cap)
-    if args.format == "json":
-        print(json.dumps({
-            "passed": verdict.passed,
-            "shift": verdict.shift,
-            "rows": [{"degree": v, "expected": e, "computed": g,
-                      "method": m} for v, e, g, m in verdict.dim_rows],
-            "action_ok": verdict.action_ok,
-        }, indent=2, sort_keys=True, default=str))
-    else:
-        print(CONVENTIONS)
-        print(verdict.summary())
+    _emit(args, [verdict.summary()], {
+        "passed": verdict.passed,
+        "shift": verdict.shift,
+        "rows": [{"degree": v, "expected": e, "computed": g,
+                  "method": m} for v, e, g, m in verdict.dim_rows],
+        "action_ok": verdict.action_ok,
+    })
     return 0 if verdict.passed else 1
 
 

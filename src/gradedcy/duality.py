@@ -339,68 +339,75 @@ def one_sided_complex(cplx, rc, degrees):
     multiplicities of the minimal part; nonzero entries away from the
     expected spot falsify the duality claim.
 
-    A generator's right path q is kept as its position in
-    rc.listing(|q|), and its image is q * v (dg-left) or v * q through the
-    context's arrow maps.
+    The generators of a summand are the admissible words of
+    rc.listing(|q|), whole vertex-pair blocks of it, numbered from the
+    summand's offset; `slots` maps a listing position to that number, or
+    to None for a word of another block.  A generator's image is q * v
+    (dg-left) or v * q: one row of the context's arrow map when v is one
+    arrow, rc.times otherwise.
     """
-    nterms = len(cplx.terms)
+    nterms, ctx = len(cplx.terms), cplx.pres.ctx
     dg_left = cplx.kind == "dg-left"
 
-    def gens(k, w):
-        out = []
-        for si, s in enumerate(cplx.terms[k]):
-            qdeg = w - s.degree
-            if qdeg > 0:
-                continue
-            basis = rc.basis(qdeg)
-            index = rc.listing(qdeg)[1]
-            for (a, b), plist in sorted(basis.by_pair.items(),
-                                        key=lambda kv: str(kv[0])):
-                if (b if dg_left else a) == s.right_vertex:
-                    out.extend((si, index[q.source, q.arrows])
-                               for q in plist)
-        return out
-
-    def entry_plan(k, w, si):
-        """Degree of the right paths of summand si of terms[k+1] at
-        generator degree w, and the (ti, coefficient, v) of its entries
-        with lazy left path, signed for dg-left."""
-        ctx, s = cplx.pres.ctx, cplx.terms[k + 1][si]
-        qdeg = w - s.degree
-        plan = []
-        for ti, t in enumerate(cplx.terms[k]):
-            flip = dg_left and (qdeg * (t.degree + s.degree)) % 2
-            for (c, u, v) in cplx.diffs[k].get((ti, si), ()):
-                if u.is_lazy and qdeg + ctx.degree(v) == w - t.degree:
-                    plan.append((ti, as_exact(-c if flip else c), v))
-        return qdeg, plan
+    def layout(k, w):
+        """(|q|, slots or None if |q| > 0) per summand of terms[k]; rank."""
+        out, n = [], 0
+        for s in cplx.terms[k]:
+            qdeg, slots = w - s.degree, None
+            if qdeg <= 0:
+                slots, pos = [None] * len(rc.listing(qdeg)[0]), 0
+                for (a, b), words in rc.basis(qdeg).by_pair.items():
+                    if (b if dg_left else a) == s.right_vertex:
+                        slots[pos:pos + len(words)] = range(n, n + len(words))
+                        n += len(words)
+                    pos += len(words)
+            out.append((qdeg, slots))
+        return out, n
 
     dims = {}
     for w in degrees:
-        bases = [gens(k, w) for k in range(nterms)]
-        indexes = [{g: i for i, g in enumerate(b)} for b in bases]
+        layouts = [layout(k, w) for k in range(nterms)]
 
         def images(k):
-            plans, index = {}, indexes[k]
-            for (si, i) in bases[k + 1]:
-                if si not in plans:
-                    plans[si] = entry_plan(k, w, si)
-                qdeg, plan = plans[si]
-                vec = {}
-                for ti, c, v in plan:
-                    for j, cm in rc.times(i, qdeg, v, not dg_left).items():
-                        g = index.get((ti, j))
-                        if g is None:
-                            continue
-                        val = vec.get(g, 0) + c * cm
-                        if val:
-                            vec[g] = val
-                        else:
-                            vec.pop(g, None)
-                if vec:
-                    yield vec
+            for si, (qdeg, slots) in enumerate(layouts[k + 1][0]):
+                if slots is None:
+                    continue
+                # (target slots, signed coefficient, v, arrow map or None)
+                s, plan = cplx.terms[k + 1][si], []
+                for ti, t in enumerate(cplx.terms[k]):
+                    flip = dg_left and (qdeg * (t.degree + s.degree)) % 2
+                    tslots = layouts[k][0][ti][1]
+                    for (c, u, v) in cplx.diffs[k].get((ti, si), ()):
+                        if u.is_lazy and tslots is not None and \
+                                qdeg + ctx.degree(v) == w - t.degree:
+                            plan.append((tslots, as_exact(-c if flip else c),
+                                         v, rc.arrow_map(
+                                             qdeg, v.arrows[0], not dg_left)
+                                         if len(v) == 1 else None))
+                for i, g in enumerate(slots):
+                    if g is None:
+                        continue
+                    vec = {}
+                    for tslots, c, v, rows in plan:
+                        img = rc.times(i, qdeg, v, not dg_left) \
+                            if rows is None else rows[i]
+                        if img is None:
+                            img = rc.arrow_row(qdeg, v.arrows[0], i,
+                                               not dg_left)
+                        for j, cm in ((img, 1),) if type(img) is int \
+                                else img.items():
+                            t = tslots[j]
+                            if t is None:
+                                continue
+                            val = vec.get(t, 0) + c * cm
+                            if val:
+                                vec[t] = val
+                            else:
+                                vec.pop(t, None)
+                    if vec:
+                        yield vec
 
-        _homology_dims(cplx, w, [len(b) for b in bases], images, dims)
+        _homology_dims(cplx, w, [n for _, n in layouts], images, dims)
     return dims
 
 

@@ -7,10 +7,8 @@ indices of basis elements).  Elements are sparse dicts index -> Fraction.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
-from .errors import NotSplitBasic
 from .linalg import vec_add
 
 
@@ -114,20 +112,6 @@ class FDAlgebra:
 
     # -- emitters ---------------------------------------------------------
 
-    def structure_json(self):
-        data = {
-            "dim": self.dim,
-            "labels": self.labels,
-            "idempotents": [self.labels[i] for i in self.idempotents],
-            "products": {
-                f"{self.labels[i]}|{self.labels[j]}": {
-                    self.labels[k]: str(c) for k, c in sorted(v.items())
-                }
-                for (i, j), v in sorted(self.mult.items())
-            },
-        }
-        return json.dumps(data, indent=2, sort_keys=True)
-
     def __repr__(self):
         return f"FDAlgebra({self.name or 'unnamed'}, dim={self.dim})"
 
@@ -204,17 +188,3 @@ def trivial_extension(A: FDAlgebra, U: FDBimodule, name="") -> FDAlgebra:
     return FDAlgebra(labels, mult, list(A.idempotents), grading=grading,
                      name=name or (f"triv_ext({A.name})" if A.name else ""))
 
-
-def direct_sum_decomposition_by_idempotents(alg: FDAlgebra):
-    """(slot_left, slot_right) per basis element; raises NotSplitBasic when
-    some basis element is not concentrated in a single slot pair."""
-    out = []
-    for i in range(alg.dim):
-        sl = alg.slot_of(i, "left")
-        sr = alg.slot_of(i, "right")
-        if sl is None or sr is None:
-            raise NotSplitBasic(
-                f"basis element {alg.labels[i]} not concentrated between a "
-                "single pair of declared idempotents")
-        out.append((sl, sr))
-    return out

@@ -314,22 +314,3 @@ def is_iwanaga_gorenstein(alg: FDAlgebra, d, cap) -> IGReport:
             f"(left={left}, right={right})")
     return IGReport(left <= d and right <= d, left, right, d)
 
-
-def betti_table_json(resolution: Resolution):
-    import json
-
-    return json.dumps({
-        "finished_at": resolution.finished_at,
-        "steps": [{"total": s.total_rank,
-                   "by_slot": {str(k): v for k, v in sorted(s.betti.items())}}
-                  for s in resolution.steps],
-    }, indent=2, sort_keys=True)
-
-
-def ig_report_json(report: IGReport):
-    import json
-
-    return json.dumps({"holds": report.holds, "d": report.d,
-                       "inj_dim_left": report.inj_dim_left,
-                       "inj_dim_right": report.inj_dim_right},
-                      indent=2, sort_keys=True)

@@ -65,7 +65,9 @@ class SparseEliminator:
         return vec
 
     def add(self, vec):
-        vec = self.reduce(vec)
+        # a monomial whose index is not a pivot is already reduced
+        new = len(vec) == 1 and next(iter(vec)) not in self.pivots
+        vec = dict(vec) if new else self.reduce(vec)
         if not vec:
             return None
         p = min(vec)

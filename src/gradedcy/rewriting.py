@@ -6,10 +6,12 @@ Rewriting under a length-lex order never increases path length, so the
 returned system computes unique normal forms for all paths of length
 <= cap.  An automaton over the rule tips (the Ufnarovski graph) decides
 normality; `RewriteContext.counts` counts graded pieces by dynamic
-programming over it, and `basis` lists them only where a basis is needed.
-`RewriteContext.times` multiplies listed normal words by paths one arrow
-at a time, through per-degree maps read off the same automaton and the
-rules (Green's multiplication maps for a Groebner basis).
+programming over it.  `basis` lists them, where a basis is needed, in
+one walk, layer by layer: the words of length L are the words of length
+L - 1 times an arrow the automaton steps on.  `times` multiplies listed
+words by paths one arrow at a time through per-degree maps (Green's
+multiplication maps for a Groebner basis), each filled in one sweep of
+index look-ups; only products where a tip fires go through the rules.
 Nothing is claimed beyond the cap: both compare per-vertex-pair counts
 with cap+2 and raise NonStabilizing on mismatch (the signature of a
 degree-0 cycle surviving in the quotient), a heuristic, not a proof.
@@ -273,6 +275,11 @@ def _add_into(out, vec, c):
             out.pop(k, None)
 
 
+def _joined(lists):
+    """The lists concatenated; a single list is returned itself."""
+    return lists[0] if len(lists) == 1 else [x for part in lists for x in part]
+
+
 def _pair_counts(rs, degree):
     """(source, target) -> number of normal paths of the degree within the
     cap of `rs`; pairs with none are absent."""
@@ -293,6 +300,12 @@ class RewriteContext:
         self._probe = None
         self._listings = {}
         self._rows = {}     # (degree, arrow, left) -> rows, None = not yet
+        self._layers = {}   # (degree, length) -> _layer()
+        self._out = {}      # degree -> vertex -> arrows out of it, in order
+        for x in sorted(pres.ctx.order_key, key=pres.ctx.order_key.get):
+            a = pres.quiver.arrows[x]
+            self._out.setdefault(a.degree, {}).setdefault(a.source, []) \
+                .append(x)
         self._rules = {lhs: (pres.ctx.degree(Path(src, lhs)),
                              [(q, as_exact(c)) for q, c in rhs.terms.items()])
                        for lhs, src, rhs in self.rs.rules}
@@ -318,26 +331,62 @@ class RewriteContext:
         return got
 
     def basis(self, degree, check_stability=True):
-        """Normal-form basis of the graded piece, checked like counts()."""
+        """Normal-form basis of the graded piece, checked like counts(),
+        built from the layers of lengths 0..cap: each pair's words in the
+        monomial order, the pairs in the order the depth-first walk of
+        normal_paths from each vertex in turn first meets them."""
         if check_stability and degree not in self._checked_degrees:
             self.counts(degree)
         if degree not in self._basis_cache:
-            ctx, found = self.pres.ctx, {}
-            for v in self.pres.quiver.vertices:
-                states = []
-                paths = self.rs.normal_paths(v, self.cap, degree=degree,
-                                             states=states)
-                for p, state in zip(paths, states):
-                    found.setdefault((v, ctx.target(p)), []).append(
-                        (p, state))
-            for words in found.values():
-                words.sort(key=lambda ps: ctx.key(ps[0]))
+            found = {}
+            for length in range(self.cap + 1):
+                for pair, part in self._layer(degree, length).items():
+                    found.setdefault(pair, []).append(part)
+            pairs, vertices = list(found), self.pres.quiver.vertices
+            if len(pairs) > 1:
+                pairs.sort(key=lambda pair: (vertices.index(pair[0]), min(
+                    w.arrows for words, _ in found[pair] for w in words)))
             self._basis_cache[degree] = GradedPieceBasis(
-                degree, {pair: [p for p, _ in words]
-                         for pair, words in found.items()},
-                {pair: [st for _, st in words]
-                 for pair, words in found.items()})
+                degree, {pair: _joined([ws for ws, _ in found[pair]])
+                         for pair in pairs},
+                {pair: _joined([ss for _, ss in found[pair]])
+                 for pair in pairs})
         return self._basis_cache[degree]
+
+    def _layer(self, degree, length):
+        """(source, target) -> (words, states): the normal words of the
+        degree and length, each pair's in the monomial order, with their
+        automaton states: w * x for w one arrow shorter and x an arrow the
+        automaton steps on from w's state.  Words w in order times arrows x
+        in order come out in order; only several vertices or degrees sort."""
+        if (degree, length) in self._layers:
+            return self._layers[degree, length]
+        got, arrows = {}, self.pres.quiver.arrows
+        if length == 0 and degree == 0:
+            got = {(v, v): ([Path(v, ())], [()])
+                   for v in self.pres.quiver.vertices}
+        for e, out in self._out.items() if length else ():
+            for (s, t), (words, states) in \
+                    self._layer(degree - e, length - 1).items():
+                sinks = [(x, got.setdefault((s, arrows[x].target), ([], [])))
+                         for x in out.get(t, ())]
+                moves = {}      # state -> [(x, next state, sink)]
+                for w, st in zip(words, states):
+                    if st not in moves:
+                        moves[st] = [(x, nxt, sink) for x, sink in sinks if
+                                     (nxt := self.rs._step(st, x)) is not None]
+                    for x, nxt, (ws, ss) in moves[st]:
+                        ws.append(Path(s, w.arrows + (x,)))
+                        ss.append(nxt)
+        for pair, (ws, ss) in list(got.items()):
+            if not ws:
+                del got[pair]
+            elif len(self._out) > 1 or len(self.pres.quiver.vertices) > 1:
+                order = sorted(range(len(ws)),
+                               key=lambda i: self.pres.ctx.key(ws[i]))
+                got[pair] = [ws[i] for i in order], [ss[i] for i in order]
+        self._layers[degree, length] = got
+        return got
 
     def listing(self, degree):
         """(words, index, states) for basis(degree) in one flat order: the
@@ -346,10 +395,10 @@ class RewriteContext:
         got = self._listings.get(degree)
         if got is None:
             basis = self.basis(degree, check_stability=False)
-            words = [p for paths in basis.by_pair.values() for p in paths]
+            words = _joined(list(basis.by_pair.values()))
             got = self._listings[degree] = (
                 words, {(p.source, p.arrows): i for i, p in enumerate(words)},
-                [st for sts in basis.states.values() for st in sts])
+                _joined(list(basis.states.values())))
         return got
 
     def times(self, i, degree, path, left=False):
@@ -357,37 +406,47 @@ class RewriteContext:
         q at position i of listing(degree), as a sparse dict over
         listing(degree + |path|).  Words outside that listing (longer than
         the cap) are dropped, and a path that does not compose with q
-        gives 0.  The path is applied one arrow at a time through cached
-        rows; the caller must not modify the result."""
+        gives 0.  The path is applied one arrow at a time through the
+        arrow maps."""
         arrows = path.arrows[::-1] if left else path.arrows
         if not arrows:
             q = self.listing(degree)[0][i]
             end = q.source if left else self.pres.ctx.target(q)
             return {i: 1} if end == path.source else {}
-        quiver = self.pres.quiver
-        vec = self._row(degree, arrows[0], i, left)
-        for prev, x in zip(arrows, arrows[1:]):
-            degree += quiver.arrows[prev].degree
+        quiver, vec = self.pres.quiver, {i: 1}
+        for x in arrows:
             out = {}
             for j, c in vec.items():
-                _add_into(out, self._row(degree, x, j, left), c)
-            vec = out
+                row = self.arrow_row(degree, x, j, left)
+                _add_into(out, {row: 1} if type(row) is int else row, c)
+            vec, degree = out, degree + quiver.arrows[x].degree
         return vec
 
-    def _row(self, degree, x, i, left):
-        """Word i of listing(degree) times arrow x, cached.  Rows are built
-        one at a time, on first use: a row needs rows of strictly smaller
-        products only (in the monomial order), so a map may be asked for
-        its own rows while it is being filled.  Most products are one
-        listed word, and such a row is kept as that word's index alone."""
+    def arrow_map(self, degree, x, left=False):
+        """Rows of 'times arrow x' (x * q when `left`) on listing(degree):
+        the product's position in listing(degree + |x|), else a sparse dict
+        over it, or None until arrow_row computes it.  One sweep of index
+        look-ups fills the map, and leaves the misses (a tip fires, or the
+        word is too long or does not compose) to arrow_row."""
         rows = self._rows.get((degree, x, left))
         if rows is None:
-            rows = self._rows[degree, x, left] = \
-                [None] * len(self.listing(degree)[0])
-        row = rows[i]
-        if row is None:
-            row = rows[i] = self._arrow_product(degree, x, i, left)
-        return {row: 1} if type(row) is int else row
+            words, arrow = self.listing(degree)[0], self.pres.quiver.arrows[x]
+            get = self.listing(degree + arrow.degree)[1].get
+            # x * (lazy path) is listed whether or not it composes
+            rows = self._rows[degree, x, left] = [
+                get((arrow.source, (x,) + q.arrows)) if q.arrows else None
+                for q in words] if left else [
+                get((q.source, q.arrows + (x,))) for q in words]
+        return rows
+
+    def arrow_row(self, degree, x, i, left=False):
+        """Row i of arrow_map(degree, x, left), computed on first use.  A
+        row needs rows of strictly smaller products only (in the monomial
+        order), so a map may be asked for its own rows while it is filled."""
+        rows = self.arrow_map(degree, x, left)
+        if rows[i] is None:
+            rows[i] = self._arrow_product(degree, x, i, left)
+        return rows[i]
 
     def _arrow_product(self, degree, x, i, left):
         """x * q (left) or q * x for the normal word q = listing(degree)[i].

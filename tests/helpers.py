@@ -5,22 +5,28 @@ dimensions are recomputed by spanning the whole path space and quotienting
 by the ideal slice, and matchings by exhausting edge subsets or by a plain
 backtracker.  Minimal resolutions are recomputed with dense action
 matrices, one-sided generator complexes by reducing every product from
-scratch instead of multiplying through arrow maps, and linear programs on a
-Fraction tableau instead of integer rows.
+scratch instead of multiplying through arrow maps, graded bases by one
+depth-first walk per degree instead of layer by layer, eliminator rows
+by reducing every vector, and linear programs on a Fraction tableau
+instead of integer rows.  The JSON emitters at the end are kept here for
+the tests that read them; the package itself does not use them.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from pathlib import Path as FsPath
 
 from gradedcy.dimer import DimerEdge, DimerModel
 from gradedcy.duality import _deg, _homology_dims
 from gradedcy.findim import radical
+from gradedcy.errors import NotSplitBasic
 from gradedcy.linalg import SparseEliminator, nullspace_with_free
 from gradedcy.linalg import solve as _solve
 from gradedcy.quiver import NCPoly, Path, load_presentation
+from gradedcy.rewriting import GradedPieceBasis
 from gradedcy.simplex import LPResult
 
 DATA = FsPath(__file__).resolve().parent.parent / "data"
@@ -476,3 +482,89 @@ def solve_lp_by_fractions(A, b, c):
     y = _solve(mat_t, cb)
     assert y is not None, "degenerate final basis"
     return LPResult("optimal", x, value, y, None)
+
+
+def basis_by_walk(rc, degree):
+    """The graded basis as RewriteContext.basis built it before the layered
+    listings: one depth-first walk (normal_paths) per vertex and degree,
+    then each pair's words sorted by the monomial order."""
+    ctx, found = rc.pres.ctx, {}
+    for v in rc.pres.quiver.vertices:
+        states = []
+        paths = rc.rs.normal_paths(v, rc.cap, degree=degree, states=states)
+        for p, state in zip(paths, states):
+            found.setdefault((v, ctx.target(p)), []).append((p, state))
+    for words in found.values():
+        words.sort(key=lambda ps: ctx.key(ps[0]))
+    return GradedPieceBasis(
+        degree, {pair: [p for p, _ in words]
+                 for pair, words in found.items()},
+        {pair: [st for _, st in words] for pair, words in found.items()})
+
+
+class ReducingEliminator(SparseEliminator):
+    """SparseEliminator with `add` as it was before the monomial fast
+    path: every vector goes through `reduce`."""
+
+    def add(self, vec):
+        vec = self.reduce(vec)
+        if not vec:
+            return None
+        p = min(vec)
+        c = vec[p]
+        if c == 1:
+            row = vec
+        elif c == -1:
+            row = {k: -x for k, x in vec.items()}
+        else:
+            c = Fraction(c)
+            row = {k: x / c for k, x in vec.items()}
+        self.pivots[p] = row
+        return row
+
+
+def structure_json(alg):
+    """Structure constants of an FDAlgebra as JSON."""
+    data = {
+        "dim": alg.dim,
+        "labels": alg.labels,
+        "idempotents": [alg.labels[i] for i in alg.idempotents],
+        "products": {
+            f"{alg.labels[i]}|{alg.labels[j]}": {
+                alg.labels[k]: str(c) for k, c in sorted(v.items())
+            }
+            for (i, j), v in sorted(alg.mult.items())
+        },
+    }
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+def direct_sum_decomposition_by_idempotents(alg):
+    """(slot_left, slot_right) per basis element; raises NotSplitBasic when
+    some basis element is not concentrated in a single slot pair."""
+    out = []
+    for i in range(alg.dim):
+        sl = alg.slot_of(i, "left")
+        sr = alg.slot_of(i, "right")
+        if sl is None or sr is None:
+            raise NotSplitBasic(
+                f"basis element {alg.labels[i]} not concentrated between a "
+                "single pair of declared idempotents")
+        out.append((sl, sr))
+    return out
+
+
+def betti_table_json(resolution):
+    return json.dumps({
+        "finished_at": resolution.finished_at,
+        "steps": [{"total": s.total_rank,
+                   "by_slot": {str(k): v for k, v in sorted(s.betti.items())}}
+                  for s in resolution.steps],
+    }, indent=2, sort_keys=True)
+
+
+def ig_report_json(report):
+    return json.dumps({"holds": report.holds, "d": report.d,
+                       "inj_dim_left": report.inj_dim_left,
+                       "inj_dim_right": report.inj_dim_right},
+                      indent=2, sort_keys=True)

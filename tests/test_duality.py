@@ -294,9 +294,38 @@ def test_one_sided_complex_matches_reduction_oracle():
                 (cpx.name, c.kind)
 
 
+def test_one_sided_oracle_catches_a_block_offset_mutant():
+    """Numbering each summand's generators after the first from one
+    before its offset makes two summands share a generator (the count
+    stays right), which the oracle comparison sees."""
+    import inspect
+    import textwrap
+
+    from gradedcy import duality
+
+    old = "range(n, n + len(words))"
+    source = textwrap.dedent(inspect.getsource(duality.one_sided_complex))
+    assert source.count(old) == 1
+    namespace = dict(vars(duality))
+    exec(source.replace(old, "range(max(n - 1, 0), max(n - 1, 0) + "
+                                  "len(words))"), namespace)
+    mutant = namespace["one_sided_complex"]
+    caught = []
+    for pres, cpx, cap, depth in _corpus_complexes():
+        rc = RewriteContext(pres, cap)
+        for c in (cpx, dualize(cpx)):
+            top = max(s.degree for t in c.terms for s in t)
+            degrees = range(top, top - depth - 1, -1)
+            if mutant(c, rc, degrees) != \
+                    one_sided_complex_by_reduction(c, rc, degrees):
+                caught.append((cpx.name, c.kind))
+    assert caught
+
+
 def test_wide_window_skew_three():
     """skew_3 at window -11..0 (about 16 s in process before the arrow
-    maps): every row equals the Hilbert series 1/(1-3t+t^2)."""
+    maps, 1.1-1.6 s with the layered listings on a 2-CPU host): every row
+    equals the Hilbert series 1/(1-3t+t^2)."""
     pres = load("skew_3.pres")
     v = check_twisted_cy(pres, builtin_resolution(pres), identity_twist(4),
                          window=(0, -11))

@@ -162,7 +162,8 @@ def test_radical_powers_vanish_on_corpus():
 
 def test_json_reports():
     import json
-    from gradedcy.findim import betti_table_json, ig_report_json
+
+    from helpers import betti_table_json, ig_report_json
 
     B = dual_numbers()
     S = RightModule(B, 1, sparse_action([[[Fraction(1)]], [[Fraction(0)]]]),

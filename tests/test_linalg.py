@@ -205,3 +205,78 @@ def test_dense_helpers_answer_in_fractions():
     values = [v for vec in basis for v in vec.values()] + x + inv[0] + \
         inv[1] + [det]
     assert all(type(v) is Fraction for v in values)
+
+
+def _typed(row):
+    return [(k, type(x), x) for k, x in row.items()]
+
+
+def _random_sparse(rng, width):
+    """A sparse vector with int or Fraction entries, single-entry six
+    times in ten."""
+    size = 1 if width == 1 or rng.random() < 0.6 else \
+        rng.randint(2, min(5, width))
+    out = {}
+    for j in rng.sample(range(width), size):
+        if rng.random() < 0.5:
+            out[j] = rng.choice([-2, -1, 1, 1, 2, 3])
+        else:
+            out[j] = Fraction(rng.choice([-3, -1, 1, 1, 2]),
+                              rng.choice([1, 1, 2, 3]))
+    return out
+
+
+def test_add_matches_the_reducing_oracle():
+    """`add` with its monomial fast path stores the same rows as adding
+    every vector through `reduce`: same return values, ranks, pivots and
+    rows, entry types included (a Fraction monomial stays a Fraction)."""
+    from helpers import ReducingEliminator
+
+    rng = random.Random(8080)
+    vectors = monomials = 0
+    for _ in range(100):
+        fast, slow = SparseEliminator(), ReducingEliminator()
+        width = rng.randint(3, 16)
+        for _ in range(rng.randint(10, 40)):
+            vec = _random_sparse(rng, width)
+            before = dict(vec)
+            got, want = fast.add(vec), slow.add(dict(vec))
+            assert vec == before and got is not vec   # nor kept
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert _typed(got) == _typed(want)
+            vectors += 1
+            monomials += len(vec) == 1
+        assert fast.rank == slow.rank
+        assert list(fast.pivots) == list(slow.pivots)
+        for p in fast.pivots:
+            assert _typed(fast.pivots[p]) == _typed(slow.pivots[p])
+    assert vectors >= 2000 and monomials > vectors // 2
+
+
+def _answers():
+    """nullspace_with_free, solve, mat_inv and mat_det on 200 seeded
+    random matrices with many one-entry rows; exceptions are answers."""
+    rng = random.Random(9090)
+    out = []
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        rows = [dense(_random_sparse(rng, n), n) for _ in range(n)]
+        rhs = [rng.choice([0, 1, Fraction(-1, 2)]) for _ in range(n)]
+        for fn, args in ((nullspace_with_free, (rows,)),
+                         (solve, (rows, rhs)), (mat_inv, (rows,)),
+                         (mat_det, (rows,))):
+            try:
+                got = fn(*args)
+            except ZeroDivisionError as e:
+                got = e.args
+            out.append(repr(got))
+    return out
+
+
+def test_dense_wrappers_match_the_reducing_oracle(monkeypatch):
+    from helpers import ReducingEliminator
+
+    fast = _answers()
+    monkeypatch.setattr(SparseEliminator, "add", ReducingEliminator.add)
+    assert _answers() == fast

@@ -15,7 +15,7 @@ from gradedcy.rewriting import (RewriteContext, RewritingSystem,
                                 dimension_table, graded_dimension,
                                 length_table, truncated_rewriting)
 
-from helpers import DATA, brute_force_graded_dimension, load
+from helpers import DATA, basis_by_walk, brute_force_graded_dimension, load
 
 
 def rule_names(pres, rs):
@@ -368,3 +368,107 @@ def test_arrow_map_differential_catches_mutants(monkeypatch, old, new):
                         namespace["_arrow_product"])
     assert _arrow_map_faults(load("skew_3.pres"), 6, range(0, -5, -1),
                              random.Random(7))
+
+
+def _listing_faults(pres, cap, degrees):
+    """Degrees where the layered basis or listing of a RewriteContext
+    differs from one depth-first walk per degree: the pairs in order, the
+    words of each pair in order, the automaton states, and the flat
+    listing with its index."""
+    rc = RewriteContext(pres, cap)
+    faults = []
+    for d in degrees:
+        got, want = rc.basis(d, check_stability=False), basis_by_walk(rc, d)
+        words = [p for ps in want.by_pair.values() for p in ps]
+        states = [st for sts in want.states.values() for st in sts]
+        if list(got.by_pair.items()) != list(want.by_pair.items()) or \
+                list(got.states.items()) != list(want.states.items()) or \
+                rc.listing(d) != (words, {(p.source, p.arrows): i
+                                          for i, p in enumerate(words)},
+                                  states):
+            faults.append(d)
+    return faults
+
+
+def _kronecker_preprojective():
+    from gradedcy.preprojective import preprojective_presentation
+    from gradedcy.quiver import Arrow, Quiver
+
+    return preprojective_presentation(Quiver(
+        ["0", "1"], [Arrow("x", "0", "1", 0), Arrow("y", "0", "1", 0)]))
+
+
+def _reversed_order(pres):
+    from gradedcy.quiver import GradedQuiverPresentation
+
+    names = [a.name for a in pres.quiver.arrows][::-1]
+    return GradedQuiverPresentation(pres.quiver, pres.relations,
+                                    arrow_order=names)
+
+
+@pytest.mark.parametrize("name", CORPUS + [
+    "skew_3 reversed", "kronecker", "hexagonal", "four_face",
+    "four_face two"])
+def test_layered_listings_match_the_walk(name):
+    """Listings built layer by layer from the words one arrow shorter equal
+    the depth-first walk plus the monomial-order sort, entry for entry:
+    on the corpus (k_xy_23 has two arrow degrees), under a reversed arrow
+    order, and on multi-vertex algebras with degree-0 arrows (the
+    preprojective Kronecker algebra and the Jacobian algebras of the
+    hexagonal and four_face dimers), where one degree has many lengths."""
+    if name in CORPUS:
+        pres, cap, degrees = load(name), 6, range(2, -9, -1)
+    elif name == "skew_3 reversed":
+        pres, cap, degrees = _reversed_order(load("skew_3.pres")), 6, \
+            range(0, -8, -1)
+    elif name == "kronecker":
+        pres, cap, degrees = _kronecker_preprojective(), 8, range(1, -4, -1)
+    else:
+        matchings = {"hexagonal": None, "four_face": [("d1", "d2", "om")],
+                     "four_face two": [("d1", "d2", "om"),
+                                       ("d1", "d2", "h2")]}[name]
+        pres = _jacobian(name.split()[0] + ".dimer", matchings)
+        cap, degrees = 10, range(1, -4, -1)
+    assert _listing_faults(pres, cap, degrees) == []
+
+
+def test_layered_listings_match_the_walk_on_random_presentations():
+    rng = random.Random(424242)
+    for trial in range(60):
+        pres = _random_presentation(rng)
+        assert _listing_faults(pres, 6, range(1, -14, -1)) == [], trial
+
+
+@pytest.mark.parametrize("method,old,new", [
+    # words one arrow longer than the cap are listed too
+    ("basis", "range(self.cap + 1)", "range(self.cap + 2)"),
+    # a word keeps the state of its prefix instead of the stepped one
+    ("_layer", "ss.append(nxt)", "ss.append(st)"),
+])
+def test_listing_oracle_catches_mutants(monkeypatch, method, old, new):
+    source = textwrap.dedent(
+        inspect.getsource(getattr(RewriteContext, method)))
+    assert source.count(old) == 1
+    namespace = dict(vars(rewriting_module))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(RewriteContext, method, namespace[method])
+    assert _listing_faults(load("skew_3.pres"), 6, range(0, -9, -1))
+
+
+def test_duality_and_slices_list_without_the_walk(monkeypatch):
+    """The duality verdict and the slice algebras list their bases layer
+    by layer: neither calls normal_paths, which stays the oracle."""
+    from gradedcy.duality import (builtin_resolution, check_twisted_cy,
+                                  identity_twist)
+    from gradedcy.slice_algebras import build_AUB
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a basis was listed by the depth-first walk")
+
+    monkeypatch.setattr(RewritingSystem, "normal_paths", refuse)
+    pres = load("skew_3.pres")
+    verdict = check_twisted_cy(pres, builtin_resolution(pres),
+                               identity_twist(4), window=(0, -6))
+    assert verdict.passed, verdict.summary()
+    _, _, B = build_AUB(pres, 2)
+    assert B.dim > 0

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from gradedcy.errors import PositiveDegree, WindowViolation
-from gradedcy.fdalgebra import direct_sum_decomposition_by_idempotents
 from gradedcy.findim import arrow_multiplicities, gabriel_quiver, radical
 from gradedcy.quiver import parse_presentation
 from gradedcy.slice_algebras import (build_A, build_AUB, build_tilde,
@@ -11,7 +10,8 @@ from gradedcy.slice_algebras import (build_A, build_AUB, build_tilde,
                                      multiply_grading,
                                      relations_from_structure)
 
-from helpers import load
+from helpers import (direct_sum_decomposition_by_idempotents, load,
+                     structure_json)
 
 
 def test_dimensions_corpus():
@@ -250,7 +250,7 @@ def test_relations_from_structure_not_surjective():
 def test_structure_constants_json():
     import json
     A, _, _ = build_AUB(load("k_x.pres"), 1)
-    data = json.loads(A.structure_json())
+    data = json.loads(structure_json(A))
     assert data["dim"] == 1 and data["idempotents"] == ["(0->0)e_P"]
 
 
