@@ -147,8 +147,8 @@ def cmd_corpi(args):
 def cmd_dimer(args):
     from .dimer import (consistency_check, degree_function_json, dual_qp,
                         grading_from_matchings, jacobian_presentation,
-                        load_dimer, matchings_json, perfect_matchings,
-                        rcharge_json)
+                        load_dimer, perfect_matchings, rcharge_json,
+                        write_matchings_json)
 
     dimer = load_dimer(args.file)
     sub = args.action
@@ -178,7 +178,7 @@ def cmd_dimer(args):
         return 0 if res.feasible else 1
     if sub == "matchings":
         ms, truncated = perfect_matchings(dimer)
-        print(matchings_json(ms, truncated))
+        write_matchings_json(sys.stdout, ms, truncated)
         return 0
     if sub == "jacobian":
         ms, _ = perfect_matchings(dimer)

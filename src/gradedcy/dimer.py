@@ -10,6 +10,10 @@ face tracing follows next(u -> v via e) = (v -> w via succ_v(e)); the dual
 arrow of an edge runs from the face containing its black-to-white dart to
 the face containing its white-to-black dart; white cycles of the potential
 traverse the rotation order backwards, black cycles forwards.
+
+`write_matchings_json` writes the `dimer matchings` answer to a text
+stream in blocks of `_BLOCK` matchings, byte for byte the text that
+`json.dumps(..., indent=2, sort_keys=True)` and `print` gave.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 
-from .complexes import BimoduleComplex, FreeSummand
 from .errors import Inhomogeneous, NotBipartite, NotTorus, ParseError
 from .quiver import Arrow, CYData, GradedQuiverPresentation, NCPoly, Path, \
     Quiver
@@ -47,13 +51,16 @@ class DimerModel:
                 raise NotBipartite(
                     f"edge {e.name} must join a black vertex to a white one")
         self.rotation = {v: list(r) for v, r in rotation.items()}
+        incident = {v: [] for v in self.colors}
+        for e in self.edges:
+            incident[e.black].append(e.name)
+            incident[e.white].append(e.name)
         for v in self.colors:
-            incident = sorted(e.name for e in self.edges
-                              if v in (e.black, e.white))
+            incident[v].sort()
             listed = sorted(self.rotation.get(v, []))
-            if incident != listed:
+            if incident[v] != listed:
                 raise ValueError(
-                    f"rotation at {v} lists {listed}, incident {incident}")
+                    f"rotation at {v} lists {listed}, incident {incident[v]}")
 
     def ends(self, edge_name):
         e = self.edges[self.edge_index[edge_name]]
@@ -83,15 +90,16 @@ class DimerModel:
             n = len(rot)
             for i, e in enumerate(rot):
                 succ[(v, e)] = rot[(i + 1) % n]
-        unused = set(darts)
+        used = set()
         faces = []
-        while unused:
-            start = min(unused)
+        for start in sorted(darts):
+            if start in used:
+                continue
             face = []
             d = start
             while True:
                 face.append(d)
-                unused.discard(d)
+                used.add(d)
                 e, frm, to = d
                 e2 = succ[(to, e)]
                 d = (e2, to, self.other(e2, to))
@@ -379,6 +387,8 @@ def cy3_complex(qp: QuiverWithPotential, deg: DegreeFunction,
     l - d(a) (position 2), l (position 3); differentials split paths at
     occurrences of arrows, with white cycles entering positively.
     """
+    from .complexes import BimoduleComplex, FreeSummand
+
     if pres is None:
         pres = jacobian_presentation(qp, deg)
     ctx = pres.ctx
@@ -509,12 +519,31 @@ def load_dimer(path):
         return parse_dimer(fh.read(), filename=str(path))
 
 
-def matchings_json(matchings, truncated=False):
-    import json
-    return json.dumps({"count": len(matchings),
-                       "truncated": truncated,
-                       "matchings": [list(m) for m in matchings]},
-                      indent=2, sort_keys=True)
+# matchings per write: with unbuffered stdout (`python -u`) every write
+# is a system call
+_BLOCK = 512
+
+
+def write_matchings_json(out, matchings, truncated=False):
+    """Write {"count", "matchings", "truncated"} to the text stream `out`
+    as `print(json.dumps(..., indent=2, sort_keys=True))` did, in at most
+    ceil(len(matchings) / _BLOCK) + 2 writes."""
+    out.write(f'{{\n  "count": {len(matchings)},\n  "matchings": [')
+    for start in range(0, len(matchings), _BLOCK):
+        items = ",".join(map(_matching_json, matchings[start:start + _BLOCK]))
+        out.write(("," if start else "") + items)
+    close = "\n  ]" if matchings else "]"
+    flag = "true" if truncated else "false"
+    out.write(f'{close},\n  "truncated": {flag}\n}}\n')
+
+
+def _matching_json(m):
+    """One matching as an item of the indented "matchings" list, its edge
+    names encoded by json's ASCII string encoder."""
+    if not m:
+        return "\n    []"
+    names = ",\n      ".join(map(encode_basestring_ascii, m))
+    return f"\n    [\n      {names}\n    ]"
 
 
 def rcharge_json(consistency: Consistency):

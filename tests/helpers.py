@@ -7,9 +7,12 @@ backtracker.  Minimal resolutions are recomputed with dense action
 matrices, one-sided generator complexes by reducing every product from
 scratch instead of multiplying through arrow maps, graded bases by one
 depth-first walk per degree instead of layer by layer, eliminator rows
-by reducing every vector, and linear programs on a Fraction tableau
-instead of integer rows.  The JSON emitters at the end are kept here for
-the tests that read them; the package itself does not use them.
+by reducing every vector, linear programs on a Fraction tableau
+instead of integer rows, dimer faces by taking the least unused dart
+for every face, rotation checks by scanning every edge for every vertex,
+and the `dimer matchings` answer by `json.dumps`.  The other JSON
+emitters at the end are kept here for the tests that read them; the
+package itself does not use them.
 """
 
 from __future__ import annotations
@@ -54,6 +57,60 @@ def honeycomb_torus(m, n):
             rotation[f"w{i}_{j}"] = [f"A{i}_{j}", f"B{(i - 1) % m}_{j}",
                                      f"C{i}_{(j - 1) % n}"]
     return DimerModel(colors, edges, rotation)
+
+
+def dimer_text(dimer):
+    """`dimer` in the .dimer file format, declarations in model order."""
+    lines = ["[vertices]"]
+    lines += [f"{v} {c}" for v, c in dimer.colors.items()]
+    lines.append("[edges]")
+    lines += [f"{e.name} {e.black} {e.white}" for e in dimer.edges]
+    lines.append("[rotation]")
+    lines += [f"{v}: {' '.join(rot)}" for v, rot in dimer.rotation.items()]
+    return "\n".join(lines) + "\n"
+
+
+def faces_by_min(dimer):
+    """DimerModel.faces as it was before the darts were sorted once: each
+    face starts from the least dart not yet in a face."""
+    darts = []
+    for e in dimer.edges:
+        darts.append((e.name, e.black, e.white))
+        darts.append((e.name, e.white, e.black))
+    succ = {}
+    for v, rot in dimer.rotation.items():
+        n = len(rot)
+        for i, e in enumerate(rot):
+            succ[(v, e)] = rot[(i + 1) % n]
+    unused = set(darts)
+    faces = []
+    while unused:
+        start = min(unused)
+        face = []
+        d = start
+        while True:
+            face.append(d)
+            unused.discard(d)
+            e, frm, to = d
+            e2 = succ[(to, e)]
+            d = (e2, to, dimer.other(e2, to))
+            if d == start:
+                break
+        faces.append(face)
+    return faces
+
+
+def rotation_error_by_scan(colors, edges, rotation):
+    """The message DimerModel raises for the first vertex whose rotation
+    does not list its incident edges, found as it was before the
+    incidence lists: every edge scanned for every vertex.  None if every
+    rotation is right."""
+    for v in colors:
+        incident = sorted(e.name for e in edges if v in (e.black, e.white))
+        listed = sorted(rotation.get(v, []))
+        if incident != listed:
+            return f"rotation at {v} lists {listed}, incident {incident}"
+    return None
 
 
 def all_paths(pres, max_len):
@@ -521,6 +578,14 @@ class ReducingEliminator(SparseEliminator):
             row = {k: x / c for k, x in vec.items()}
         self.pivots[p] = row
         return row
+
+
+def matchings_json(matchings, truncated=False):
+    import json
+    return json.dumps({"count": len(matchings),
+                       "truncated": truncated,
+                       "matchings": [list(m) for m in matchings]},
+                      indent=2, sort_keys=True)
 
 
 def structure_json(alg):

@@ -11,7 +11,7 @@ import pytest
 import gradedcy
 from gradedcy.cli import main
 
-from helpers import DATA
+from helpers import DATA, dimer_text, honeycomb_torus, matchings_json
 
 
 def run(*argv):
@@ -253,3 +253,85 @@ def test_dimer_consistency_is_the_same_under_python_O():
             env={**os.environ, "PYTHONPATH": src}).stdout
 
     assert consistency("-O") == consistency()
+
+
+def _honeycomb_file(tmp_path, m, n):
+    path = tmp_path / f"honeycomb_{m}x{n}.dimer"
+    path.write_text(dimer_text(honeycomb_torus(m, n)), encoding="utf-8")
+    return path
+
+
+def test_dimer_matchings_prints_what_json_dumps_printed(tmp_path):
+    """`dimer matchings` writes to whatever sys.stdout is at call time
+    (here a StringIO) the bytes print(json.dumps(..., indent=2,
+    sort_keys=True)) gave, in either format."""
+    from gradedcy.dimer import load_dimer, perfect_matchings
+
+    paths = [DATA / f"{name}.dimer" for name in
+             ("digon", "four_face", "hexagonal", "pendant", "theta")]
+    paths.append(_honeycomb_file(tmp_path, 6, 4))
+    for path in paths:
+        want = matchings_json(*perfect_matchings(load_dimer(path))) + "\n"
+        for fmt in ("text", "json"):
+            assert run("--format", fmt, "dimer", "matchings", path) == \
+                (0, want, "")
+    assert json.loads(want)["count"] == 5793
+
+
+# Starts one CLI child and prints its exit code and ru_maxrss (KB).  The
+# kernel counts the forking process's RSS in a child's ru_maxrss, so the
+# children are started from this small process and not from the test
+# process, which can be larger than they are.
+RSS_LAUNCHER = """
+import os, subprocess, sys
+with open(sys.argv[1], "w") as out:
+    proc = subprocess.Popen([sys.executable, "-m", "gradedcy.cli",
+                             *sys.argv[2:]], stdin=subprocess.DEVNULL,
+                            stdout=out)
+    _, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _cli_peak_mb(out, *args):
+    """Run the CLI in a child process; (exit code, its max RSS in MB)."""
+    src = str(Path(gradedcy.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    res = subprocess.run(
+        [sys.executable, "-c", RSS_LAUNCHER, str(out), *map(str, args)],
+        capture_output=True, text=True, check=True, env=env)
+    code, rss = map(int, res.stdout.split())
+    return code, rss / 1024
+
+
+def test_dimer_matchings_memory_stays_near_validate(tmp_path):
+    """Listing the 5 793 matchings of the 6 x 4 honeycomb costs less than
+    6 MB of peak RSS over validating the same file: both children load
+    the same modules, so the interpreter's own size cancels out."""
+    path, out = _honeycomb_file(tmp_path, 6, 4), tmp_path / "out"
+    code, validate = _cli_peak_mb(out, "dimer", "validate", path)
+    assert code == 0
+    code, matchings = _cli_peak_mb(out, "dimer", "matchings", path)
+    assert code == 0
+    assert json.loads(out.read_text())["count"] == 5793
+    assert matchings - validate < 6, (validate, matchings)
+
+
+def test_dimer_commands_leave_the_algebra_stack_unloaded():
+    """validate, qp, consistency and matchings never import the rewriting
+    and complex modules (only `dimer jacobian` needs them)."""
+    src = str(Path(gradedcy.__file__).resolve().parent.parent)
+    path = str(DATA / "four_face.dimer")
+    probe = (
+        "import io, sys, contextlib\n"
+        "from gradedcy import cli\n"
+        "for sub in ('validate', 'qp', 'consistency', 'matchings'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert cli.main(['dimer', sub, {path!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gradedcy')))\n")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert "'gradedcy.dimer'" in out
+    assert "gradedcy.rewriting" not in out and \
+        "gradedcy.complexes" not in out, out

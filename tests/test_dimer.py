@@ -1,5 +1,7 @@
 import inspect
+import io
 import itertools
+import math
 import random
 import textwrap
 from fractions import Fraction
@@ -16,9 +18,10 @@ from gradedcy.errors import (NonStabilizing, NotBipartite, NotTorus,
 from gradedcy.rewriting import RewriteContext, dimension_table
 from gradedcy.simplex import LPResult
 
-from helpers import (DATA, brute_force_graded_dimension, honeycomb_torus,
-                     matchings_by_backtracking, matchings_by_subsets,
-                     solve_lp_by_fractions)
+from helpers import (DATA, brute_force_graded_dimension, faces_by_min,
+                     honeycomb_torus, matchings_by_backtracking,
+                     matchings_by_subsets, matchings_json,
+                     rotation_error_by_scan, solve_lp_by_fractions)
 
 
 def hexagonal():
@@ -292,6 +295,135 @@ def test_matchings_differential_catches_mutants(monkeypatch, edits):
     exec(source, namespace)
     monkeypatch.setattr(dimer_module, "_matchings", namespace["_matchings"])
     assert any(_search_faults(dimer) for dimer in _random_graphs())
+
+
+SHIPPED = ("digon", "four_face", "hexagonal", "pendant", "theta")
+
+# edge-name pieces the writer must escape exactly as json.dumps does:
+# quote, backslash, non-ASCII (an astral character becomes a surrogate
+# pair) and control characters; parse_dimer takes any non-space token
+NAME_PIECES = ["e1", "A0_0", '"', "\\", "\u00e9", "\u4e2d", "\U0001f600",
+               "\x00", "\x01", "\x1b", "\x7f", "\t", "\n", "\u2028"]
+
+
+def _writer_cases():
+    """Seeded (matchings, truncated) pairs: no matchings, empty
+    matchings, and list lengths on both sides of every block boundary."""
+    rng = random.Random(90210)
+    block = dimer_module._BLOCK
+    cases = [([], False), ([], True), ([()], False), ([(), ()], True)]
+    for n in (1, 2, 7, block - 1, block, block + 1, 2 * block + 1):
+        for truncated in (False, True):
+            ms = [tuple("".join(rng.choices(NAME_PIECES,
+                                            k=rng.randint(1, 3)))
+                        for _ in range(rng.choice((0, 1, 2, 5, 24))))
+                  for _ in range(n)]
+            cases.append((ms, truncated))
+    return cases
+
+
+def _writer_faults():
+    """Cases where the writer's text differs from print(json.dumps(...))."""
+    faults = []
+    for ms, truncated in _writer_cases():
+        out = io.StringIO()
+        dimer_module.write_matchings_json(out, ms, truncated)
+        if out.getvalue() != matchings_json(ms, truncated) + "\n":
+            faults.append((len(ms), truncated))
+    return faults
+
+
+def test_matchings_writer_matches_json_dumps():
+    assert _writer_faults() == []
+
+
+@pytest.mark.parametrize("name, edits", [
+    # the matchings list is never closed
+    ("write_matchings_json", [(r'close = "\n  ]" if', r'close = "" if')]),
+    # every edge name after a matching's first is indented one space short
+    ("_matching_json", [(r'",\n      ".join', r'",\n     ".join')]),
+    # "truncated" written before "matchings"
+    ("write_matchings_json", [
+        (r'"count": {len(matchings)},\n  "matchings": [',
+         r'"count": {len(matchings)},\n  "truncated": '
+         r'{"true" if truncated else "false"},\n  "matchings": ['),
+        (r'{close},\n  "truncated": {flag}\n}}\n', r'{close}\n}}\n')]),
+])
+def test_matchings_writer_oracle_catches_mutants(monkeypatch, name, edits):
+    source = textwrap.dedent(inspect.getsource(getattr(dimer_module, name)))
+    for old, new in edits:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    namespace = dict(vars(dimer_module))
+    exec(source, namespace)
+    monkeypatch.setattr(dimer_module, name, namespace[name])
+    assert _writer_faults()
+
+
+def test_matchings_writer_writes_in_blocks():
+    """At most ceil(n / block) + 3 writes to any text stream, which may be
+    a StringIO standing in for sys.stdout: no buffer or file descriptor."""
+
+    class Counting(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    block = dimer_module._BLOCK
+    for ms, truncated in _writer_cases():
+        out = Counting()
+        dimer_module.write_matchings_json(out, ms, truncated)
+        assert out.getvalue() == matchings_json(ms, truncated) + "\n"
+        assert out.writes <= math.ceil(len(ms) / block) + 3
+
+
+def test_faces_match_the_least_unused_dart_oracle():
+    dimers = [load_dimer(DATA / f"{name}.dimer") for name in SHIPPED]
+    dimers += [honeycomb_torus(m, m) for m in (3, 6, 12)]
+    dimers += _random_graphs()
+    for dimer in dimers:
+        assert dimer.faces() == faces_by_min(dimer)
+
+
+def test_wrong_rotation_keeps_its_message():
+    colors = {"b1": "black", "w1": "white", "b2": "black", "w2": "white"}
+    edges = [DimerEdge("e1", "b1", "w1"), DimerEdge("e2", "b2", "w1"),
+             DimerEdge("e3", "b2", "w2")]
+    rotation = {"b1": ["e1"], "w1": ["e2", "e1"], "b2": ["e3"],
+                "w2": ["e3", "e2"]}
+    with pytest.raises(ValueError) as err:
+        DimerModel(colors, edges, rotation)
+    assert str(err.value) == \
+        "rotation at b2 lists ['e3'], incident ['e2', 'e3']"
+    # seeded corruptions: the first failing vertex and its message are
+    # the ones the scan over every edge finds
+    rng = random.Random(4711)
+    tried = 0
+    for dimer in _random_graphs():
+        if not dimer.edges:
+            continue
+        rotation = {v: list(r) for v, r in dimer.rotation.items()}
+        v = rng.choice(sorted(rotation))
+        kind = rng.randrange(4)
+        if kind == 0 and rotation[v]:
+            rotation[v].pop(rng.randrange(len(rotation[v])))
+        elif kind == 1:
+            rotation[v].append(rng.choice(dimer.edges).name)
+        elif kind == 2:
+            del rotation[v]
+        else:
+            rotation[v].append("stray")
+        want = rotation_error_by_scan(dimer.colors, dimer.edges, rotation)
+        if want is None:
+            DimerModel(dimer.colors, dimer.edges, rotation)
+            continue
+        tried += 1
+        with pytest.raises(ValueError) as err:
+            DimerModel(dimer.colors, dimer.edges, rotation)
+        assert str(err.value) == want
+    assert tried > 100
 
 
 def test_gradings_of_four_face():
