@@ -14,12 +14,13 @@ the list (so a projective resolution lists P_0 first with positions
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .errors import NotComplex
-from .quiver import NCPoly
-from .rewriting import RewriteContext
+from .errors import CapTooSmall, NotComplex, ParseError
+from .rewriting import RewriteContext, _add_into, as_exact
 
 
 @dataclass(frozen=True)
@@ -48,92 +49,170 @@ class BimoduleComplex:
         ranks = "/".join(str(len(t)) for t in self.terms)
         return f"BimoduleComplex({self.name or 'unnamed'}, ranks {ranks})"
 
-    # -- composition check -------------------------------------------------
+    # -- slices and the entry evaluator ----------------------------------
 
-    def check_complex(self, cap):
-        """Consecutive differentials compose to zero modulo the relation
-        ideal, verified by reduction at the given cap."""
-        rc = RewriteContext(self.pres, cap)
-        ctx = self.pres.ctx
-        for k in range(len(self.diffs) - 1):
-            outer = self.diffs[k]       # terms[k+1] -> terms[k]
-            inner = self.diffs[k + 1]   # terms[k+2] -> terms[k+1]
-            nsrc = len(self.terms[k + 2])
-            ntgt = len(self.terms[k])
-            for src in range(nsrc):
-                for tgt in range(ntgt):
-                    # composite entries as reduced (left, right) path pairs
-                    pairs = {}
-                    for mid in range(len(self.terms[k + 1])):
-                        e1 = inner.get((mid, src))
-                        e2 = outer.get((tgt, mid))
-                        if not e1 or not e2:
-                            continue
-                        for c1, u1, v1 in e1:
-                            for c2, u2, v2 in e2:
-                                lp = ctx.compose(u1, u2)
-                                rp = ctx.compose(v2, v1)
-                                if lp is None or rp is None:
-                                    continue
-                                lnf = rc.normal_form(NCPoly.monomial(lp))
-                                rnf = rc.normal_form(NCPoly.monomial(rp))
-                                for pl, cl in lnf.terms.items():
-                                    for pr, cr in rnf.terms.items():
-                                        key = (pl, pr)
-                                        val = pairs.get(key, 0) \
-                                            + c1 * c2 * cl * cr
-                                        if val:
-                                            pairs[key] = val
-                                        else:
-                                            pairs.pop(key, None)
-                    if pairs:
-                        raise NotComplex(
-                            f"{self.name}: d o d nonzero from summand "
-                            f"{self.terms[k+2][src].label} to "
-                            f"{self.terms[k][tgt].label}")
-        return True
+    def slots(self, rc: RewriteContext, k, w, lazy_left=False):
+        """Numbering of the internal-degree-w slice of terms[k].
 
-    # -- slice bases ---------------------------------------------------------
-
-    def slice_basis(self, rc: RewriteContext, k, w):
-        """Basis of the internal-degree-w slice of terms[k].
-
-        Elements are (summand index, left path, right path); the vertex
-        constraints depend on the complex kind.
+        Returns a dict (summand index, |p|, position of p in
+        rc.listing(|p|)) -> q slots, where q slots maps each position of
+        rc.listing(|q|) to the number of the element p (x) q, or to None
+        for a word of another vertex pair; and the number of elements.
+        Graded and dg-right summands take p ending at the left vertex and
+        q starting at the right one, dg-left summands p starting at the
+        left vertex and q ending at the right one.  With `lazy_left`, p is
+        only the lazy word at the left vertex: the slice of the one-sided
+        generator complex, where the left tensor factor is killed.  The q
+        words of one p are whole vertex-pair blocks of the listing.
         """
-        out = []
+        dg_left, out, n = self.kind == "dg-left", {}, 0
+
+        def blocks(degree, vertex, at_end):
+            pos = 0
+            for (a, b), words in rc.basis(degree).by_pair.items():
+                if (b if at_end else a) == vertex:
+                    yield pos, words
+                pos += len(words)
+
         for si, s in enumerate(self.terms[k]):
             rest = w - s.degree
-            if rest > 0:
-                continue
-            # |p| + |q| = rest, both factors in nonpositive degrees
-            for wp in range(0, rest - 1, -1):
-                wq = rest - wp
-                lefts = self._side_paths(rc, wp, s, "left")
-                rights = self._side_paths(rc, wq, s, "right")
-                for p in lefts:
-                    for q in rights:
-                        out.append((si, p, q))
+            for pdeg in range(0, rest - 1, -1)[:1 if lazy_left else None]:
+                qdeg = rest - pdeg
+                ps = [rc.listing(0)[1][s.left_vertex, ()]] if lazy_left \
+                    else [pos + i for pos, words in
+                          blocks(pdeg, s.left_vertex, not dg_left)
+                          for i in range(len(words))]
+                for ip in ps:
+                    slots = [None] * len(rc.listing(qdeg)[0])
+                    for pos, words in blocks(qdeg, s.right_vertex, dg_left):
+                        slots[pos:pos + len(words)] = range(n, n + len(words))
+                        n += len(words)
+                    out[si, pdeg, ip] = slots
+        return out, n
+
+    def slice_basis(self, rc: RewriteContext, k, w):
+        """Basis of the internal-degree-w slice of terms[k]: (summand
+        index, left path, right path), in the order of slots()."""
+        slots, n = self.slots(rc, k, w)
+        out = [None] * n
+        for (si, pdeg, ip), qslots in slots.items():
+            p = rc.listing(pdeg)[0][ip]
+            words = rc.listing(w - self.terms[k][si].degree - pdeg)[0]
+            for iq, g in enumerate(qslots):
+                if g is not None:
+                    out[g] = (si, p, words[iq])
         return out
 
-    def _side_paths(self, rc, wdeg, summand, side):
-        basis = rc.basis(wdeg)
-        out = []
-        for (a, b), plist in sorted(basis.by_pair.items(),
-                                    key=lambda kv: str(kv[0])):
-            for p in plist:
-                if self.kind in ("graded", "dg-right"):
-                    # left path ends at left_vertex; right starts at right_vertex
-                    if side == "left" and b == summand.left_vertex:
-                        out.append(p)
-                    elif side == "right" and a == summand.right_vertex:
-                        out.append(p)
-                else:  # dg-left: left path starts at lv, right ends at rv
-                    if side == "left" and a == summand.left_vertex:
-                        out.append(p)
-                    elif side == "right" and b == summand.right_vertex:
-                        out.append(p)
-        return out
+    def entry_plan(self, rc: RewriteContext, k, si, pdeg, ip, qdeg, target):
+        """How diffs[k] acts on the elements p (x) q of summand si of
+        terms[k+1] with p at position ip of rc.listing(pdeg) and |q| =
+        qdeg: a list of (target((ti, |p'|, position of p')), c, rows, row),
+        one for each term c * (ti, p', q') of the image, where q' is row(i)
+        for q at position i of rc.listing(qdeg) (an index or a sparse dict
+        over rc.listing(qdeg + |v|)); rows is the arrow map that caches
+        row when v is one arrow, else None.  Terms whose target(...) is
+        None are left out.
+
+        The sign rule, for an entry (c, u, v) from summand s to summand t:
+        p (x) q goes to (-1)^e c p.u (x) v.q, or to (-1)^e c u.p (x) q.v
+        for dg-left, with e = 0 (graded), |p|(|u| + |v|) (dg-right) or
+        (|p| + |q|)(|s| + |t| + |u|) (dg-left), where |s| and |t| are the
+        generator degrees.
+        """
+        dg_left, ctx, plan = self.kind == "dg-left", self.pres.ctx, []
+        s = self.terms[k + 1][si]
+        for ti, t in enumerate(self.terms[k]):
+            for c, u, v in self.diffs[k].get((ti, si), ()):
+                udeg = ctx.degree(u)
+                e = 0 if self.kind == "graded" else \
+                    (pdeg + qdeg) * (s.degree + t.degree + udeg) if dg_left \
+                    else pdeg * (udeg + ctx.degree(v))
+                for jp, cp in rc.times(ip, pdeg, u, dg_left).items():
+                    key = target((ti, pdeg + udeg, jp))
+                    if key is None:
+                        continue
+                    if len(v) == 1:
+                        rows = rc.arrow_map(qdeg, v.arrows[0], not dg_left)
+                        row = partial(rc.arrow_row, qdeg, v.arrows[0],
+                                      left=not dg_left)
+                    else:
+                        rows, row = None, partial(rc.times, degree=qdeg,
+                                                  path=v, left=not dg_left)
+                    plan.append((key, as_exact(-c * cp if e % 2 else c * cp),
+                                 rows, row))
+        return plan
+
+    def images(self, rc: RewriteContext, k, w, src, tgt):
+        """The image under diffs[k] of each element of the slice src =
+        slots(rc, k + 1, w, ...), in slot order, as a sparse dict over the
+        slots of tgt = slots(rc, k, w, ...); terms outside tgt are
+        dropped.  One slot look-up per term of a product."""
+        for (si, pdeg, ip), qslots in src.items():
+            plan = self.entry_plan(rc, k, si, pdeg, ip,
+                                   w - self.terms[k + 1][si].degree - pdeg,
+                                   tgt.get)
+            for i, g in enumerate(qslots):
+                if g is None:
+                    continue
+                vec = {}
+                for tslots, c, rows, row in plan:
+                    img = row(i) if rows is None else rows[i]
+                    if img is None:
+                        img = row(i)
+                    for j, cm in ((img, 1),) if type(img) is int \
+                            else img.items():
+                        t = tslots[j]
+                        if t is None:
+                            continue
+                        val = vec.get(t, 0) + c * cm
+                        if val:
+                            vec[t] = val
+                        else:
+                            vec.pop(t, None)
+                yield vec
+
+    def check_complex(self, cap):
+        """d_k o d_(k+1) = 0 for every k: the image of each lazy generator
+        is 0, evaluated by entry_plan, so with the Koszul signs of the
+        complex's kind.  `cap` is the rewriting cap, or the RewriteContext
+        to multiply in.  Raises CapTooSmall when a product of two entries'
+        paths could be longer than the cap, since words beyond it are not
+        listed, and NotComplex naming the summands of a nonzero image."""
+        rc = cap if isinstance(cap, RewriteContext) else \
+            RewriteContext(self.pres, cap)
+        lazy = rc.listing(0)[1]
+        for k in range(len(self.diffs) - 1):
+            for mid, m in enumerate(self.terms[k + 1]):
+                into = [e for (ti, _), es in self.diffs[k + 1].items()
+                        if ti == mid for e in es]
+                out = [e for (_, si), es in self.diffs[k].items()
+                       if si == mid for e in es]
+                longest = max((len(e[side]) + len(f[side]) for e in into
+                               for f in out for side in (1, 2)), default=0)
+                if longest > rc.cap:
+                    raise CapTooSmall(
+                        f"{self.name}: d o d through summand {m.label} "
+                        f"multiplies paths to length {longest}, beyond "
+                        f"--cap {rc.cap}; raise --cap to at least {longest}")
+            for si, s in enumerate(self.terms[k + 2]):
+                vec = {(si, 0, lazy[s.left_vertex, ()],
+                        lazy[s.right_vertex, ()]): 1}
+                for j in (k + 1, k):
+                    image = {}
+                    for (ti, pdeg, ip, iq), c0 in vec.items():
+                        qdeg = s.degree - self.terms[j + 1][ti].degree - pdeg
+                        for key, c, _, row in self.entry_plan(
+                                rc, j, ti, pdeg, ip, qdeg, lambda key: key):
+                            img = row(iq)
+                            _add_into(image, {key + (jq,): cq for jq, cq in (
+                                ((img, 1),) if type(img) is int
+                                else img.items())}, c0 * c)
+                    vec = image
+                if vec:
+                    raise NotComplex(
+                        f"{self.name}: d o d nonzero from summand {s.label} "
+                        f"to {self.terms[k][min(vec)[0]].label}")
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +222,8 @@ class BimoduleComplex:
 def parse_complex(text, pres, filename="<string>") -> BimoduleComplex:
     """Terms as summand lines "left-vertex right-vertex degree"; maps as
     lines "target-index source-index expression", entries written as sums
-    of [coeff*] lpath # rpath with '1' for a lazy path."""
-    from .errors import ParseError
-    from fractions import Fraction
-    import re
-
+    of [coeff*] lpath # rpath with '1' for a lazy path.  [map m] maps
+    [term m] into [term m-1], so m runs from 1 to the last term."""
     ctx = pres.ctx
     terms, maps = [], {}
     section = None
@@ -166,7 +242,11 @@ def parse_complex(text, pres, filename="<string>") -> BimoduleComplex:
         m = re.fullmatch(r"\[map (\d+)\]", line)
         if m:
             section, map_idx = "map", int(m.group(1))
-            maps.setdefault(map_idx, {})
+            if map_idx == 0:
+                raise ParseError("[map 0] names no map: [map m] maps "
+                                 "[term m] into [term m-1], m >= 1",
+                                 filename, lineno)
+            maps.setdefault(map_idx, (lineno, {}))
             continue
         if line.startswith("["):
             raise ParseError(f"unknown section {line}", filename, lineno)
@@ -180,6 +260,9 @@ def parse_complex(text, pres, filename="<string>") -> BimoduleComplex:
             for v in (lv, rv):
                 if v not in pres.quiver.vertices:
                     raise ParseError(f"unknown vertex {v}", filename, lineno)
+            if not re.fullmatch(r"-?\d+", deg):
+                raise ParseError(f"degree must be an integer, got {deg}",
+                                 filename, lineno)
             terms[term_idx].append(
                 FreeSummand(lv, rv, int(deg),
                             f"T{term_idx}[{len(terms[term_idx])}]"))
@@ -188,24 +271,30 @@ def parse_complex(text, pres, filename="<string>") -> BimoduleComplex:
             if len(bits) != 3:
                 raise ParseError("map line must be: tgt src expression",
                                  filename, lineno)
-            tgt, src, expr = int(bits[0]), int(bits[1]), bits[2]
-            entries = _parse_bitensor(expr, ctx, pres, map_idx, tgt, src,
-                                      terms, filename, lineno)
-            maps[map_idx][(tgt, src)] = entries
+            for b in bits[:2]:
+                if not re.fullmatch(r"\d+", b):
+                    raise ParseError(
+                        f"summand index must be a non-negative integer, "
+                        f"got {b}", filename, lineno)
+            tgt, src = int(bits[0]), int(bits[1])
+            if map_idx >= len(terms) or tgt >= len(terms[map_idx - 1]) \
+                    or src >= len(terms[map_idx]):
+                raise ParseError("map indices out of range", filename,
+                                 lineno)
+            maps[map_idx][1][(tgt, src)] = _parse_bitensor(
+                bits[2], ctx, terms[map_idx - 1][tgt], filename, lineno)
         else:
             raise ParseError("content before any section header", filename,
                              lineno)
-    # map index m describes terms[m] -> terms[m-1]
-    diffs = [maps.get(k + 1, {}) for k in range(len(terms) - 1)]
+    for m, (lineno, _) in maps.items():
+        if m >= len(terms):
+            raise ParseError(f"[map {m}] is past the last term "
+                             f"[term {len(terms) - 1}]", filename, lineno)
+    diffs = [maps.get(k + 1, (None, {}))[1] for k in range(len(terms) - 1)]
     return BimoduleComplex(pres, terms, diffs, name=filename)
 
 
-def _parse_bitensor(expr, ctx, pres, map_idx, tgt, src, terms, filename,
-                    lineno):
-    from .errors import ParseError
-    from fractions import Fraction
-    import re
-
+def _parse_bitensor(expr, ctx, tgt_s, filename, lineno):
     out = []
     for piece in re.split(r"(?=[+-])", expr):
         piece = piece.strip()
@@ -222,25 +311,20 @@ def _parse_bitensor(expr, ctx, pres, map_idx, tgt, src, terms, filename,
         coeff = Fraction(sign)
         lbits = [b.strip() for b in left.split("*") if b.strip()]
         if lbits and re.fullmatch(r"\d+(/\d+)?", lbits[0]):
-            coeff *= Fraction(lbits[0])
+            try:
+                coeff *= Fraction(lbits[0])
+            except ZeroDivisionError:
+                raise ParseError(f"coefficient {lbits[0]} divides by zero",
+                                 filename, lineno)
             lbits = lbits[1:]
-        try:
-            tgt_s = terms[map_idx - 1][tgt]
-            src_s = terms[map_idx][src]
-        except IndexError:
-            raise ParseError("map indices out of range", filename, lineno)
-        lpath = _parse_side(lbits, ctx, tgt_s.left_vertex, filename, lineno,
-                            lazy_at="target")
+        lpath = _parse_side(lbits, ctx, tgt_s.left_vertex, filename, lineno)
         rbits = [b.strip() for b in right.split("*") if b.strip()]
-        rpath = _parse_side(rbits, ctx, tgt_s.right_vertex, filename, lineno,
-                            lazy_at="target")
+        rpath = _parse_side(rbits, ctx, tgt_s.right_vertex, filename, lineno)
         out.append((coeff, lpath, rpath))
     return out
 
 
-def _parse_side(bits, ctx, lazy_vertex, filename, lineno, lazy_at):
-    from .errors import ParseError
-
+def _parse_side(bits, ctx, lazy_vertex, filename, lineno):
     if bits == ["1"] or not bits:
         return ctx.lazy(lazy_vertex)
     try:

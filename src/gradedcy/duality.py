@@ -8,28 +8,35 @@ Conventions (fixed once; the worked two-variable example pins them down):
   u (x) v by (-1)^(l_t |u|), l_t the target shift;
 * the dual complex stores, as its displayed entries, the images of the
   dual generators: the transported entry re-signed by (-1)^((l_s+l_t) l_t);
-* evaluating a dual differential on an element p (x) q multiplies by
-  (-1)^((|p|+|q|)(l_s+l_t+|u|)) and composes paths as u.p and q.v;
+* evaluating an entry on an element p (x) q multiplies by
+  (-1)^(|p|(|u|+|v|)) on a transported complex and by
+  (-1)^((|p|+|q|)(l_s+l_t+|u|)) on a dual one, which composes paths as
+  u.p and q.v; BimoduleComplex.entry_plan is the one place this rule is
+  written, for slice matrices, one-sided complexes and d o d alike;
 * the bimodule actions on a dual term of shift l at cohomological
   position k are
       x . (p (x) q) = (-1)^((l+k)|x| + |x||p|)  (p then x) (x) q
       (p (x) q) . x = (-1)^(|q||x|)             p (x) (x then q).
 
 Cohomology is computed bidegree-wise as exact linear algebra on the
-graded slices.  For wide windows the dimensions are certified through the
-one-sided reductions (free-module generator complexes), which stay small.
+graded slices, numbered by positions in the context's listings
+(BimoduleComplex.slots).  For wide windows the dimensions are certified
+through the one-sided reductions (free-module generator complexes: the
+same evaluation with the left factor lazy), which stay small.  The
+verdict first checks that its input squares to zero, in its own
+RewriteContext.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import BimoduleComplex, FreeSummand
 from .errors import NotFree, WindowTooSmall
 from .linalg import SparseEliminator
-from .quiver import Path
-from .rewriting import RewriteContext, as_exact
+from .rewriting import RewriteContext
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +77,7 @@ def koszul_complex(pres) -> BimoduleComplex:
     names = [a.name for a in quiver.arrows]
     degs = {a.name: a.degree for a in quiver.arrows}
     n = len(names)
-    subsets = [[]]
     terms = []
-    import itertools
     for k in range(n + 1):
         layer = []
         for T in itertools.combinations(range(n), k):
@@ -98,7 +103,6 @@ def koszul_complex(pres) -> BimoduleComplex:
                     (-sign, ctx.lazy(v), ap),
                 ])
         diffs.append(dk)
-    del subsets
     return BimoduleComplex(pres, terms, diffs, name="koszul")
 
 
@@ -159,14 +163,6 @@ def builtin_resolution(pres) -> BimoduleComplex:
 # transport and dualization
 # ---------------------------------------------------------------------------
 
-def _shift(summand):
-    return -summand.degree
-
-
-def _deg(ctx, p: Path):
-    return ctx.degree(p)
-
-
 def dg_transport(cplx: BimoduleComplex) -> BimoduleComplex:
     """Rewrite each free bimodule as a shifted free module over the graded
     enveloping algebra; entries pick up (-1)^(l_t |u|)."""
@@ -177,9 +173,9 @@ def dg_transport(cplx: BimoduleComplex) -> BimoduleComplex:
     for k, dk in enumerate(cplx.diffs):
         new = {}
         for (ti, si), entries in dk.items():
-            lt = _shift(cplx.terms[k][ti])
+            lt = -cplx.terms[k][ti].degree
             new[(ti, si)] = [
-                (c * Fraction((-1) ** ((lt * _deg(ctx, u)) % 2)), u, v)
+                (c * Fraction((-1) ** ((lt * ctx.degree(u)) % 2)), u, v)
                 for (c, u, v) in entries]
         diffs.append(new)
     return BimoduleComplex(cplx.pres, cplx.terms, diffs,
@@ -211,8 +207,8 @@ def dualize(cplx: BimoduleComplex) -> BimoduleComplex:
         old = cplx.diffs[n - j - 1]
         new = {}
         for (ti, si), entries in old.items():
-            ls = _shift(cplx.terms[n - j][si])
-            lt = _shift(cplx.terms[n - j - 1][ti])
+            ls = -cplx.terms[n - j][si].degree
+            lt = -cplx.terms[n - j - 1][ti].degree
             sgn = Fraction((-1) ** (((ls + lt) * lt) % 2))
             # component: dual(term[n-j-1], ti) -> dual(term[n-j], si)
             # in the new indexing: source index ti at new term j+1,
@@ -230,82 +226,49 @@ def dualize(cplx: BimoduleComplex) -> BimoduleComplex:
 # slice evaluation
 # ---------------------------------------------------------------------------
 
-def _product(rc, p, path, left):
-    """Normal form of p * path, or of path * p when `left`, for a listed
-    normal word p, as {Path: coefficient}."""
-    degree = rc.pres.ctx.degree(p)
-    i = rc.listing(degree)[1][p.source, p.arrows]
-    words = rc.listing(degree + rc.pres.ctx.degree(path))[0]
-    return {words[j]: c for j, c in rc.times(i, degree, path, left).items()}
-
-
-def _entry_images(cplx, rc, k, ti, si, p, q):
-    """Images (coeff, p', q') of the slice element (si, p, q) of
-    terms[k+1] under the (ti, si) component of diffs[k], with p' and q'
-    normal forms {Path: coefficient}."""
-    ctx = cplx.pres.ctx
-    entries = cplx.diffs[k].get((ti, si))
-    if not entries:
-        return []
-    out = []
-    kind = cplx.kind
-    if kind in ("graded", "dg-right"):
-        for (c, u, v) in entries:
-            if kind == "dg-right":
-                sgn = ((_deg(ctx, u) + _deg(ctx, v)) * _deg(ctx, p)) % 2
-                c = c * Fraction((-1) ** sgn)
-            out.append((c, _product(rc, p, u, False),
-                        _product(rc, q, v, True)))
-    else:  # dg-left
-        ls = _shift(cplx.terms[k][ti])      # target shift (deeper dual)
-        lt = _shift(cplx.terms[k + 1][si])  # source shift
-        # stored shifts on dual summands are the negated original degrees,
-        # i.e. summand.degree == l_original; _shift gives -l, so recover:
-        ls, lt = -ls, -lt
-        base = ((_deg(ctx, p) + _deg(ctx, q)) * (ls + lt)) % 2
-        for (c, u, v) in entries:
-            sgn = (base + (_deg(ctx, p) + _deg(ctx, q)) * _deg(ctx, u)) % 2
-            out.append((c * Fraction((-1) ** sgn), _product(rc, p, u, True),
-                        _product(rc, q, v, False)))
-    return out
-
-
 def slice_matrix(cplx, rc, k, w):
     """Matrix of diffs[k] between the internal-degree-w slices, as columns
     over the source slice basis.  Returns (src_basis, tgt_basis, columns)
     with columns sparse dicts into the target index."""
-    src = cplx.slice_basis(rc, k + 1, w)
-    tgt = cplx.slice_basis(rc, k, w)
-    tindex = {e: i for i, e in enumerate(tgt)}
-    cols = []
-    for (si, p, q) in src:
-        col = {}
-        for ti in range(len(cplx.terms[k])):
-            for (c, lnf, rnf) in _entry_images(cplx, rc, k, ti, si, p, q):
-                for pl, cl in lnf.items():
-                    for pr, cr in rnf.items():
-                        key = (ti, pl, pr)
-                        idx = tindex.get(key)
-                        if idx is None:
-                            continue
-                        val = col.get(idx, 0) + c * cl * cr
-                        if val:
-                            col[idx] = val
-                        else:
-                            col.pop(idx, None)
-        cols.append(col)
-    return src, tgt, cols
+    cols = cplx.images(rc, k, w, cplx.slots(rc, k + 1, w)[0],
+                       cplx.slots(rc, k, w)[0])
+    return (cplx.slice_basis(rc, k + 1, w), cplx.slice_basis(rc, k, w),
+            list(cols))
 
 
 def slice_cohomology(cplx, rc, degrees):
     """dims of ker/im per (term position, internal degree) by direct exact
     linear algebra on the slices; suitable for small windows."""
+    return _cohomology(cplx, rc, degrees, lazy_left=False)
+
+
+def one_sided_complex(cplx, rc, degrees):
+    """Kill the left tensor factor: generators (term k, summand, right
+    path); the induced differential keeps only entry terms whose left path
+    is lazy.  Returns homology dims per (position, generator degree).
+
+    Generator degree of (summand s, q) is |q| + shift-offset so that it
+    matches the internal degree of the corresponding slice elements.
+    The complex of free graded one-sided modules splits as a minimal part
+    plus trivial pairs, so these homology dims are exactly the generator
+    multiplicities of the minimal part; nonzero entries away from the
+    expected spot falsify the duality claim.
+
+    This is the slice evaluation with p the lazy word at each summand's
+    left vertex (BimoduleComplex.slots with lazy_left): an entry whose
+    left path u is not lazy leaves that slice.  A generator's image q.v
+    or v.q is one row of the context's arrow map when v is one arrow.
+    """
+    return _cohomology(cplx, rc, degrees, lazy_left=True)
+
+
+def _cohomology(cplx, rc, degrees, lazy_left):
     out = {}
-    nterms = len(cplx.terms)
     for w in degrees:
-        dims = [len(cplx.slice_basis(rc, k, w)) for k in range(nterms)]
-        _homology_dims(cplx, w, dims,
-                       lambda k: slice_matrix(cplx, rc, k, w)[2], out)
+        slots = [cplx.slots(rc, k, w, lazy_left)
+                 for k in range(len(cplx.terms))]
+        _homology_dims(cplx, w, [n for _, n in slots], lambda k: cplx.images(
+            rc, k, w, slots[k + 1][0], slots[k][0]), out)
     return out
 
 
@@ -321,94 +284,6 @@ def _homology_dims(cplx, w, dims, images, out):
     ranks.append(0)
     for k, dim in enumerate(dims):
         out[(cplx.positions[k], w)] = dim - ranks[k + 1] - ranks[k]
-
-
-# ---------------------------------------------------------------------------
-# one-sided generator complexes (certified route for wide windows)
-# ---------------------------------------------------------------------------
-
-def one_sided_complex(cplx, rc, degrees):
-    """Kill the left tensor factor: generators (term k, summand, right
-    path); the induced differential keeps only entry terms whose left path
-    is lazy.  Returns homology dims per (position, generator degree).
-
-    Generator degree of (summand s, q) is |q| + shift-offset so that it
-    matches the internal degree of the corresponding slice elements.
-    The complex of free graded one-sided modules splits as a minimal part
-    plus trivial pairs, so these homology dims are exactly the generator
-    multiplicities of the minimal part; nonzero entries away from the
-    expected spot falsify the duality claim.
-
-    The generators of a summand are the admissible words of
-    rc.listing(|q|), whole vertex-pair blocks of it, numbered from the
-    summand's offset; `slots` maps a listing position to that number, or
-    to None for a word of another block.  A generator's image is q * v
-    (dg-left) or v * q: one row of the context's arrow map when v is one
-    arrow, rc.times otherwise.
-    """
-    nterms, ctx = len(cplx.terms), cplx.pres.ctx
-    dg_left = cplx.kind == "dg-left"
-
-    def layout(k, w):
-        """(|q|, slots or None if |q| > 0) per summand of terms[k]; rank."""
-        out, n = [], 0
-        for s in cplx.terms[k]:
-            qdeg, slots = w - s.degree, None
-            if qdeg <= 0:
-                slots, pos = [None] * len(rc.listing(qdeg)[0]), 0
-                for (a, b), words in rc.basis(qdeg).by_pair.items():
-                    if (b if dg_left else a) == s.right_vertex:
-                        slots[pos:pos + len(words)] = range(n, n + len(words))
-                        n += len(words)
-                    pos += len(words)
-            out.append((qdeg, slots))
-        return out, n
-
-    dims = {}
-    for w in degrees:
-        layouts = [layout(k, w) for k in range(nterms)]
-
-        def images(k):
-            for si, (qdeg, slots) in enumerate(layouts[k + 1][0]):
-                if slots is None:
-                    continue
-                # (target slots, signed coefficient, v, arrow map or None)
-                s, plan = cplx.terms[k + 1][si], []
-                for ti, t in enumerate(cplx.terms[k]):
-                    flip = dg_left and (qdeg * (t.degree + s.degree)) % 2
-                    tslots = layouts[k][0][ti][1]
-                    for (c, u, v) in cplx.diffs[k].get((ti, si), ()):
-                        if u.is_lazy and tslots is not None and \
-                                qdeg + ctx.degree(v) == w - t.degree:
-                            plan.append((tslots, as_exact(-c if flip else c),
-                                         v, rc.arrow_map(
-                                             qdeg, v.arrows[0], not dg_left)
-                                         if len(v) == 1 else None))
-                for i, g in enumerate(slots):
-                    if g is None:
-                        continue
-                    vec = {}
-                    for tslots, c, v, rows in plan:
-                        img = rc.times(i, qdeg, v, not dg_left) \
-                            if rows is None else rows[i]
-                        if img is None:
-                            img = rc.arrow_row(qdeg, v.arrows[0], i,
-                                               not dg_left)
-                        for j, cm in ((img, 1),) if type(img) is int \
-                                else img.items():
-                            t = tslots[j]
-                            if t is None:
-                                continue
-                            val = vec.get(t, 0) + c * cm
-                            if val:
-                                vec[t] = val
-                            else:
-                                vec.pop(t, None)
-                    if vec:
-                        yield vec
-
-        _homology_dims(cplx, w, [n for _, n in layouts], images, dims)
-    return dims
 
 
 def exactness_probe(cplx, window, rc):
@@ -490,6 +365,7 @@ def check_twisted_cy(pres, cplx, twist: TwistSpec, window=None, cap=None,
         cap = max(-lo + 2, pres.max_relation_length + 2, a + 2)
     rc = RewriteContext(pres, cap)
 
+    cplx.check_complex(rc)
     probe_failures = exactness_probe(cplx, window, rc)
 
     dual = dualize(cplx)
@@ -535,43 +411,43 @@ def _twist_action_check(pres, dual, rc, twist, a):
     """z0 . x == eps_x (-1)^(shift |x|) x . z0 in top cohomology, for
     each arrow x; the extra parity is the suspension sign of the claimed
     shift acting on the left."""
-    ctx = pres.ctx
     v0 = pres.quiver.vertices[0]
     top = 0  # dual.terms[0] is the deepest original term (top position)
     n_pos = dual.positions[0]
     # z0 = class of the lazy pair at the summand of shift a
-    zi = None
-    for si, s in enumerate(dual.terms[top]):
-        if s.degree == a:
-            zi = si
-            break
-    results = {}
+    zi = next((si for si, s in enumerate(dual.terms[top]) if s.degree == a),
+              None)
     if zi is None:
         return {arr.name: False for arr in pres.quiver.arrows}
-    lazy = ctx.lazy(v0)
-    for arrow in pres.quiver.arrows:
-        xpath = ctx.arrow_path(arrow.name)
+    lazy = rc.listing(0)[1][v0, ()]
+    results = {}
+    for x, arrow in enumerate(pres.quiver.arrows):
         xdeg = arrow.degree
         w = a + xdeg
         # slice of the top term at degree w and the incoming image
-        tgt = dual.slice_basis(rc, top, w)
-        tindex = {e: i for i, e in enumerate(tgt)}
+        slots, _ = dual.slots(rc, top, w)
         el = SparseEliminator()
-        _, _, cols = slice_matrix(dual, rc, top, w)
-        for col in cols:
+        for col in dual.images(rc, top, w, dual.slots(rc, top + 1, w)[0],
+                               slots):
             el.add(col)
+        ix = rc.listing(xdeg)[1].get((v0, (x,)))
+
+        def slot(pdeg, ip, iq):
+            qslots = slots.get((zi, pdeg, ip))
+            return None if qslots is None or iq is None else qslots[iq]
+
         # left action: x . z0 = (-1)^((l+k)|x| + |x||p|) (p then x) (x) q
         l = a
         k = n_pos
         sgn_left = Fraction((-1) ** (((l + k) * xdeg) % 2))
         xz = {}
-        key = (zi, xpath, lazy)
-        if key in tindex:
-            xz[tindex[key]] = sgn_left
+        g = slot(xdeg, ix, lazy)
+        if g is not None:
+            xz[g] = sgn_left
         zx = {}
-        key = (zi, lazy, xpath)
-        if key in tindex:
-            zx[tindex[key]] = Fraction(1)
+        g = slot(0, lazy, ix)
+        if g is not None:
+            zx[g] = Fraction(1)
         # the claimed shift itself twists left actions by the usual
         # suspension sign, so the comparison scalar absorbs it
         eps = twist.scalar(arrow.name) \

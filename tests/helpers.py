@@ -4,11 +4,12 @@ The oracles here deliberately avoid the machinery they check: graded
 dimensions are recomputed by spanning the whole path space and quotienting
 by the ideal slice, and matchings by exhausting edge subsets or by a plain
 backtracker.  Minimal resolutions are recomputed with dense action
-matrices, one-sided generator complexes by reducing every product from
-scratch instead of multiplying through arrow maps, graded bases by one
-depth-first walk per degree instead of layer by layer, eliminator rows
-by reducing every vector, linear programs on a Fraction tableau
-instead of integer rows, dimer faces by taking the least unused dart
+matrices; one-sided generator complexes, slice matrices and the d o d
+check by reducing every product from scratch instead of multiplying
+through arrow maps, with the sign rules as the package wrote them before
+its one entry evaluator; graded bases by one depth-first walk per degree
+instead of layer by layer, eliminator rows by reducing every vector,
+linear programs on a Fraction tableau instead of integer rows, dimer faces by taking the least unused dart
 for every face, rotation checks by scanning every edge for every vertex,
 and the `dimer matchings` answer by `json.dumps`.  The other JSON
 emitters at the end are kept here for the tests that read them; the
@@ -23,7 +24,8 @@ from fractions import Fraction
 from pathlib import Path as FsPath
 
 from gradedcy.dimer import DimerEdge, DimerModel
-from gradedcy.duality import _deg, _homology_dims
+from gradedcy.duality import _homology_dims
+from gradedcy.errors import NotComplex
 from gradedcy.findim import radical
 from gradedcy.errors import NotSplitBasic
 from gradedcy.linalg import SparseEliminator, nullspace_with_free
@@ -391,7 +393,7 @@ def one_sided_complex_by_reduction(cplx, rc, degrees):
             if left:
                 lt = cplx.terms[k + 1][si].degree   # = l of source summand
                 ls = cplx.terms[k][ti].degree
-                flip = (_deg(ctx, q) * (ls + lt)) % 2
+                flip = (ctx.degree(q) * (ls + lt)) % 2
             for (c, u, v) in entries:
                 if not u.is_lazy:
                     continue
@@ -424,6 +426,163 @@ def one_sided_complex_by_reduction(cplx, rc, degrees):
 
         _homology_dims(cplx, w, [len(b) for b in bases], images, dims)
     return dims
+
+
+def _side_paths(cplx, rc, wdeg, summand, side):
+    basis = rc.basis(wdeg)
+    out = []
+    for (a, b), plist in sorted(basis.by_pair.items(),
+                                key=lambda kv: str(kv[0])):
+        for p in plist:
+            if cplx.kind in ("graded", "dg-right"):
+                # left path ends at left_vertex; right starts at right_vertex
+                if side == "left" and b == summand.left_vertex:
+                    out.append(p)
+                elif side == "right" and a == summand.right_vertex:
+                    out.append(p)
+            else:  # dg-left: left path starts at lv, right ends at rv
+                if side == "left" and a == summand.left_vertex:
+                    out.append(p)
+                elif side == "right" and b == summand.right_vertex:
+                    out.append(p)
+    return out
+
+
+def slice_basis_by_pairs(cplx, rc, k, w):
+    """The slice basis as BimoduleComplex.slice_basis listed it before the
+    slots: (summand, p, q) with each side's vertex pairs sorted by name."""
+    out = []
+    for si, s in enumerate(cplx.terms[k]):
+        rest = w - s.degree
+        if rest > 0:
+            continue
+        # |p| + |q| = rest, both factors in nonpositive degrees
+        for wp in range(0, rest - 1, -1):
+            wq = rest - wp
+            lefts = _side_paths(cplx, rc, wp, s, "left")
+            rights = _side_paths(cplx, rc, wq, s, "right")
+            for p in lefts:
+                for q in rights:
+                    out.append((si, p, q))
+    return out
+
+
+def _product_by_reduction(rc, p, path, left):
+    """Normal form of p * path, or of path * p when `left`, reduced from
+    scratch, as {Path: coefficient}."""
+    ctx = rc.pres.ctx
+    comp = ctx.compose(path, p) if left else ctx.compose(p, path)
+    if comp is None:
+        return {}
+    return dict(rc.normal_form(NCPoly.monomial(comp)).terms)
+
+
+def _shift(summand):
+    return -summand.degree
+
+
+def _entry_images(cplx, rc, k, ti, si, p, q):
+    """Images (coeff, p', q') of the slice element (si, p, q) of
+    terms[k+1] under the (ti, si) component of diffs[k], with p' and q'
+    normal forms {Path: coefficient}."""
+    ctx = cplx.pres.ctx
+    entries = cplx.diffs[k].get((ti, si))
+    if not entries:
+        return []
+    out = []
+    kind = cplx.kind
+    if kind in ("graded", "dg-right"):
+        for (c, u, v) in entries:
+            if kind == "dg-right":
+                sgn = ((ctx.degree(u) + ctx.degree(v)) * ctx.degree(p)) % 2
+                c = c * Fraction((-1) ** sgn)
+            out.append((c, _product_by_reduction(rc, p, u, False),
+                        _product_by_reduction(rc, q, v, True)))
+    else:  # dg-left
+        ls = _shift(cplx.terms[k][ti])      # target shift (deeper dual)
+        lt = _shift(cplx.terms[k + 1][si])  # source shift
+        # stored shifts on dual summands are the negated original degrees,
+        # i.e. summand.degree == l_original; _shift gives -l, so recover:
+        ls, lt = -ls, -lt
+        base = ((ctx.degree(p) + ctx.degree(q)) * (ls + lt)) % 2
+        for (c, u, v) in entries:
+            sgn = (base + (ctx.degree(p) + ctx.degree(q)) * ctx.degree(u)) % 2
+            out.append((c * Fraction((-1) ** sgn),
+                        _product_by_reduction(rc, p, u, True),
+                        _product_by_reduction(rc, q, v, False)))
+    return out
+
+
+def slice_matrix_by_reduction(cplx, rc, k, w):
+    """duality.slice_matrix as the package built it before its one entry
+    evaluator: Path-keyed slice bases sorted by vertex-pair name, the sign
+    rules of `_entry_images`, and every product reduced from scratch.
+    Returns (src_basis, tgt_basis, columns) like slice_matrix."""
+    src = slice_basis_by_pairs(cplx, rc, k + 1, w)
+    tgt = slice_basis_by_pairs(cplx, rc, k, w)
+    tindex = {e: i for i, e in enumerate(tgt)}
+    cols = []
+    for (si, p, q) in src:
+        col = {}
+        for ti in range(len(cplx.terms[k])):
+            for (c, lnf, rnf) in _entry_images(cplx, rc, k, ti, si, p, q):
+                for pl, cl in lnf.items():
+                    for pr, cr in rnf.items():
+                        key = (ti, pl, pr)
+                        idx = tindex.get(key)
+                        if idx is None:
+                            continue
+                        val = col.get(idx, 0) + c * cl * cr
+                        if val:
+                            col[idx] = val
+                        else:
+                            col.pop(idx, None)
+        cols.append(col)
+    return src, tgt, cols
+
+
+def check_complex_by_reduction(cplx, rc):
+    """BimoduleComplex.check_complex as it was before its one entry
+    evaluator: composite entries (u1 u2, v2 v1) reduced by the rewriting
+    system, with no Koszul signs whatever the kind."""
+    ctx = cplx.pres.ctx
+    for k in range(len(cplx.diffs) - 1):
+        outer = cplx.diffs[k]       # terms[k+1] -> terms[k]
+        inner = cplx.diffs[k + 1]   # terms[k+2] -> terms[k+1]
+        nsrc = len(cplx.terms[k + 2])
+        ntgt = len(cplx.terms[k])
+        for src in range(nsrc):
+            for tgt in range(ntgt):
+                # composite entries as reduced (left, right) path pairs
+                pairs = {}
+                for mid in range(len(cplx.terms[k + 1])):
+                    e1 = inner.get((mid, src))
+                    e2 = outer.get((tgt, mid))
+                    if not e1 or not e2:
+                        continue
+                    for c1, u1, v1 in e1:
+                        for c2, u2, v2 in e2:
+                            lp = ctx.compose(u1, u2)
+                            rp = ctx.compose(v2, v1)
+                            if lp is None or rp is None:
+                                continue
+                            lnf = rc.normal_form(NCPoly.monomial(lp))
+                            rnf = rc.normal_form(NCPoly.monomial(rp))
+                            for pl, cl in lnf.terms.items():
+                                for pr, cr in rnf.terms.items():
+                                    key = (pl, pr)
+                                    val = pairs.get(key, 0) \
+                                        + c1 * c2 * cl * cr
+                                    if val:
+                                        pairs[key] = val
+                                    else:
+                                        pairs.pop(key, None)
+                if pairs:
+                    raise NotComplex(
+                        f"{cplx.name}: d o d nonzero from summand "
+                        f"{cplx.terms[k+2][src].label} to "
+                        f"{cplx.terms[k][tgt].label}")
+    return True
 
 
 def _fraction_pivot(T, basis, row, col):

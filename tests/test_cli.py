@@ -231,6 +231,67 @@ def test_dot_outputs():
     assert code == 0 and out.startswith("digraph Qhat")
 
 
+@pytest.mark.parametrize("old,new,line,message", [
+    ("[map 1]", "[map 0]", 10, "[map 0] names no map"),
+    ("1 0 x#1 - 1#x", "1 0 x#1 - 1#x\n[map 3]\n0 0 x#1 - 1#x", 17,
+     "map indices out of range"),
+    ("1 0 x#1 - 1#x", "1 0 x#1 - 1#x\n[map 3]", 16,
+     "[map 3] is past the last term [term 2]"),
+    ("0 0 x#1 - 1#x", "-1 0 x#1 - 1#x", 11, "got -1"),
+    ("0 0 x#1 - 1#x", "a 0 x#1 - 1#x", 11, "got a"),
+    ("P P 0", "P P zero", 4, "degree must be an integer, got zero"),
+    ("0 0 x#1 - 1#x", "0 0 1/0*x#1 - 1#x", 11, "divides by zero"),
+])
+def test_complex_file_numbers_are_checked(tmp_path, old, new, line, message):
+    """Map indices, summand indices and degrees that the file format
+    cannot mean are refused with the file and line, exit code 2."""
+    text = (DATA / "koszul_xy.cpx").read_text(encoding="utf-8")
+    path = tmp_path / "bad.cpx"
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    code, out, err = run("cy-check", DATA / "k_xy.pres", "--twist", "sigma",
+                         "--resolution", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}:{line}: ") and message in err, err
+
+
+def test_cy_check_refuses_a_resolution_that_is_not_a_complex(tmp_path):
+    """One sign flipped in [map 2]: the verdict used to print FAIL with
+    every degree row ok; it now names the summands where d o d is not 0."""
+    text = (DATA / "koszul_xy.cpx").read_text(encoding="utf-8")
+    path = tmp_path / "bad.cpx"
+    path.write_text(text.replace("0 0 -y#1 + 1#y", "0 0 y#1 + 1#y"),
+                    encoding="utf-8")
+    code, out, err = run("cy-check", DATA / "k_xy.pres", "--twist", "sigma",
+                         "--resolution", path, "--window=-4..0")
+    assert (code, out) == (1, "")
+    assert err == f"error: NotComplex: {path}: d o d nonzero from summand " \
+        "T2[0] to T0[0]\n"
+
+
+def test_cy_check_names_the_cap_for_long_entries(tmp_path):
+    path = tmp_path / "long.cpx"
+    path.write_text("[term 0]\nP P 0\n[term 1]\nP P -3\n[term 2]\nP P -6\n"
+                    "[map 1]\n0 0 x*x*x#1\n[map 2]\n0 0 y*y*y#1\n",
+                    encoding="utf-8")
+    code, out, err = run("cy-check", DATA / "k_xy.pres", "--twist", "sigma",
+                         "--resolution", path, "--window=-2..0", "--cap", "4")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: CapTooSmall: ") and "--cap 4" in err, err
+
+
+def test_tracer_wraps_every_name_it_names():
+    """bench/tracer.py wraps package functions by name; renaming or
+    removing one of them fails here, not only in traced benchmark runs."""
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from tracer import Tracer, install; install(Tracer())"],
+        cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(root / "bench"), str(root / "src")])})
+    assert out.returncode == 0, out.stderr
+
+
 def test_skew_resolution_file():
     code, _, _ = run("cy-check", DATA / "skew_2.pres", "--twist", "id",
                      "--resolution", DATA / "skew2.cpx")

@@ -1,14 +1,16 @@
 import pytest
 
-from gradedcy.complexes import parse_complex
+from gradedcy.complexes import BimoduleComplex, parse_complex
 from gradedcy.duality import (builtin_resolution, check_twisted_cy,
                               dg_transport, dualize, exactness_probe,
                               identity_twist, koszul_complex, sign_twist,
-                              skew_complex, slice_cohomology)
-from gradedcy.errors import NotComplex, NotFree, WindowTooSmall
+                              skew_complex, slice_cohomology, slice_matrix)
+from gradedcy.errors import CapTooSmall, NotComplex, NotFree, WindowTooSmall
 from gradedcy.rewriting import RewriteContext
 
-from helpers import DATA, load, one_sided_complex_by_reduction
+from helpers import (DATA, check_complex_by_reduction, load,
+                     one_sided_complex_by_reduction,
+                     slice_matrix_by_reduction)
 
 
 def entries(cplx, k):
@@ -220,7 +222,6 @@ def test_complex_file_round_trip():
 def test_all_variants_compose_to_zero_on_slices():
     """Plain, transported, dual, and double-dual differentials all square
     to zero slice by slice (so their cohomology is well defined)."""
-    from gradedcy.duality import slice_matrix
     from gradedcy.linalg import vec_add
 
     def composite_vanishes(cplx, rc, degrees):
@@ -294,32 +295,157 @@ def test_one_sided_complex_matches_reduction_oracle():
                 (cpx.name, c.kind)
 
 
-def test_one_sided_oracle_catches_a_block_offset_mutant():
+def test_one_sided_oracle_catches_a_block_offset_mutant(monkeypatch):
     """Numbering each summand's generators after the first from one
     before its offset makes two summands share a generator (the count
     stays right), which the oracle comparison sees."""
     import inspect
     import textwrap
 
-    from gradedcy import duality
+    from gradedcy import complexes
+    from gradedcy.duality import one_sided_complex
 
     old = "range(n, n + len(words))"
-    source = textwrap.dedent(inspect.getsource(duality.one_sided_complex))
+    source = textwrap.dedent(
+        inspect.getsource(complexes.BimoduleComplex.slots))
     assert source.count(old) == 1
-    namespace = dict(vars(duality))
+    namespace = dict(vars(complexes))
     exec(source.replace(old, "range(max(n - 1, 0), max(n - 1, 0) + "
                                   "len(words))"), namespace)
-    mutant = namespace["one_sided_complex"]
+    monkeypatch.setattr(complexes.BimoduleComplex, "slots",
+                        namespace["slots"])
     caught = []
     for pres, cpx, cap, depth in _corpus_complexes():
         rc = RewriteContext(pres, cap)
         for c in (cpx, dualize(cpx)):
             top = max(s.degree for t in c.terms for s in t)
             degrees = range(top, top - depth - 1, -1)
-            if mutant(c, rc, degrees) != \
+            if one_sided_complex(c, rc, degrees) != \
                     one_sided_complex_by_reduction(c, rc, degrees):
                 caught.append((cpx.name, c.kind))
     assert caught
+
+
+def _variants(cpx):
+    return cpx, dg_transport(cpx), dualize(cpx), dualize(dualize(cpx))
+
+
+def _flipped(cplx):
+    """cplx with the sign of one entry term of its last map flipped."""
+    diffs = [dict(d) for d in cplx.diffs]
+    key = min(diffs[-1])
+    (c, u, v), *rest = diffs[-1][key]
+    diffs[-1][key] = [(-c, u, v), *rest]
+    return BimoduleComplex(cplx.pres, cplx.terms, diffs, name=cplx.name,
+                           kind=cplx.kind, positions=cplx.positions)
+
+
+def test_check_complex_on_every_kind():
+    """d o d = 0 holds with the Koszul signs of each kind on every corpus
+    complex, its transport, dual and double dual (the former check, blind
+    to the kind, raised NotComplex on the dg ones); one flipped entry sign
+    is caught on each, and on the graded complex the former check
+    agrees."""
+    for pres, cpx, cap, _ in _corpus_complexes():
+        rc = RewriteContext(pres, cap)
+        for c in _variants(cpx):
+            assert c.check_complex(rc), (cpx.name, c.kind)
+            if len(c.diffs) > 1:
+                with pytest.raises(NotComplex):
+                    _flipped(c).check_complex(rc)
+        assert check_complex_by_reduction(cpx, rc)
+        if len(cpx.diffs) > 1:
+            with pytest.raises(NotComplex):
+                check_complex_by_reduction(_flipped(cpx), rc)
+
+
+def test_check_complex_refuses_products_beyond_the_cap():
+    """Entry paths whose products are longer than the cap would leave the
+    listings: CapTooSmall names --cap instead of dropping the words."""
+    pres = load("k_xy.pres")
+    cpx = parse_complex("[term 0]\nP P 0\n[term 1]\nP P -3\n[term 2]\n"
+                        "P P -6\n[map 1]\n0 0 x*x*x#1\n[map 2]\n"
+                        "0 0 y*y*y#1\n", pres, filename="long.cpx")
+    with pytest.raises(CapTooSmall, match="--cap 4"):
+        cpx.check_complex(4)
+    with pytest.raises(NotComplex):
+        cpx.check_complex(6)
+
+
+def _slices_by_element(cplx, rc, evaluate):
+    """{(k, w, source element): {target element: coefficient}} of the
+    slice matrices of each map in the top two degrees of its source,
+    elements as (summand, Path, Path)."""
+    out = {}
+    for k in range(len(cplx.diffs)):
+        top = max(s.degree for s in cplx.terms[k + 1])
+        for w in (top, top - 1):
+            src, tgt, cols = evaluate(cplx, rc, k, w)
+            for e, col in zip(src, cols):
+                out[k, w, e] = {tgt[i]: c for i, c in col.items()}
+    return out
+
+
+def test_slice_matrices_match_reduction_oracle():
+    """Slice matrices through the entry evaluator equal, entry by entry,
+    those of the former evaluation (Path-keyed bases, its own sign rules,
+    every product reduced from scratch) on every corpus complex, its
+    transport, dual and double dual."""
+    for pres, cpx, cap, _ in _corpus_complexes():
+        rc = RewriteContext(pres, cap)
+        for c in _variants(cpx):
+            assert _slices_by_element(c, rc, slice_matrix) == \
+                _slices_by_element(c, rc, slice_matrix_by_reduction), \
+                (cpx.name, c.kind)
+
+
+@pytest.mark.parametrize("kind,old,new", [
+    ("graded", "e = 0 if", "e = pdeg if"),
+    ("dg-right", "else pdeg * (udeg + ctx.degree(v))", "else pdeg * udeg"),
+    ("dg-left", "(pdeg + qdeg) * (s.degree + t.degree + udeg)",
+     "(pdeg + qdeg) * (s.degree + t.degree)"),
+])
+def test_slice_oracle_catches_sign_rule_mutants(monkeypatch, kind, old, new):
+    """Breaking the sign rule for one kind changes some slice matrix of a
+    corpus complex of that kind, which the oracle comparison sees."""
+    import inspect
+    import textwrap
+
+    from gradedcy import complexes
+
+    source = textwrap.dedent(
+        inspect.getsource(complexes.BimoduleComplex.entry_plan))
+    assert source.count(old) == 1
+    namespace = dict(vars(complexes))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(complexes.BimoduleComplex, "entry_plan",
+                        namespace["entry_plan"])
+    caught = []
+    for pres, cpx, cap, _ in _corpus_complexes():
+        rc = RewriteContext(pres, cap)
+        for c in _variants(cpx)[:3]:
+            if c.kind == kind and _slices_by_element(c, rc, slice_matrix) \
+                    != _slices_by_element(c, rc, slice_matrix_by_reduction):
+                caught.append(cpx.name)
+    assert caught
+
+
+def test_verdict_checks_its_input_complex_first(monkeypatch):
+    """A resolution file with one sign flipped in [map 2] is refused with
+    NotComplex before the exactness probe runs."""
+    from gradedcy import duality
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the probe ran on a complex that is not one")
+
+    monkeypatch.setattr(duality, "exactness_probe", refuse)
+    pres = load("k_xy.pres")
+    text = (DATA / "koszul_xy.cpx").read_text(encoding="utf-8")
+    assert text.count("0 0 -y#1 + 1#y") == 1
+    bad = parse_complex(text.replace("0 0 -y#1 + 1#y", "0 0 y#1 + 1#y"),
+                        pres, filename="bad.cpx")
+    with pytest.raises(NotComplex, match="from summand T2.0. to T0.0."):
+        check_twisted_cy(pres, bad, sign_twist(pres, 4), window=(0, -4))
 
 
 def test_wide_window_skew_three():
