@@ -27,8 +27,7 @@ _EXPORTS = {
     "fdalgebra": ("FDAlgebra", "FDBimodule", "trivial_extension"),
     "slice_algebras": (
         "build_A", "build_AUB", "build_B", "build_tilde", "build_U",
-        "cluster_hom_shadow", "gabriel_quiver_of_B", "multiply_grading",
-        "relations_from_structure"),
+        "cluster_hom_shadow", "multiply_grading", "relations_from_structure"),
     "preprojective": (
         "block_trivial_extension", "double_quiver", "ext_bimodule",
         "layered_presentation", "path_algebra", "preprojective_presentation"),

@@ -4,7 +4,8 @@ A term is a finite direct sum of rank-one free bimodules R g R; the
 summand records the generator's vertex pair and internal degree.  A
 differential entry from source summand s to target summand t is a list of
 (coefficient, left path, right path) triples meaning
-g_s -> sum c * lpath . g_t . rpath.
+g_s -> sum c * lpath . g_t . rpath; construction checks that every entry
+keeps degrees, |lpath| + |rpath| = deg g_s - deg g_t.
 
 Terms are listed so that diffs[k] maps terms[k+1] into terms[k]; the
 cohomological position of terms[k] is positions[k] and drops by one along
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .errors import CapTooSmall, NotComplex, ParseError
+from .errors import CapTooSmall, Inhomogeneous, NotComplex, ParseError
 from .rewriting import RewriteContext, _add_into, as_exact
 
 
@@ -29,6 +30,26 @@ class FreeSummand:
     right_vertex: object
     degree: int          # internal degree of the generator
     label: str = ""
+
+
+def _degree_fault(ctx, terms, diffs):
+    """The first entry (c, u, v) of a diffs[k] from summand s of
+    terms[k+1] to summand t of terms[k] with |u| + |v| != |s| - |t|, as
+    ((k, index of t, index of s), message), or None: the one degree rule
+    of a complex, which dualizing and transporting keep."""
+    for k, dk in enumerate(diffs):
+        for (ti, si), entries in dk.items():
+            s, t = terms[k + 1][si], terms[k][ti]
+            for _, u, v in entries:
+                got = ctx.degree(u) + ctx.degree(v)
+                if got != s.degree - t.degree:
+                    return (k, ti, si), (
+                        f"entry {ctx.format_path(u)}#{ctx.format_path(v)} "
+                        f"from {s.label} (degree {s.degree}) to {t.label} "
+                        f"(degree {t.degree}) has |u| + |v| = {got}, not the "
+                        f"source degree minus the target degree, "
+                        f"{s.degree - t.degree}")
+    return None
 
 
 class BimoduleComplex:
@@ -44,6 +65,9 @@ class BimoduleComplex:
         if positions is None:
             positions = [-k for k in range(len(self.terms))]
         self.positions = list(positions)
+        fault = _degree_fault(pres.ctx, self.terms, self.diffs)
+        if fault is not None:
+            raise Inhomogeneous(fault[1])
 
     def __repr__(self):
         ranks = "/".join(str(len(t)) for t in self.terms)
@@ -223,9 +247,11 @@ def parse_complex(text, pres, filename="<string>") -> BimoduleComplex:
     """Terms as summand lines "left-vertex right-vertex degree"; maps as
     lines "target-index source-index expression", entries written as sums
     of [coeff*] lpath # rpath with '1' for a lazy path.  [map m] maps
-    [term m] into [term m-1], so m runs from 1 to the last term."""
+    [term m] into [term m-1], so m runs from 1 to the last term, and names
+    each target-source pair on one line only."""
     ctx = pres.ctx
     terms, maps = [], {}
+    lines = {}      # (m, target, source) -> line of the entry
     section = None
     term_idx = map_idx = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -281,6 +307,12 @@ def parse_complex(text, pres, filename="<string>") -> BimoduleComplex:
                     or src >= len(terms[map_idx]):
                 raise ParseError("map indices out of range", filename,
                                  lineno)
+            if (map_idx, tgt, src) in lines:
+                raise ParseError(
+                    f"[map {map_idx}] gives entry {tgt} {src} again, first "
+                    f"on line {lines[map_idx, tgt, src]}; write its terms "
+                    f"as one sum", filename, lineno)
+            lines[map_idx, tgt, src] = lineno
             maps[map_idx][1][(tgt, src)] = _parse_bitensor(
                 bits[2], ctx, terms[map_idx - 1][tgt], filename, lineno)
         else:
@@ -291,7 +323,11 @@ def parse_complex(text, pres, filename="<string>") -> BimoduleComplex:
             raise ParseError(f"[map {m}] is past the last term "
                              f"[term {len(terms) - 1}]", filename, lineno)
     diffs = [maps.get(k + 1, (None, {}))[1] for k in range(len(terms) - 1)]
-    return BimoduleComplex(pres, terms, diffs, name=filename)
+    try:
+        return BimoduleComplex(pres, terms, diffs, name=filename)
+    except Inhomogeneous:
+        (k, ti, si), message = _degree_fault(ctx, terms, diffs)
+        raise ParseError(message, filename, lines[k + 1, ti, si])
 
 
 def _parse_bitensor(expr, ctx, tgt_s, filename, lineno):

@@ -226,16 +226,6 @@ def dualize(cplx: BimoduleComplex) -> BimoduleComplex:
 # slice evaluation
 # ---------------------------------------------------------------------------
 
-def slice_matrix(cplx, rc, k, w):
-    """Matrix of diffs[k] between the internal-degree-w slices, as columns
-    over the source slice basis.  Returns (src_basis, tgt_basis, columns)
-    with columns sparse dicts into the target index."""
-    cols = cplx.images(rc, k, w, cplx.slots(rc, k + 1, w)[0],
-                       cplx.slots(rc, k, w)[0])
-    return (cplx.slice_basis(rc, k + 1, w), cplx.slice_basis(rc, k, w),
-            list(cols))
-
-
 def slice_cohomology(cplx, rc, degrees):
     """dims of ker/im per (term position, internal degree) by direct exact
     linear algebra on the slices; suitable for small windows."""
@@ -306,6 +296,11 @@ def exactness_probe(cplx, window, rc):
 # the duality verdict
 # ---------------------------------------------------------------------------
 
+# the deepest degree of the window whose dimension is computed directly on
+# the graded slices; below it the one-sided certificate stands alone
+DIRECT_FLOOR = -2
+
+
 @dataclass
 class CYVerdict:
     passed: bool
@@ -335,13 +330,12 @@ class CYVerdict:
         return "\n".join(lines)
 
 
-def check_twisted_cy(pres, cplx, twist: TwistSpec, window=None, cap=None,
-                     direct_floor=-2):
+def check_twisted_cy(pres, cplx, twist: TwistSpec, window=None, cap=None):
     """Verify that the dual of the given free resolution has cohomology
     only at the claimed position, equal there to the shift of the diagonal
     bimodule twisted as specified, degree-wise within the window.
 
-    Dimensions in the shallow part of the window (down to `direct_floor`)
+    Dimensions in the shallow part of the window (down to DIRECT_FLOOR)
     are computed directly on the graded slices; the rest of the window is
     certified through the one-sided generator complex, whose homology
     pins the minimal model of the dual down to the window floor.  The
@@ -383,7 +377,7 @@ def check_twisted_cy(pres, cplx, twist: TwistSpec, window=None, cap=None,
 
     # direct slice computation in the shallow part of the window
     dim_rows = []
-    shallow = [v for v in range(hi, lo - 1, -1) if v >= direct_floor]
+    shallow = [v for v in range(hi, lo - 1, -1) if v >= DIRECT_FLOOR]
     direct = slice_cohomology(dual, rc, [v + a for v in shallow])
     direct_ok = True
     for v in range(hi, lo - 1, -1):

@@ -79,20 +79,16 @@ def radical(alg: FDAlgebra) -> RadicalData:
 # Gabriel quiver
 # ---------------------------------------------------------------------------
 
-def gabriel_quiver(alg: FDAlgebra, basicify=False) -> Quiver:
+def gabriel_quiver(alg: FDAlgebra) -> Quiver:
     """Vertices = declared idempotents; dim e_i (J/J^2) e_j arrows i -> j."""
     rad = radical(alg)
     jset = rad.basis
     j2 = rad.powers[1] if len(rad.powers) > 1 else SparseEliminator()
 
-    if not basicify:
-        # split-basic + k^n quotient means no isomorphic repeats can hide;
-        # still, guard against a degenerate declaration.
-        seen = set()
-        for k, e in enumerate(alg.idempotents):
-            if e in seen:
-                raise NotBasic("repeated idempotent in declaration")
-            seen.add(e)
+    # split-basic + k^n quotient means no isomorphic repeats can hide;
+    # still, guard against a degenerate declaration.
+    if len(set(alg.idempotents)) != len(alg.idempotents):
+        raise NotBasic("repeated idempotent in declaration")
 
     nverts = len(alg.idempotents)
     vertices = [f"v{k}" for k in range(nverts)]

@@ -16,7 +16,8 @@ from .errors import Cyclic
 from .fdalgebra import FDAlgebra, FDBimodule
 from .quiver import Arrow, GradedQuiverPresentation, NCPoly, Path, Quiver
 from .rewriting import RewriteContext
-from .slice_algebras import build_tilde
+from .slice_algebras import (_by_pair_name, _products, _slice_elements,
+                             build_tilde)
 
 
 STAR_SUFFIX = "_s"
@@ -78,42 +79,26 @@ def ext_bimodule(Q: Quiver, cap=8) -> FDBimodule:
     """The first preprojective layer as a bimodule over kQ.
 
     Basis: normal-form words of star degree 1 in the preprojective
-    presentation; the kQ actions multiply on either side and reduce.
+    presentation, vertex pairs sorted by name; the kQ actions multiply on
+    either side through the arrow maps (one slot of slice_algebras'
+    _products, with the kQ paths at their positions among the degree-0
+    words).
     """
     A = path_algebra(Q)
     pp = preprojective_presentation(Q)
     rc = RewriteContext(pp, cap)
-    basis1 = rc.basis(-1)
-    ctx = pp.ctx
-    u_paths = []
-    for (s, t), plist in sorted(basis1.by_pair.items(),
-                                key=lambda kv: str(kv[0])):
-        u_paths.extend(plist)
-    u_index = {p: i for i, p in enumerate(u_paths)}
-
-    # map kQ basis paths into the double quiver
-    def embed(p: Path):
-        names = [Q.arrows[i].name for i in p.arrows]
-        out = Path(p.source, tuple(pp.quiver.arrow_index[n] for n in names))
-        return out
-
-    def to_vec(comp):
-        if comp is None:
-            return {}
-        nf = rc.normal_form(NCPoly.monomial(comp))
-        return {u_index[mono]: c for mono, c in nf.terms.items()}
-
-    left, right = {}, {}
-    for ai, ap in enumerate(_plain_paths(Q)):
-        ep = embed(ap)
-        for ui, up in enumerate(u_paths):
-            vec = to_vec(ctx.compose(ep, up))
-            if vec:
-                left[(ai, ui)] = vec
-            vec = to_vec(ctx.compose(up, ep))
-            if vec:
-                right[(ui, ai)] = vec
-    return FDBimodule(A, [ctx.format_path(p) for p in u_paths], left, right,
+    u_elements, u_index = _slice_elements({-1: _by_pair_name(rc.basis(-1))},
+                                          1, 1)
+    # a path of Q (whose arrows keep their numbers in the double quiver) is
+    # a normal word of degree 0: e_v * p is its position in the listing, or
+    # raises CapTooSmall when it is longer than the cap
+    lazy = rc.listing(0)[1]
+    a_elements = [(0, 0, 0, next(iter(rc.times(lazy[p.source, ()], 0, p))))
+                  for p in _plain_paths(Q)]
+    return FDBimodule(A, [pp.ctx.format_path(rc.listing(-1)[0][i])
+                          for _, _, _, i in u_elements],
+                      _products(rc, a_elements, u_elements, u_index),
+                      _products(rc, u_elements, a_elements, u_index),
                       name="ext_bimodule")
 
 

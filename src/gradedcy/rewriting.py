@@ -8,13 +8,17 @@ returned system computes unique normal forms for all paths of length
 normality; `RewriteContext.counts` counts graded pieces by dynamic
 programming over it.  `basis` lists them, where a basis is needed, in
 one walk, layer by layer: the words of length L are the words of length
-L - 1 times an arrow the automaton steps on.  `times` multiplies listed
-words by paths one arrow at a time through per-degree maps (Green's
+L - 1 times an arrow the automaton steps on.  `times`, the one product
+of listed words (slice algebras, preprojective layer, duality slices),
+multiplies by paths one arrow at a time through per-degree maps (Green's
 multiplication maps for a Groebner basis), each filled in one sweep of
 index look-ups; only products where a tip fires go through the rules.
-Nothing is claimed beyond the cap: both compare per-vertex-pair counts
-with cap+2 and raise NonStabilizing on mismatch (the signature of a
-degree-0 cycle surviving in the quotient), a heuristic, not a proof.
+Nothing is claimed beyond the cap: a product that is a normal word
+longer than it raises CapTooSmall, and counts and bases compare
+per-vertex-pair counts with cap+2 and raise NonStabilizing on mismatch
+(the signature of a degree-0 cycle surviving in the quotient), a
+heuristic, not a proof.  `RewritingSystem.reduce` serves the completion
+and reduce_mod.
 """
 
 from __future__ import annotations
@@ -404,10 +408,10 @@ class RewriteContext:
     def times(self, i, degree, path, left=False):
         """Normal form of q * path, or of path * q when `left`, for the word
         q at position i of listing(degree), as a sparse dict over
-        listing(degree + |path|).  Words outside that listing (longer than
-        the cap) are dropped, and a path that does not compose with q
+        listing(degree + |path|); a path that does not compose with q
         gives 0.  The path is applied one arrow at a time through the
-        arrow maps."""
+        arrow maps, so a product that passes through a normal word longer
+        than the cap raises CapTooSmall (see _arrow_product)."""
         arrows = path.arrows[::-1] if left else path.arrows
         if not arrows:
             q = self.listing(degree)[0][i]
@@ -426,8 +430,8 @@ class RewriteContext:
         """Rows of 'times arrow x' (x * q when `left`) on listing(degree):
         the product's position in listing(degree + |x|), else a sparse dict
         over it, or None until arrow_row computes it.  One sweep of index
-        look-ups fills the map, and leaves the misses (a tip fires, or the
-        word is too long or does not compose) to arrow_row."""
+        look-ups fills the map, and leaves the misses (a tip fires, the
+        word does not compose, or it is too long: CapTooSmall) to arrow_row."""
         rows = self._rows.get((degree, x, left))
         if rows is None:
             words, arrow = self.listing(degree)[0], self.pres.quiver.arrows[x]
@@ -457,7 +461,9 @@ class RewriteContext:
         first of them in rule order.  The word is then (rest) * tip or
         tip * (rest) with `rest` normal, and each term of the tip's
         right-hand side is multiplied onto `rest` by the maps again.  A
-        product that is one listed normal word comes back as its index."""
+        product that is one listed normal word comes back as its index; a
+        normal word that is not listed is longer than the cap, and raises
+        CapTooSmall rather than being dropped."""
         words, _, states = self.listing(degree)
         q, arrow, rs = words[i], self.pres.quiver.arrows[x], self.rs
         if left:
@@ -476,7 +482,13 @@ class RewriteContext:
                            if end[k:] in self._rules)
         if tip is None:
             j = self.listing(degree + arrow.degree)[1].get((source, word))
-            return {} if j is None else j
+            if j is None:
+                shown = self.pres.ctx.format_path(Path(source, word))
+                raise CapTooSmall(
+                    f"the product {shown} is a normal word of length "
+                    f"{len(word)} in degree {degree + arrow.degree}, beyond "
+                    f"--cap {self.cap}; raise --cap to at least {len(word)}")
+            return j
         tip_degree, rhs = self._rules[tip]
         if left:
             rest = word[len(tip):]
@@ -490,23 +502,18 @@ class RewriteContext:
             _add_into(out, self.times(start, rest_degree, r, left), c)
         return out
 
-    def normal_form(self, poly):
-        return self.rs.reduce(poly)
 
-
-def graded_dimension(pres, degree, source, target, cap,
-                     check_stability=True):
+def graded_dimension(pres, degree, source, target, cap):
     """Dimension of the (source -> target) graded piece, plus its basis."""
     rc = RewriteContext(pres, cap)
-    basis = rc.basis(degree, check_stability=check_stability)
+    basis = rc.basis(degree)
     return basis.dim(source, target), basis
 
 
-def dimension_table(pres, degrees, cap, check_stability=True):
+def dimension_table(pres, degrees, cap):
     """degree -> {(source, target) -> dim} for the listed degrees."""
     rc = RewriteContext(pres, cap)
-    return {w: dict(sorted(rc.counts(w, check_stability).items(),
-                           key=lambda kv: str(kv[0])))
+    return {w: dict(sorted(rc.counts(w).items(), key=lambda kv: str(kv[0])))
             for w in degrees}
 
 

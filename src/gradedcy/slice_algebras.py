@@ -5,18 +5,20 @@ Given a negatively graded presentation of R and a positive integer a,
 `build_A` assembles the lower triangular a x a slice algebra whose (s, t)
 entry is the degree s - t piece of R, `build_U` the companion bimodule
 shifted one step further down, and `build_B` their trivial extension.
-Basis elements are triples (slot s, slot t, normal-form path); products
-are computed by reducing path concatenations.
+Basis elements are (slot s, slot t, degree, position of a normal word in
+the RewriteContext's listing of that degree); every structure constant
+is a product of two such words through the context's arrow maps
+(`RewriteContext.times`, in `_products`), and a product that would need a
+normal word longer than the cap raises CapTooSmall.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonStabilizing, NotSurjective, PositiveDegree, \
-    WindowViolation
+from .errors import NotSurjective, PositiveDegree, WindowViolation
 from .fdalgebra import FDAlgebra, FDBimodule, trivial_extension
-from .linalg import SparseEliminator, vec_add
+from .linalg import SparseEliminator
 from .quiver import NCPoly, Quiver
 from .rewriting import RewriteContext, truncated_rewriting
 
@@ -25,67 +27,62 @@ def default_cap(a):
     return 2 * (a + 2)
 
 
-class SliceBasis:
-    """Bookkeeping shared by build_A / build_U: normal-form bases of the
-    graded pieces of R needed for slot degrees 0..-depth."""
-
-    def __init__(self, pres, depth, cap=None):
-        if not pres.is_negatively_graded():
-            bad = [a.name for a in pres.quiver.arrows if a.degree > 0]
-            raise PositiveDegree(f"arrows of positive degree: {bad}")
-        self.pres = pres
-        self.cap = cap if cap is not None else default_cap(depth)
-        self.rc = RewriteContext(pres, self.cap)
-        self.pieces = {}
-        for w in range(0, depth + 1):
-            self.pieces[-w] = self.rc.basis(-w)
-
-    def paths(self, degree, source=None, target=None):
-        basis = self.pieces[degree]
-        out = []
-        for (s, t), plist in sorted(basis.by_pair.items(),
-                                    key=lambda kv: str(kv[0])):
-            if source is not None and s != source:
-                continue
-            if target is not None and t != target:
-                continue
-            out.extend(plist)
-        return out
+def _slice_context(pres, depth, cap):
+    """RewriteContext for the graded pieces 0..-depth, each checked for
+    stability in that order, and their orders (see _by_pair_name)."""
+    if not pres.is_negatively_graded():
+        bad = [a.name for a in pres.quiver.arrows if a.degree > 0]
+        raise PositiveDegree(f"arrows of positive degree: {bad}")
+    rc = RewriteContext(pres, cap if cap is not None else default_cap(depth))
+    return rc, {-w: _by_pair_name(rc.basis(-w)) for w in range(depth + 1)}
 
 
-def _slice_elements(sb: SliceBasis, a, offset):
-    """Basis triples (s, t, path) with deg(path) = s - t - offset."""
-    out = []
+def _by_pair_name(basis):
+    """Positions of the context's listing of the basis's degree, each
+    vertex pair's words together and the pairs sorted by name."""
+    blocks, pos = [], 0
+    for pair, words in basis.by_pair.items():
+        blocks.append((str(pair), range(pos, pos + len(words))))
+        pos += len(words)
+    return [i for _, block in sorted(blocks, key=lambda b: b[0])
+            for i in block]
+
+
+def _slice_elements(orders, a, offset):
+    """Basis (s, t, degree, position in the listing of the degree) of the
+    slots with degree s - t - offset <= 0, each in orders[degree], and
+    index: (s, t) -> element number of each position of that listing."""
+    elements, index = [], {}
     for s in range(a):
         for t in range(a):
             w = s - t - offset
-            if w > 0 or w not in sb.pieces:
-                continue
-            for p in sb.paths(w):
-                out.append((s, t, p))
-    return out
+            if w <= 0:
+                slots = index[s, t] = [None] * len(orders[w])
+                for i in orders[w]:
+                    slots[i] = len(elements)
+                    elements.append((s, t, w, i))
+    return elements, index
 
 
-def _slice_labels(ctx, elements, sep):
-    return [f"({s}{sep}{t}){ctx.format_path(p)}" for s, t, p in elements]
+def _slice_labels(rc, elements, sep):
+    return [f"({s}{sep}{t}){rc.pres.ctx.format_path(rc.listing(w)[0][i])}"
+            for s, t, w, i in elements]
 
 
-def _product_into_basis(sb, index_of, s, u, p, q):
-    """Expand (path p)(path q) in normal form and map to basis indices of
-    the (s, u, *) block."""
-    ctx = sb.pres.ctx
-    comp = ctx.compose(p, q)
-    if comp is None:
-        return {}
-    nf = sb.rc.normal_form(NCPoly.monomial(comp))
+def _products(rc, lefts, rights, index):
+    """(i, j) -> lefts[i] * rights[j] over the basis numbered by index, for
+    the nonzero products with equal inner slots.  An element is (s, t,
+    degree, position in rc.listing(degree)); the product of (s, t, ...)
+    and (t, u, ...) lies in slot (s, u), whose index maps each position of
+    the product's listing to its element number."""
     out = {}
-    for mono, c in nf.terms.items():
-        key = (s, u, mono)
-        idx = index_of.get(key)
-        if idx is None:
-            raise NonStabilizing(
-                "product left the computed graded basis; raise the cap")
-        out = vec_add(out, {idx: Fraction(c)})
+    for i, (s, t, dp, ip) in enumerate(lefts):
+        for j, (t2, u, dq, iq) in enumerate(rights):
+            if t == t2:
+                vec = rc.times(ip, dp, rc.listing(dq)[0][iq])
+                if vec:
+                    slots = index[s, u]
+                    out[i, j] = {slots[k]: Fraction(c) for k, c in vec.items()}
     return out
 
 
@@ -93,23 +90,13 @@ def build_A(pres, a, cap=None) -> FDAlgebra:
     """Lower triangular a x a slice algebra of the presentation."""
     if a < 1:
         raise ValueError("a must be >= 1")
-    sb = SliceBasis(pres, a - 1, cap)
-    ctx = pres.ctx
-    elements = _slice_elements(sb, a, 0)
-    labels = _slice_labels(ctx, elements, "->")
-    index_of = {e: i for i, e in enumerate(elements)}
-    mult = {}
-    for i, (s, t, p) in enumerate(elements):
-        for j, (s2, u, q) in enumerate(elements):
-            if t != s2:
-                continue
-            v = _product_into_basis(sb, index_of, s, u, p, q)
-            if v:
-                mult[(i, j)] = v
-    idems = [index_of[(s, s, p)] for s in range(a)
-             for p in sb.paths(0) if p.is_lazy and (s, s, p) in index_of]
-    grading = [s - t for s, t, _ in elements]
-    return FDAlgebra(labels, mult, idems, grading=grading,
+    rc, orders = _slice_context(pres, a - 1, cap)
+    elements, index = _slice_elements(orders, a, 0)
+    lazy = [i for i in orders[0] if rc.listing(0)[0][i].is_lazy]
+    idems = [index[s, s][i] for s in range(a) for i in lazy]
+    return FDAlgebra(_slice_labels(rc, elements, "->"),
+                     _products(rc, elements, elements, index), idems,
+                     grading=[s - t for s, t, _, _ in elements],
                      name=f"A({pres.name or 'R'},a={a})")
 
 
@@ -117,31 +104,15 @@ def build_U(pres, a, cap=None, A: FDAlgebra = None) -> FDBimodule:
     """(A, A)-bimodule whose (s, t) entry is the degree s - t - 1 piece."""
     if A is None:
         A = build_A(pres, a, cap)
-    ctx = pres.ctx
-    sb = SliceBasis(pres, a, cap)
-    a_elements = _slice_elements(sb, a, 0)
-    if _slice_labels(ctx, a_elements, "->") != A.labels:
+    rc, orders = _slice_context(pres, a, cap)
+    a_elements, _ = _slice_elements(orders, a, 0)
+    if _slice_labels(rc, a_elements, "->") != A.labels:
         raise ValueError(f"A is not the slice algebra of this presentation "
                          f"at a = {a}")
-    u_elements = _slice_elements(sb, a, 1)
-    labels = _slice_labels(ctx, u_elements, "=>")
-    u_index = {e: i for i, e in enumerate(u_elements)}
-    left, right = {}, {}
-    for i, (s, t, p) in enumerate(a_elements):
-        for j, (s2, u, q) in enumerate(u_elements):
-            if t != s2:
-                continue
-            v = _product_into_basis(sb, u_index, s, u, p, q)
-            if v:
-                left[(i, j)] = v
-    for j, (s, t, q) in enumerate(u_elements):
-        for i, (s2, u, p) in enumerate(a_elements):
-            if t != s2:
-                continue
-            v = _product_into_basis(sb, u_index, s, u, q, p)
-            if v:
-                right[(j, i)] = v
-    return FDBimodule(A, labels, left, right,
+    u_elements, u_index = _slice_elements(orders, a, 1)
+    return FDBimodule(A, _slice_labels(rc, u_elements, "=>"),
+                      _products(rc, a_elements, u_elements, u_index),
+                      _products(rc, u_elements, a_elements, u_index),
                       name=f"U({pres.name or 'R'},a={a})")
 
 
@@ -254,15 +225,6 @@ def cluster_hom_shadow(pres, m, cap=None):
         cap = default_cap(-m + 1)
     rc = RewriteContext(pres, cap)
     return sum(rc.counts(m).values())
-
-
-# ---------------------------------------------------------------------------
-# Gabriel quiver of a trivial extension (engine lives in findim)
-# ---------------------------------------------------------------------------
-
-def gabriel_quiver_of_B(B: FDAlgebra, basicify=False) -> Quiver:
-    from .findim import gabriel_quiver
-    return gabriel_quiver(B, basicify=basicify)
 
 
 # ---------------------------------------------------------------------------

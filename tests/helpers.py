@@ -7,12 +7,15 @@ backtracker.  Minimal resolutions are recomputed with dense action
 matrices; one-sided generator complexes, slice matrices and the d o d
 check by reducing every product from scratch instead of multiplying
 through arrow maps, with the sign rules as the package wrote them before
-its one entry evaluator; graded bases by one depth-first walk per degree
-instead of layer by layer, eliminator rows by reducing every vector,
-linear programs on a Fraction tableau instead of integer rows, dimer faces by taking the least unused dart
+its one entry evaluator; the slice algebras A and U and the first
+preprojective layer the same way, with Path-keyed bases; graded bases
+by one depth-first walk per degree instead of layer by layer, eliminator
+rows by reducing every vector, linear programs on a Fraction tableau
+instead of integer rows, dimer faces by taking the least unused dart
 for every face, rotation checks by scanning every edge for every vertex,
 and the `dimer matchings` answer by `json.dumps`.  The other JSON
-emitters at the end are kept here for the tests that read them; the
+emitters at the end are kept here for the tests that read them, and
+`slice_matrix` for the tests that look at whole slice matrices; the
 package itself does not use them.
 """
 
@@ -25,14 +28,18 @@ from pathlib import Path as FsPath
 
 from gradedcy.dimer import DimerEdge, DimerModel
 from gradedcy.duality import _homology_dims
-from gradedcy.errors import NotComplex
+from gradedcy.errors import NonStabilizing, NotComplex, PositiveDegree
+from gradedcy.fdalgebra import FDAlgebra, FDBimodule
 from gradedcy.findim import radical
 from gradedcy.errors import NotSplitBasic
-from gradedcy.linalg import SparseEliminator, nullspace_with_free
+from gradedcy.linalg import SparseEliminator, nullspace_with_free, vec_add
 from gradedcy.linalg import solve as _solve
+from gradedcy.preprojective import (_plain_paths, path_algebra,
+                                    preprojective_presentation)
 from gradedcy.quiver import NCPoly, Path, load_presentation
-from gradedcy.rewriting import GradedPieceBasis
+from gradedcy.rewriting import GradedPieceBasis, RewriteContext
 from gradedcy.simplex import LPResult
+from gradedcy.slice_algebras import default_cap
 
 DATA = FsPath(__file__).resolve().parent.parent / "data"
 
@@ -401,7 +408,7 @@ def one_sided_complex_by_reduction(cplx, rc, degrees):
                 if comp is None:
                     continue
                 c2 = -c if flip else c
-                nf = rc.normal_form(NCPoly.monomial(comp))
+                nf = rc.rs.reduce(NCPoly.monomial(comp))
                 for mono, cm in nf.terms.items():
                     key = (ti, mono)
                     val = out.get(key, 0) + c2 * cm
@@ -474,7 +481,7 @@ def _product_by_reduction(rc, p, path, left):
     comp = ctx.compose(path, p) if left else ctx.compose(p, path)
     if comp is None:
         return {}
-    return dict(rc.normal_form(NCPoly.monomial(comp)).terms)
+    return dict(rc.rs.reduce(NCPoly.monomial(comp)).terms)
 
 
 def _shift(summand):
@@ -511,6 +518,17 @@ def _entry_images(cplx, rc, k, ti, si, p, q):
                         _product_by_reduction(rc, p, u, True),
                         _product_by_reduction(rc, q, v, False)))
     return out
+
+
+def slice_matrix(cplx, rc, k, w):
+    """Matrix of diffs[k] between the internal-degree-w slices, as columns
+    over the source slice basis, through the package's entry evaluator.
+    Returns (src_basis, tgt_basis, columns) with columns sparse dicts into
+    the target index."""
+    cols = cplx.images(rc, k, w, cplx.slots(rc, k + 1, w)[0],
+                       cplx.slots(rc, k, w)[0])
+    return (cplx.slice_basis(rc, k + 1, w), cplx.slice_basis(rc, k, w),
+            list(cols))
 
 
 def slice_matrix_by_reduction(cplx, rc, k, w):
@@ -566,8 +584,8 @@ def check_complex_by_reduction(cplx, rc):
                             rp = ctx.compose(v2, v1)
                             if lp is None or rp is None:
                                 continue
-                            lnf = rc.normal_form(NCPoly.monomial(lp))
-                            rnf = rc.normal_form(NCPoly.monomial(rp))
+                            lnf = rc.rs.reduce(NCPoly.monomial(lp))
+                            rnf = rc.rs.reduce(NCPoly.monomial(rp))
                             for pl, cl in lnf.terms.items():
                                 for pr, cr in rnf.terms.items():
                                     key = (pl, pr)
@@ -583,6 +601,168 @@ def check_complex_by_reduction(cplx, rc):
                         f"{cplx.terms[k+2][src].label} to "
                         f"{cplx.terms[k][tgt].label}")
     return True
+
+
+class SliceBasis:
+    """Bookkeeping shared by build_A / build_U: normal-form bases of the
+    graded pieces of R needed for slot degrees 0..-depth."""
+
+    def __init__(self, pres, depth, cap=None):
+        if not pres.is_negatively_graded():
+            bad = [a.name for a in pres.quiver.arrows if a.degree > 0]
+            raise PositiveDegree(f"arrows of positive degree: {bad}")
+        self.pres = pres
+        self.cap = cap if cap is not None else default_cap(depth)
+        self.rc = RewriteContext(pres, self.cap)
+        self.pieces = {}
+        for w in range(0, depth + 1):
+            self.pieces[-w] = self.rc.basis(-w)
+
+    def paths(self, degree, source=None, target=None):
+        basis = self.pieces[degree]
+        out = []
+        for (s, t), plist in sorted(basis.by_pair.items(),
+                                    key=lambda kv: str(kv[0])):
+            if source is not None and s != source:
+                continue
+            if target is not None and t != target:
+                continue
+            out.extend(plist)
+        return out
+
+
+def _slice_elements(sb: SliceBasis, a, offset):
+    """Basis triples (s, t, path) with deg(path) = s - t - offset."""
+    out = []
+    for s in range(a):
+        for t in range(a):
+            w = s - t - offset
+            if w > 0 or w not in sb.pieces:
+                continue
+            for p in sb.paths(w):
+                out.append((s, t, p))
+    return out
+
+
+def _slice_labels(ctx, elements, sep):
+    return [f"({s}{sep}{t}){ctx.format_path(p)}" for s, t, p in elements]
+
+
+def _product_into_basis(sb, index_of, s, u, p, q):
+    """Expand (path p)(path q) in normal form and map to basis indices of
+    the (s, u, *) block."""
+    ctx = sb.pres.ctx
+    comp = ctx.compose(p, q)
+    if comp is None:
+        return {}
+    nf = sb.rc.rs.reduce(NCPoly.monomial(comp))
+    out = {}
+    for mono, c in nf.terms.items():
+        key = (s, u, mono)
+        idx = index_of.get(key)
+        if idx is None:
+            raise NonStabilizing(
+                "product left the computed graded basis; raise the cap")
+        out = vec_add(out, {idx: Fraction(c)})
+    return out
+
+
+def build_A_by_reduction(pres, a, cap=None) -> FDAlgebra:
+    """slice_algebras.build_A as the package built it before its products
+    went through the arrow maps: Path-keyed slice bases and every product
+    of two basis paths reduced from scratch by the rewriting system."""
+    if a < 1:
+        raise ValueError("a must be >= 1")
+    sb = SliceBasis(pres, a - 1, cap)
+    ctx = pres.ctx
+    elements = _slice_elements(sb, a, 0)
+    labels = _slice_labels(ctx, elements, "->")
+    index_of = {e: i for i, e in enumerate(elements)}
+    mult = {}
+    for i, (s, t, p) in enumerate(elements):
+        for j, (s2, u, q) in enumerate(elements):
+            if t != s2:
+                continue
+            v = _product_into_basis(sb, index_of, s, u, p, q)
+            if v:
+                mult[(i, j)] = v
+    idems = [index_of[(s, s, p)] for s in range(a)
+             for p in sb.paths(0) if p.is_lazy and (s, s, p) in index_of]
+    grading = [s - t for s, t, _ in elements]
+    return FDAlgebra(labels, mult, idems, grading=grading,
+                     name=f"A({pres.name or 'R'},a={a})")
+
+
+def build_U_by_reduction(pres, a, cap=None, A: FDAlgebra = None) \
+        -> FDBimodule:
+    """slice_algebras.build_U the same way as build_A_by_reduction."""
+    if A is None:
+        A = build_A_by_reduction(pres, a, cap)
+    ctx = pres.ctx
+    sb = SliceBasis(pres, a, cap)
+    a_elements = _slice_elements(sb, a, 0)
+    if _slice_labels(ctx, a_elements, "->") != A.labels:
+        raise ValueError(f"A is not the slice algebra of this presentation "
+                         f"at a = {a}")
+    u_elements = _slice_elements(sb, a, 1)
+    labels = _slice_labels(ctx, u_elements, "=>")
+    u_index = {e: i for i, e in enumerate(u_elements)}
+    left, right = {}, {}
+    for i, (s, t, p) in enumerate(a_elements):
+        for j, (s2, u, q) in enumerate(u_elements):
+            if t != s2:
+                continue
+            v = _product_into_basis(sb, u_index, s, u, p, q)
+            if v:
+                left[(i, j)] = v
+    for j, (s, t, q) in enumerate(u_elements):
+        for i, (s2, u, p) in enumerate(a_elements):
+            if t != s2:
+                continue
+            v = _product_into_basis(sb, u_index, s, u, q, p)
+            if v:
+                right[(j, i)] = v
+    return FDBimodule(A, labels, left, right,
+                      name=f"U({pres.name or 'R'},a={a})")
+
+
+def ext_bimodule_by_reduction(Q, cap=8) -> FDBimodule:
+    """preprojective.ext_bimodule the same way as build_A_by_reduction."""
+    A = path_algebra(Q)
+    pp = preprojective_presentation(Q)
+    rc = RewriteContext(pp, cap)
+    basis1 = rc.basis(-1)
+    ctx = pp.ctx
+    u_paths = []
+    for (s, t), plist in sorted(basis1.by_pair.items(),
+                                key=lambda kv: str(kv[0])):
+        u_paths.extend(plist)
+    u_index = {p: i for i, p in enumerate(u_paths)}
+
+    # map kQ basis paths into the double quiver
+    def embed(p: Path):
+        names = [Q.arrows[i].name for i in p.arrows]
+        out = Path(p.source, tuple(pp.quiver.arrow_index[n] for n in names))
+        return out
+
+    def to_vec(comp):
+        if comp is None:
+            return {}
+        nf = rc.rs.reduce(NCPoly.monomial(comp))
+        return {u_index[mono]: c for mono, c in nf.terms.items()}
+
+    left, right = {}, {}
+    for ai, ap in enumerate(_plain_paths(Q)):
+        ep = embed(ap)
+        for ui, up in enumerate(u_paths):
+            vec = to_vec(ctx.compose(ep, up))
+            if vec:
+                left[(ai, ui)] = vec
+            vec = to_vec(ctx.compose(up, ep))
+            if vec:
+                right[(ui, ai)] = vec
+    return FDBimodule(A, [ctx.format_path(p) for p in u_paths], left, right,
+                      name="ext_bimodule")
 
 
 def _fraction_pivot(T, basis, row, col):

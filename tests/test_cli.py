@@ -254,6 +254,31 @@ def test_complex_file_numbers_are_checked(tmp_path, old, new, line, message):
     assert err.startswith(f"error: {path}:{line}: ") and message in err, err
 
 
+@pytest.mark.parametrize("old,new,line,message", [
+    # a pair split over two lines: the last line used to win silently
+    ("0 1 y#1 - 1#y", "0 1 y#1\n0 1 - 1#y", 13,
+     "[map 1] gives entry 0 1 again, first on line 12"),
+    # an entry one degree too deep: used to end in an IndexError traceback
+    ("1 0 x#1 - 1#x", "1 0 x*y#1 - 1#x", 15,
+     "from T2[0] (degree -2) to T1[1] (degree -1) has |u| + |v| = -2"),
+    # a summand one degree too deep: used to get a FAIL verdict
+    ("P P -2", "P P -3", 14,
+     "from T2[0] (degree -3) to T1[0] (degree -1) has |u| + |v| = -1"),
+])
+def test_complex_file_entries_are_checked(tmp_path, old, new, line, message):
+    """Each target-source pair is given once per map, and every entry keeps
+    degrees (|u| + |v| = source minus target generator degree); a file
+    that breaks either rule is refused with the file and line, exit 2."""
+    text = (DATA / "koszul_xy.cpx").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = tmp_path / "bad.cpx"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    code, out, err = run("cy-check", DATA / "k_xy.pres", "--twist", "sigma",
+                         "--resolution", path, "--window=-4..0")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}:{line}: ") and message in err, err
+
+
 def test_cy_check_refuses_a_resolution_that_is_not_a_complex(tmp_path):
     """One sign flipped in [map 2]: the verdict used to print FAIL with
     every degree row ok; it now names the summands where d o d is not 0."""

@@ -541,7 +541,7 @@ def test_four_face_slice_algebra_quivers():
                 comp = ctx.compose(f, g)
                 if comp is None:
                     continue
-                nf = rc.normal_form(NCPoly.monomial(comp))
+                nf = rc.rs.reduce(NCPoly.monomial(comp))
                 vec = {idx[m]: c for m, c in nf.terms.items()}
                 if vec:
                     el.add(vec)

@@ -4,12 +4,13 @@ from gradedcy.complexes import BimoduleComplex, parse_complex
 from gradedcy.duality import (builtin_resolution, check_twisted_cy,
                               dg_transport, dualize, exactness_probe,
                               identity_twist, koszul_complex, sign_twist,
-                              skew_complex, slice_cohomology, slice_matrix)
-from gradedcy.errors import CapTooSmall, NotComplex, NotFree, WindowTooSmall
+                              skew_complex, slice_cohomology)
+from gradedcy.errors import (CapTooSmall, Inhomogeneous, NotComplex, NotFree,
+                             WindowTooSmall)
 from gradedcy.rewriting import RewriteContext
 
 from helpers import (DATA, check_complex_by_reduction, load,
-                     one_sided_complex_by_reduction,
+                     one_sided_complex_by_reduction, slice_matrix,
                      slice_matrix_by_reduction)
 
 
@@ -357,6 +358,26 @@ def test_check_complex_on_every_kind():
         if len(cpx.diffs) > 1:
             with pytest.raises(NotComplex):
                 check_complex_by_reduction(_flipped(cpx), rc)
+
+
+def test_construction_checks_entry_degrees():
+    """Every corpus complex, its transport, dual and double dual keeps the
+    degree rule |u| + |v| = source degree - target degree (construction
+    checks it); an entry one degree off is refused with its place."""
+    for _, cpx, _, _ in _corpus_complexes():
+        for c in _variants(cpx):
+            BimoduleComplex(c.pres, c.terms, c.diffs, kind=c.kind,
+                            positions=c.positions)
+    pres = load("k_xy.pres")
+    cpx = koszul_complex(pres)
+    diffs = [dict(d) for d in cpx.diffs]
+    (c, u, v), *rest = diffs[1][1, 0]
+    diffs[1][1, 0] = [(c, pres.ctx.path_from_names(["x", "y"]), v), *rest]
+    with pytest.raises(Inhomogeneous) as err:
+        BimoduleComplex(pres, cpx.terms, diffs)
+    assert str(err.value) == "entry x*y#e_P from g[x,y] (degree -2) to g[y] " \
+        "(degree -1) has |u| + |v| = -2, not the source degree minus the " \
+        "target degree, -1"
 
 
 def test_check_complex_refuses_products_beyond_the_cap():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedcy.errors import Inconclusive, NotSplitBasic
+from gradedcy.errors import Inconclusive, NotBasic, NotSplitBasic
 from gradedcy.fdalgebra import FDAlgebra
 from gradedcy.findim import (RightModule, arrow_multiplicities,
                              gabriel_quiver, injective_dimension,
@@ -63,6 +63,14 @@ def test_gorenstein_check_not_split_basic():
 def test_gabriel_quiver_engine():
     B = dual_numbers()
     assert arrow_multiplicities(gabriel_quiver(B)) == {("v0", "v0"): 1}
+
+
+def test_gabriel_quiver_refuses_a_repeated_idempotent():
+    """The guard runs on every call: the field declared with its unit
+    twice is not a basic algebra with two vertices."""
+    k = FDAlgebra(["e"], {(0, 0): {0: 1}}, [0, 0])
+    with pytest.raises(NotBasic, match="repeated idempotent"):
+        gabriel_quiver(k)
 
 
 def test_simple_module_periodic_betti():

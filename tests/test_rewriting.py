@@ -320,6 +320,19 @@ def _arrow_map_faults(pres, cap, degrees, rng, trials=20):
     return faults
 
 
+@pytest.mark.parametrize("left", [False, True])
+def test_times_refuses_a_product_beyond_the_cap(left):
+    """In k[x] at cap 2, x^2 * x = x^3 is a nonzero normal word that the
+    listings do not reach: the product raises, naming the cap, instead of
+    coming back as 0."""
+    rc = RewriteContext(load("k_x.pres"), 2)
+    assert rc.listing(-2)[0] == [Path("P", (0, 0))]
+    with pytest.raises(CapTooSmall) as err:
+        rc.times(0, -2, Path("P", (0,)), left)
+    assert "--cap 2" in str(err.value) and "degree -3" in str(err.value)
+    assert rc.times(0, -1, Path("P", (0,)), left) == {0: 1}
+
+
 def _four_face_jacobian():
     dimer = load_dimer(DATA / "four_face.dimer")
     g = grading_from_matchings(dimer, [("d1", "d2", "om")], [-1])
@@ -366,8 +379,15 @@ def test_arrow_map_differential_catches_mutants(monkeypatch, old, new):
     exec(source.replace(old, new), namespace)
     monkeypatch.setattr(RewriteContext, "_arrow_product",
                         namespace["_arrow_product"])
-    assert _arrow_map_faults(load("skew_3.pres"), 6, range(0, -5, -1),
-                             random.Random(7))
+    # a typed refusal catches the mutant as well as a wrong product: the
+    # first mutant looks a product that is not normal up in the listing,
+    # misses, and refuses it as a normal word beyond the cap
+    try:
+        faults = _arrow_map_faults(load("skew_3.pres"), 6, range(0, -5, -1),
+                                   random.Random(7))
+    except CapTooSmall:
+        faults = ["refused"]
+    assert faults
 
 
 def _listing_faults(pres, cap, degrees):

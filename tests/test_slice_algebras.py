@@ -1,17 +1,25 @@
+import inspect
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+from gradedcy import preprojective, slice_algebras
+from gradedcy.dimer import (dual_qp, grading_from_matchings,
+                            jacobian_presentation, load_dimer)
 from gradedcy.errors import PositiveDegree, WindowViolation
 from gradedcy.findim import arrow_multiplicities, gabriel_quiver, radical
-from gradedcy.quiver import parse_presentation
+from gradedcy.preprojective import (block_trivial_extension, ext_bimodule,
+                                    path_algebra)
+from gradedcy.quiver import load_presentation, parse_presentation
 from gradedcy.slice_algebras import (build_A, build_AUB, build_tilde,
                                      build_U, cluster_hom_shadow,
                                      multiply_grading,
                                      relations_from_structure)
 
-from helpers import (direct_sum_decomposition_by_idempotents, load,
-                     structure_json)
+from helpers import (DATA, build_A_by_reduction, build_U_by_reduction,
+                     direct_sum_decomposition_by_idempotents,
+                     ext_bimodule_by_reduction, load, structure_json)
 
 
 def test_dimensions_corpus():
@@ -305,3 +313,88 @@ def test_deep_window_duality():
                          sign_twist(pres, 4), window=(0, -10), cap=12)
     assert v.passed
     assert all(exp == got for _, exp, got, _ in v.dim_rows)
+
+
+# ---------------------------------------------------------------------------
+# structure constants through the arrow maps versus reduction from scratch
+# ---------------------------------------------------------------------------
+
+CORPUS = ["k_x", "k_xy", "k_xy_23", "k_xyz", "skew_2", "skew_3", "skew_4"]
+FOUR_FACE_GRADINGS = {
+    "four_face one": [("d1", "d2", "om")],
+    "four_face two": [("d1", "d2", "om"), ("d1", "d2", "h2")]}
+QUIVERS = ["a2", "kronecker", "three_vertex"]
+
+
+def _algebra_faults(A, want):
+    return [f for f in ("labels", "mult", "idempotents", "grading")
+            if getattr(A, f) != getattr(want, f)]
+
+
+def _bimodule_faults(U, want):
+    return [f for f in ("labels", "left", "right")
+            if getattr(U, f) != getattr(want, f)]
+
+
+def _slice_faults(pres, a, cap=None):
+    """Fields of A and U where build_A / build_U differ from the oracle
+    that reduces every product of two basis paths from scratch."""
+    A, want_A = build_A(pres, a, cap), build_A_by_reduction(pres, a, cap)
+    U = build_U(pres, a, cap, A=A)
+    want_U = build_U_by_reduction(pres, a, cap, A=want_A)
+    return _algebra_faults(A, want_A) + _bimodule_faults(U, want_U)
+
+
+def _layer_faults(Q):
+    """Fields where ext_bimodule and the n = 1..3 block algebras differ
+    from the ones built on the oracle's first preprojective layer."""
+    want_U = ext_bimodule_by_reduction(Q)
+    faults = _bimodule_faults(ext_bimodule(Q), want_U)
+    for n in (1, 2, 3):
+        want = build_tilde(path_algebra(Q), want_U, n)[2]
+        faults += [f"n={n} {f}" for f in
+                   _algebra_faults(block_trivial_extension(Q, n), want)]
+    return faults
+
+
+def _four_face(name):
+    dimer = load_dimer(DATA / "four_face.dimer")
+    matchings = FOUR_FACE_GRADINGS[name]
+    return jacobian_presentation(dual_qp(dimer), grading_from_matchings(
+        dimer, matchings, [-1] * len(matchings)))
+
+
+@pytest.mark.parametrize("name,a", [(c, a) for c in CORPUS
+                                    for a in (1, 2, 3, 4)]
+                         + [("k_xy_23", 5)]
+                         + [(name, 1) for name in FOUR_FACE_GRADINGS]
+                         + [(q, None) for q in QUIVERS])
+def test_products_match_the_reduction_oracle(name, a):
+    """Labels, structure constants, idempotents, gradings and U's actions
+    read off the arrow maps equal those of reducing every product of two
+    basis paths: the corpus at a = 1..4 (k_xy_23, with two arrow degrees,
+    also at a = 5), the four_face Jacobian algebra under both gradings at
+    cap 12 (degree-0 arrows, so one degree has words of many lengths),
+    and the first preprojective layer with the block algebras built on it
+    for three quivers."""
+    if a is None:
+        Q = load_presentation(DATA / f"{name}.quiver").quiver
+        assert _layer_faults(Q) == []
+    elif name in FOUR_FACE_GRADINGS:
+        assert _slice_faults(_four_face(name), a, cap=12) == []
+    else:
+        assert _slice_faults(load(f"{name}.pres"), a) == []
+
+
+def test_products_oracle_catches_an_index_mutant(monkeypatch):
+    """An off-by-one in the element numbers of _products is caught by the
+    comparison, in the slice algebras and in the preprojective layer."""
+    old, new = "{slots[k]: Fraction(c)", "{slots[k - 1]: Fraction(c)"
+    source = textwrap.dedent(inspect.getsource(slice_algebras._products))
+    assert source.count(old) == 1
+    namespace = dict(vars(slice_algebras))
+    exec(source.replace(old, new), namespace)
+    for module in (slice_algebras, preprojective):
+        monkeypatch.setattr(module, "_products", namespace["_products"])
+    assert _slice_faults(load("skew_3.pres"), 2)
+    assert _layer_faults(load_presentation(DATA / "kronecker.quiver").quiver)
