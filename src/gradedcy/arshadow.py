@@ -221,6 +221,7 @@ class RootReport:
     label_ok: bool
     dimvec_ok: bool
     failures: list
+    orbit: DimVecOrbit   # with the vectors of the labels checked cached
 
     @property
     def passed(self):
@@ -265,5 +266,5 @@ def verify_root(pres, a, steps, cap=None):
                      mat_vec(Phi_inv, [Fraction(t) for t in v0]))
         if pred != v1:
             failures.append((k, v0, pred, v1))
-    return RootReport(steps, label_ok, not failures, failures)
+    return RootReport(steps, label_ok, not failures, failures, orbit)
 

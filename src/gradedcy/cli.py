@@ -297,13 +297,13 @@ def cmd_knit(args):
 
 
 def cmd_verify_root(args):
-    from .arshadow import DimVecOrbit, OrbitLabel, verify_root
+    from .arshadow import OrbitLabel, verify_root
 
     pres = load_presentation(args.file)
     default_cap = args.steps + 2 * args.a + 4
     report = verify_root(pres, args.a, args.steps,
                          cap=default_cap if args.cap is None else args.cap)
-    orbit = DimVecOrbit(pres, args.a, cap=default_cap)
+    orbit = report.orbit
     table = {str(OrbitLabel(i, 0)): list(orbit.dimvec(OrbitLabel(i, 0)))
              for i in range(min(args.steps, 8))}
     data = {"passed": report.passed, "steps": report.steps,

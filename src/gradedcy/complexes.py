@@ -5,7 +5,10 @@ summand records the generator's vertex pair and internal degree.  A
 differential entry from source summand s to target summand t is a list of
 (coefficient, left path, right path) triples meaning
 g_s -> sum c * lpath . g_t . rpath; construction checks that every entry
-keeps degrees, |lpath| + |rpath| = deg g_s - deg g_t.
+keeps degrees, |lpath| + |rpath| = deg g_s - deg g_t, and meets the
+summands' vertices: lpath runs from the left vertex of s to that of t and
+rpath from the right vertex of t to that of s (for a dg-left complex,
+lpath from t's left vertex to s's and rpath from s's right vertex to t's).
 
 Terms are listed so that diffs[k] maps terms[k+1] into terms[k]; the
 cohomological position of terms[k] is positions[k] and drops by one along
@@ -32,15 +35,28 @@ class FreeSummand:
     label: str = ""
 
 
-def _degree_fault(ctx, terms, diffs):
+def _degree_fault(ctx, terms, diffs, kind):
     """The first entry (c, u, v) of a diffs[k] from summand s of
-    terms[k+1] to summand t of terms[k] with |u| + |v| != |s| - |t|, as
-    ((k, index of t, index of s), message), or None: the one degree rule
-    of a complex, which dualizing and transporting keep."""
+    terms[k+1] to summand t of terms[k] whose paths do not meet the
+    summands' vertices (see the module docstring) or with |u| + |v| !=
+    |s| - |t|, as ((k, index of t, index of s), message), or None: the
+    vertex and degree rules of a complex, which dualizing and transporting
+    keep."""
     for k, dk in enumerate(diffs):
         for (ti, si), entries in dk.items():
             s, t = terms[k + 1][si], terms[k][ti]
+            sl, sr, tl, tr = (s.left_vertex, s.right_vertex, t.left_vertex,
+                              t.right_vertex)
+            want = (tl, sl, sr, tr) if kind == "dg-left" else (sl, tl, tr, sr)
             for _, u, v in entries:
+                ends = (u.source, ctx.target(u), v.source, ctx.target(v))
+                if ends != want:
+                    return (k, ti, si), (
+                        f"entry {ctx.format_path(u)}#{ctx.format_path(v)} "
+                        f"from {s.label} ({sl}, {sr}) to {t.label} ({tl}, "
+                        f"{tr}) has u from {ends[0]} to {ends[1]} and v from "
+                        f"{ends[2]} to {ends[3]}, not u from {want[0]} to "
+                        f"{want[1]} and v from {want[2]} to {want[3]}")
                 got = ctx.degree(u) + ctx.degree(v)
                 if got != s.degree - t.degree:
                     return (k, ti, si), (
@@ -65,7 +81,7 @@ class BimoduleComplex:
         if positions is None:
             positions = [-k for k in range(len(self.terms))]
         self.positions = list(positions)
-        fault = _degree_fault(pres.ctx, self.terms, self.diffs)
+        fault = _degree_fault(pres.ctx, self.terms, self.diffs, kind)
         if fault is not None:
             raise Inhomogeneous(fault[1])
 
@@ -326,7 +342,7 @@ def parse_complex(text, pres, filename="<string>") -> BimoduleComplex:
     try:
         return BimoduleComplex(pres, terms, diffs, name=filename)
     except Inhomogeneous:
-        (k, ti, si), message = _degree_fault(ctx, terms, diffs)
+        (k, ti, si), message = _degree_fault(ctx, terms, diffs, "graded")
         raise ParseError(message, filename, lines[k + 1, ti, si])
 
 

@@ -105,14 +105,6 @@ def _sparse_rows(matrix):
             for row in matrix]
 
 
-def mat_from_columns(cols, nrows):
-    m = [[Fraction(0)] * len(cols) for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            m[i][j] = Fraction(x)
-    return m
-
-
 def nullspace_with_free(matrix, ncols=None):
     """(kernel basis, free column list).
 

@@ -334,7 +334,11 @@ def _parse_relation(text, ctx, filename, lineno):
                     raise ParseError(
                         f"scalar {f} must precede arrow names", filename,
                         lineno)
-                coeff *= Fraction(f)
+                try:
+                    coeff *= Fraction(f)
+                except ZeroDivisionError:
+                    raise ParseError(f"coefficient {f} divides by zero",
+                                     filename, lineno)
             else:
                 if f not in ctx.quiver.arrow_index:
                     raise ParseError(f"unknown arrow {f!r}", filename, lineno)
@@ -360,6 +364,7 @@ def parse_presentation(text, filename="<string>"):
     offending term named.
     """
     vertices, arrows, rel_lines, twist_scalars = [], [], [], {}
+    lines = {}      # arrow or twist entry -> its line
     cy = None
     section = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -374,7 +379,11 @@ def parse_presentation(text, filename="<string>"):
                                  lineno)
             continue
         if section == "vertices":
-            vertices.extend(line.split())
+            for v in line.split():
+                if v in vertices:
+                    raise ParseError(f"vertex {v} declared twice", filename,
+                                     lineno)
+                vertices.append(v)
         elif section == "arrows":
             bits = line.split()
             if len(bits) != 4:
@@ -386,6 +395,10 @@ def parse_presentation(text, filename="<string>"):
                 deg = int(deg)
             except ValueError:
                 raise ParseError(f"bad degree {deg!r}", filename, lineno)
+            if ("arrow", name) in lines:
+                raise ParseError(f"arrow {name} declared twice", filename,
+                                 lineno)
+            lines["arrow", name] = lineno
             arrows.append(Arrow(name, src, tgt, deg))
         elif section == "relations":
             rel_lines.append((line, lineno))
@@ -394,18 +407,40 @@ def parse_presentation(text, filename="<string>"):
             if len(bits) != 2:
                 raise ParseError("twist line must be: arrow scalar",
                                  filename, lineno)
-            twist_scalars[bits[0]] = Fraction(bits[1])
+            try:
+                scalar = Fraction(bits[1])
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad twist scalar {bits[1]!r}", filename,
+                                 lineno)
+            if not scalar:
+                raise ParseError(f"twist scalar for {bits[0]} is zero",
+                                 filename, lineno)
+            lines["twist", bits[0]] = lineno
+            twist_scalars[bits[0]] = scalar
         elif section == "cy":
             bits = line.split()
             if len(bits) != 2:
                 raise ParseError("cy line must be: dimension a_invariant",
                                  filename, lineno)
-            cy = CYData(int(bits[0]), int(bits[1]))
+            try:
+                cy = CYData(int(bits[0]), int(bits[1]))
+            except ValueError:
+                raise ParseError("cy values must be integers", filename,
+                                 lineno)
         else:
             raise ParseError("content before any section header", filename,
                              lineno)
     if not vertices:
         raise ParseError("no [vertices] section", filename, None)
+    for a in arrows:
+        for v in (a.source, a.target):
+            if v not in vertices:
+                raise ParseError(f"arrow {a.name} names unknown vertex {v}",
+                                 filename, lines["arrow", a.name])
+    for name in twist_scalars:
+        if ("arrow", name) not in lines:
+            raise ParseError(f"twist names unknown arrow {name}", filename,
+                             lines["twist", name])
     quiver = Quiver(vertices, arrows)
     ctx = PathAlgebraContext(quiver)
     relations = []

@@ -4,8 +4,9 @@ path algebra.
 Given a negatively graded presentation of R and a positive integer a,
 `build_A` assembles the lower triangular a x a slice algebra whose (s, t)
 entry is the degree s - t piece of R, `build_U` the companion bimodule
-shifted one step further down, and `build_B` their trivial extension.
-Basis elements are (slot s, slot t, degree, position of a normal word in
+shifted one step further down, and `build_B` their trivial extension;
+`build_AUB` reads A and U off one RewriteContext of depth a.  Basis
+elements are (slot s, slot t, degree, position of a normal word in
 the RewriteContext's listing of that degree); every structure constant
 is a product of two such words through the context's arrow maps
 (`RewriteContext.times`, in `_products`), and a product that would need a
@@ -19,7 +20,7 @@ from fractions import Fraction
 from .errors import NotSurjective, PositiveDegree, WindowViolation
 from .fdalgebra import FDAlgebra, FDBimodule, trivial_extension
 from .linalg import SparseEliminator
-from .quiver import NCPoly, Quiver
+from .quiver import GradedQuiverPresentation, NCPoly, Path, Quiver
 from .rewriting import RewriteContext, truncated_rewriting
 
 
@@ -86,45 +87,47 @@ def _products(rc, lefts, rights, index):
     return out
 
 
-def build_A(pres, a, cap=None) -> FDAlgebra:
-    """Lower triangular a x a slice algebra of the presentation."""
-    if a < 1:
-        raise ValueError("a must be >= 1")
-    rc, orders = _slice_context(pres, a - 1, cap)
+def _slice_algebra(pres, a, rc, orders):
+    """The slice algebra A read off a context of depth a - 1 or more, and
+    its elements."""
     elements, index = _slice_elements(orders, a, 0)
     lazy = [i for i in orders[0] if rc.listing(0)[0][i].is_lazy]
     idems = [index[s, s][i] for s in range(a) for i in lazy]
     return FDAlgebra(_slice_labels(rc, elements, "->"),
                      _products(rc, elements, elements, index), idems,
                      grading=[s - t for s, t, _, _ in elements],
-                     name=f"A({pres.name or 'R'},a={a})")
+                     name=f"A({pres.name or 'R'},a={a})"), elements
 
 
-def build_U(pres, a, cap=None, A: FDAlgebra = None) -> FDBimodule:
+def build_A(pres, a, cap=None) -> FDAlgebra:
+    """Lower triangular a x a slice algebra of the presentation."""
+    if a < 1:
+        raise ValueError("a must be >= 1")
+    return _slice_algebra(pres, a, *_slice_context(pres, a - 1, cap))[0]
+
+
+def build_U(pres, a, cap=None) -> FDBimodule:
     """(A, A)-bimodule whose (s, t) entry is the degree s - t - 1 piece."""
-    if A is None:
-        A = build_A(pres, a, cap)
-    rc, orders = _slice_context(pres, a, cap)
-    a_elements, _ = _slice_elements(orders, a, 0)
-    if _slice_labels(rc, a_elements, "->") != A.labels:
-        raise ValueError(f"A is not the slice algebra of this presentation "
-                         f"at a = {a}")
-    u_elements, u_index = _slice_elements(orders, a, 1)
-    return FDBimodule(A, _slice_labels(rc, u_elements, "=>"),
-                      _products(rc, a_elements, u_elements, u_index),
-                      _products(rc, u_elements, a_elements, u_index),
-                      name=f"U({pres.name or 'R'},a={a})")
+    return build_AUB(pres, a, cap)[1]
 
 
 def build_B(A: FDAlgebra, U: FDBimodule) -> FDAlgebra:
     """Trivial extension A + U; the U part squares to zero."""
-    name_a = A.name or "A"
-    return trivial_extension(A, U, name=f"B[{name_a}]")
+    return trivial_extension(A, U, name=f"B[{A.name or 'A'}]")
 
 
 def build_AUB(pres, a, cap=None):
-    A = build_A(pres, a, cap)
-    U = build_U(pres, a, cap, A=A)
+    """A, U and B = A + U, with A and U read off one context of depth a
+    (so one completion, and one more for its stability probe)."""
+    if a < 1:
+        raise ValueError("a must be >= 1")
+    rc, orders = _slice_context(pres, a, cap)
+    A, a_elements = _slice_algebra(pres, a, rc, orders)
+    u_elements, u_index = _slice_elements(orders, a, 1)
+    U = FDBimodule(A, _slice_labels(rc, u_elements, "=>"),
+                   _products(rc, a_elements, u_elements, u_index),
+                   _products(rc, u_elements, a_elements, u_index),
+                   name=f"U({pres.name or 'R'},a={a})")
     return A, U, build_B(A, U)
 
 
@@ -142,67 +145,37 @@ def build_tilde(A: FDAlgebra, U: FDBimodule, n):
         raise ValueError("n must be >= 1")
     if n == 1:
         return A, U, build_B(A, U)
-    labels_a = [f"[{k}]{l}" for k in range(n) for l in A.labels]
+    d = A.dim
 
-    def ai(k, i):
-        return k * A.dim + i
+    def shifted(vec, by):
+        return {by + t: c for t, c in vec.items()}
 
-    mult = {}
-    for k in range(n):
-        for (i, j), v in A.mult.items():
-            mult[(ai(k, i), ai(k, j))] = {ai(k, t): c for t, c in v.items()}
-    idems = [ai(k, e) for k in range(n) for e in A.idempotents]
-    At = FDAlgebra(labels_a, mult, idems,
+    mult = {(k * d + i, k * d + j): shifted(v, k * d)
+            for k in range(n) for (i, j), v in A.mult.items()}
+    At = FDAlgebra([f"[{k}]{l}" for k in range(n) for l in A.labels], mult,
+                   [k * d + e for k in range(n) for e in A.idempotents],
                    name=f"tilde_A({A.name or 'A'},n={n})")
 
-    # U~ basis: blocks (k+1 -> k) carrying A's basis for k < n-1, and a
-    # block (0 -> n-1) carrying U's basis (matching the construction for
-    # the grading multiplied by n).
-    u_labels = []
-    block_elems = []  # ('A', k, i) or ('U', u)
-    for k in range(n - 1):
-        for i, l in enumerate(A.labels):
-            u_labels.append(f"[{k+1}>{k}]{l}")
-            block_elems.append(("A", k, i))
-    for u, l in enumerate(U.labels):
-        u_labels.append(f"[0>{n-1}]{l}")
-        block_elems.append(("U", u))
-    u_index = {e: i for i, e in enumerate(block_elems)}
-
+    # U~ basis: blocks (k+1 -> k) carrying A's basis for k < n-1, element
+    # k * d + i, and a block (0 -> n-1) carrying U's basis from (n-1) * d
+    # on (matching the construction for the grading multiplied by n).
+    # A~'s block k + 1 acts on the left of block k and block k on its
+    # right; U's left action comes from block 0, its right from n - 1.
+    corner = (n - 1) * d
+    u_labels = [f"[{k+1}>{k}]{l}" for k in range(n - 1) for l in A.labels] \
+        + [f"[0>{n-1}]{l}" for l in U.labels]
     left, right = {}, {}
-    for k in range(n):
-        for i in range(A.dim):
-            for j, elem in enumerate(block_elems):
-                if elem[0] == "A":
-                    _, kb, ib = elem
-                    if kb + 1 == k:
-                        v = A.mult.get((i, ib))
-                        if v:
-                            left[(ai(k, i), j)] = {
-                                u_index[("A", kb, t)]: c
-                                for t, c in v.items()}
-                    if kb == k:
-                        v = A.mult.get((ib, i))
-                        if v:
-                            right[(j, ai(k, i))] = {
-                                u_index[("A", kb, t)]: c
-                                for t, c in v.items()}
-                else:
-                    _, ub = elem
-                    if k == 0:
-                        v = U.left.get((i, ub))
-                        if v:
-                            left[(ai(k, i), j)] = {
-                                u_index[("U", t)]: c for t, c in v.items()}
-                    if k == n - 1:
-                        v = U.right.get((ub, i))
-                        if v:
-                            right[(j, ai(k, i))] = {
-                                u_index[("U", t)]: c for t, c in v.items()}
+    for (i, j), v in A.mult.items():
+        for k in range(n - 1):
+            left[(k + 1) * d + i, k * d + j] = shifted(v, k * d)
+            right[k * d + i, k * d + j] = shifted(v, k * d)
+    for (i, u), v in U.left.items():
+        left[i, corner + u] = shifted(v, corner)
+    for (u, i), v in U.right.items():
+        right[corner + u, corner + i] = shifted(v, corner)
     Ut = FDBimodule(At, u_labels, left, right,
                     name=f"tilde_U({U.name or 'U'},n={n})")
-    Bt = trivial_extension(At, Ut, name=f"tilde_B(n={n})")
-    return At, Ut, Bt
+    return At, Ut, trivial_extension(At, Ut, name=f"tilde_B(n={n})")
 
 
 def cluster_hom_shadow(pres, m, cap=None):
@@ -241,8 +214,6 @@ def relations_from_structure(alg: FDAlgebra, guess: Quiver, arrow_images,
     maps quiver vertices to positions in alg.idempotents (defaults to
     declaration order).
     """
-    from .quiver import GradedQuiverPresentation, Path
-
     ctx = GradedQuiverPresentation(guess, []).ctx
     if vertex_idempotents is None:
         if len(guess.vertices) != len(alg.idempotents):
@@ -273,8 +244,11 @@ def relations_from_structure(alg: FDAlgebra, guess: Quiver, arrow_images,
                     return True
         return False
 
+    # every word tried gets a tag coordinate alg.dim + n next to its
+    # image, so a word whose image reduces to 0 leaves its dependence on
+    # the independent words in the tags; only independent rows are kept
     elim = SparseEliminator()
-    basis_paths = []     # paths whose images are independent so far
+    tried = []
     img_cache = {}
 
     def image(path: Path):
@@ -290,10 +264,20 @@ def relations_from_structure(alg: FDAlgebra, guess: Quiver, arrow_images,
         img_cache[path] = vec
         return vec
 
+    def dependence(path):
+        """None after keeping path's row, if its image is new; else the
+        relation path - (its combination of kept words), path first."""
+        red = elim.reduce({**image(path), alg.dim + len(tried): 1})
+        tried.append(path)
+        if min(red) < alg.dim:
+            elim.add(red)
+            return None
+        return NCPoly({path: 1, **{tried[m - alg.dim]: c
+                                   for m, c in sorted(red.items())}})
+
     frontier = [Path(v, ()) for v in guess.vertices]
     for p in frontier:
-        elim.add(image(p))
-        basis_paths.append(p)
+        dependence(p)
 
     for length in range(1, cap + 1):
         new_frontier = []
@@ -303,55 +287,26 @@ def relations_from_structure(alg: FDAlgebra, guess: Quiver, arrow_images,
                 q = Path(p.source, p.arrows + (i,))
                 if reducible(q.arrows):
                     continue
-                vec = image(q)
-                red = elim.reduce(vec)
-                if red:
-                    # independent: q is a new normal word
-                    elim.add(vec)
-                    basis_paths.append(q)
+                rel = dependence(q)
+                if rel is None:
                     new_frontier.append(q)
                 else:
-                    # dependent: solve for the combination over basis words
-                    rel = _dependence_relation(alg, ctx, q, vec, basis_paths,
-                                               image)
                     found.append(rel)
                     lead_words.append(q.arrows)
         frontier = new_frontier
         if not frontier:
             break
 
-    span = SparseEliminator()
-    for p in basis_paths:
-        span.add(image(p))
-    if span.rank != alg.dim:
+    if elim.rank != alg.dim:
         raise NotSurjective(
-            f"arrow images span {span.rank} of {alg.dim} dimensions "
+            f"arrow images span {elim.rank} of {alg.dim} dimensions "
             f"within length {cap}")
     return found
-
-
-def _dependence_relation(alg, ctx, q, vec, basis_paths, image):
-    from .linalg import mat_from_columns, solve
-
-    cols = [image(p) for p in basis_paths]
-    m = mat_from_columns(cols, alg.dim)
-    rhs = [Fraction(0)] * alg.dim
-    for i, c in vec.items():
-        rhs[i] = Fraction(c)
-    x = solve(m, rhs)
-    assert x is not None
-    terms = {q: Fraction(1)}
-    for j, c in enumerate(x):
-        if c:
-            terms[basis_paths[j]] = terms.get(basis_paths[j], 0) - c
-    return NCPoly(terms)
 
 
 def reduce_mod(relations, other_pres_relations, guess, cap):
     """Reduce each NCPoly in `relations` modulo the ideal generated by
     `other_pres_relations` over the quiver `guess`; returns the reductions."""
-    from .quiver import GradedQuiverPresentation
-
     pres = GradedQuiverPresentation(guess, list(other_pres_relations))
     rs = truncated_rewriting(pres, cap)
     return [rs.reduce(r) for r in relations]

@@ -8,12 +8,15 @@ matrices; one-sided generator complexes, slice matrices and the d o d
 check by reducing every product from scratch instead of multiplying
 through arrow maps, with the sign rules as the package wrote them before
 its one entry evaluator; the slice algebras A and U and the first
-preprojective layer the same way, with Path-keyed bases; graded bases
-by one depth-first walk per degree instead of layer by layer, eliminator
-rows by reducing every vector, linear programs on a Fraction tableau
-instead of integer rows, dimer faces by taking the least unused dart
-for every face, rotation checks by scanning every edge for every vertex,
-and the `dimer matchings` answer by `json.dumps`.  The other JSON
+preprojective layer the same way, with Path-keyed bases; the block
+algebras A~ and U~ by scanning every (block, A element, U~ element)
+triple; relations recovered from structure constants by a dense solve
+for each dependent word; graded bases by one depth-first walk per degree
+instead of layer by layer, eliminator rows by reducing every vector,
+linear programs on a Fraction tableau instead of integer rows, dimer
+faces by taking the least unused dart for every face, rotation checks by
+scanning every edge for every vertex, and the `dimer matchings` answer
+by `json.dumps`.  The other JSON
 emitters at the end are kept here for the tests that read them, and
 `slice_matrix` for the tests that look at whole slice matrices; the
 package itself does not use them.
@@ -28,18 +31,20 @@ from pathlib import Path as FsPath
 
 from gradedcy.dimer import DimerEdge, DimerModel
 from gradedcy.duality import _homology_dims
-from gradedcy.errors import NonStabilizing, NotComplex, PositiveDegree
-from gradedcy.fdalgebra import FDAlgebra, FDBimodule
+from gradedcy.errors import (NonStabilizing, NotComplex, NotSurjective,
+                             PositiveDegree)
+from gradedcy.fdalgebra import FDAlgebra, FDBimodule, trivial_extension
 from gradedcy.findim import radical
 from gradedcy.errors import NotSplitBasic
 from gradedcy.linalg import SparseEliminator, nullspace_with_free, vec_add
 from gradedcy.linalg import solve as _solve
 from gradedcy.preprojective import (_plain_paths, path_algebra,
                                     preprojective_presentation)
-from gradedcy.quiver import NCPoly, Path, load_presentation
+from gradedcy.quiver import (GradedQuiverPresentation, NCPoly, Path, Quiver,
+                             load_presentation)
 from gradedcy.rewriting import GradedPieceBasis, RewriteContext
 from gradedcy.simplex import LPResult
-from gradedcy.slice_algebras import default_cap
+from gradedcy.slice_algebras import build_B, default_cap
 
 DATA = FsPath(__file__).resolve().parent.parent / "data"
 
@@ -763,6 +768,209 @@ def ext_bimodule_by_reduction(Q, cap=8) -> FDBimodule:
                 right[(ui, ai)] = vec
     return FDBimodule(A, [ctx.format_path(p) for p in u_paths], left, right,
                       name="ext_bimodule")
+
+
+def build_tilde_by_scan(A: FDAlgebra, U: FDBimodule, n):
+    """slice_algebras.build_tilde as the package built it before it copied
+    the structure constants once with index shifts: every (block, A
+    element, U~ element) triple scanned through tag tuples.
+
+    n-fold block construction: A~ = n copies of A on the diagonal, U~
+    the cyclic bimodule with A blocks above the diagonal and U in the
+    lower-left corner, B~ their trivial extension.  n = 1 returns
+    (A, U, B) itself (same bases)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n == 1:
+        return A, U, build_B(A, U)
+    labels_a = [f"[{k}]{l}" for k in range(n) for l in A.labels]
+
+    def ai(k, i):
+        return k * A.dim + i
+
+    mult = {}
+    for k in range(n):
+        for (i, j), v in A.mult.items():
+            mult[(ai(k, i), ai(k, j))] = {ai(k, t): c for t, c in v.items()}
+    idems = [ai(k, e) for k in range(n) for e in A.idempotents]
+    At = FDAlgebra(labels_a, mult, idems,
+                   name=f"tilde_A({A.name or 'A'},n={n})")
+
+    # U~ basis: blocks (k+1 -> k) carrying A's basis for k < n-1, and a
+    # block (0 -> n-1) carrying U's basis (matching the construction for
+    # the grading multiplied by n).
+    u_labels = []
+    block_elems = []  # ('A', k, i) or ('U', u)
+    for k in range(n - 1):
+        for i, l in enumerate(A.labels):
+            u_labels.append(f"[{k+1}>{k}]{l}")
+            block_elems.append(("A", k, i))
+    for u, l in enumerate(U.labels):
+        u_labels.append(f"[0>{n-1}]{l}")
+        block_elems.append(("U", u))
+    u_index = {e: i for i, e in enumerate(block_elems)}
+
+    left, right = {}, {}
+    for k in range(n):
+        for i in range(A.dim):
+            for j, elem in enumerate(block_elems):
+                if elem[0] == "A":
+                    _, kb, ib = elem
+                    if kb + 1 == k:
+                        v = A.mult.get((i, ib))
+                        if v:
+                            left[(ai(k, i), j)] = {
+                                u_index[("A", kb, t)]: c
+                                for t, c in v.items()}
+                    if kb == k:
+                        v = A.mult.get((ib, i))
+                        if v:
+                            right[(j, ai(k, i))] = {
+                                u_index[("A", kb, t)]: c
+                                for t, c in v.items()}
+                else:
+                    _, ub = elem
+                    if k == 0:
+                        v = U.left.get((i, ub))
+                        if v:
+                            left[(ai(k, i), j)] = {
+                                u_index[("U", t)]: c for t, c in v.items()}
+                    if k == n - 1:
+                        v = U.right.get((ub, i))
+                        if v:
+                            right[(j, ai(k, i))] = {
+                                u_index[("U", t)]: c for t, c in v.items()}
+    Ut = FDBimodule(At, u_labels, left, right,
+                    name=f"tilde_U({U.name or 'U'},n={n})")
+    Bt = trivial_extension(At, Ut, name=f"tilde_B(n={n})")
+    return At, Ut, Bt
+
+
+def mat_from_columns(cols, nrows):
+    m = [[Fraction(0)] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            m[i][j] = Fraction(x)
+    return m
+
+
+
+
+def relations_from_structure_by_solving(alg: FDAlgebra, guess: Quiver,
+                                        arrow_images, cap,
+                                        vertex_idempotents=None):
+    """slice_algebras.relations_from_structure as the package wrote it
+    before it read dependences off tag coordinates: a dense solve for each
+    dependent word, and a second eliminator for the span.
+
+    Minimal homogeneous generators of the kernel of kQ -> alg up to
+    path length `cap`.
+
+    arrow_images: arrow name -> element (sparse vec) of alg; the images
+    must generate the radical over the idempotents.  vertex_idempotents
+    maps quiver vertices to positions in alg.idempotents (defaults to
+    declaration order).
+    """
+    ctx = GradedQuiverPresentation(guess, []).ctx
+    if vertex_idempotents is None:
+        if len(guess.vertices) != len(alg.idempotents):
+            raise ValueError("vertex count differs from idempotent count; "
+                             "pass vertex_idempotents")
+        vertex_idempotents = {v: k for k, v in enumerate(guess.vertices)}
+    idem_vec = {v: alg.basis_vec(alg.idempotents[k])
+                for v, k in vertex_idempotents.items()}
+
+    # sanity: image of arrow a sits between its endpoint idempotents
+    for name, vec in arrow_images.items():
+        a = guess.arrow(name)
+        between = alg.product(idem_vec[a.source],
+                              alg.product(vec, idem_vec[a.target]))
+        if between != {k: Fraction(c) for k, c in vec.items()}:
+            raise ValueError(
+                f"image of {name} is not concentrated between e_{a.source} "
+                f"and e_{a.target}")
+
+    found = []           # NCPoly relations
+    lead_words = []      # their leading words, used to prune enumeration
+
+    def reducible(arrows):
+        for lhs in lead_words:
+            L = len(lhs)
+            for pos in range(len(arrows) - L + 1):
+                if arrows[pos:pos + L] == lhs:
+                    return True
+        return False
+
+    elim = SparseEliminator()
+    basis_paths = []     # paths whose images are independent so far
+    img_cache = {}
+
+    def image(path: Path):
+        got = img_cache.get(path)
+        if got is not None:
+            return got
+        if path.is_lazy:
+            vec = idem_vec[path.source]
+        else:
+            prefix = Path(path.source, path.arrows[:-1])
+            last = guess.arrows[path.arrows[-1]].name
+            vec = alg.product(image(prefix), arrow_images[last])
+        img_cache[path] = vec
+        return vec
+
+    frontier = [Path(v, ()) for v in guess.vertices]
+    for p in frontier:
+        elim.add(image(p))
+        basis_paths.append(p)
+
+    for length in range(1, cap + 1):
+        new_frontier = []
+        for p in frontier:
+            tgt = ctx.target(p)
+            for i in guess.arrows_by_source[tgt]:
+                q = Path(p.source, p.arrows + (i,))
+                if reducible(q.arrows):
+                    continue
+                vec = image(q)
+                red = elim.reduce(vec)
+                if red:
+                    # independent: q is a new normal word
+                    elim.add(vec)
+                    basis_paths.append(q)
+                    new_frontier.append(q)
+                else:
+                    # dependent: solve for the combination over basis words
+                    rel = _dependence_relation(alg, ctx, q, vec, basis_paths,
+                                               image)
+                    found.append(rel)
+                    lead_words.append(q.arrows)
+        frontier = new_frontier
+        if not frontier:
+            break
+
+    span = SparseEliminator()
+    for p in basis_paths:
+        span.add(image(p))
+    if span.rank != alg.dim:
+        raise NotSurjective(
+            f"arrow images span {span.rank} of {alg.dim} dimensions "
+            f"within length {cap}")
+    return found
+
+
+def _dependence_relation(alg, ctx, q, vec, basis_paths, image):
+    cols = [image(p) for p in basis_paths]
+    m = mat_from_columns(cols, alg.dim)
+    rhs = [Fraction(0)] * alg.dim
+    for i, c in vec.items():
+        rhs[i] = Fraction(c)
+    x = _solve(m, rhs)
+    assert x is not None
+    terms = {q: Fraction(1)}
+    for j, c in enumerate(x):
+        if c:
+            terms[basis_paths[j]] = terms.get(basis_paths[j], 0) - c
+    return NCPoly(terms)
 
 
 def _fraction_pivot(T, basis, row, col):

@@ -10,6 +10,8 @@ import pytest
 
 import gradedcy
 from gradedcy.cli import main
+from gradedcy.complexes import parse_complex
+from gradedcy.quiver import load_presentation
 
 from helpers import DATA, dimer_text, honeycomb_torus, matchings_json
 
@@ -219,6 +221,25 @@ def test_verify_root_json_orbit():
     assert data["passed"] and data["orbit"]["R(-0)"] == [1, 2]
 
 
+def test_verify_root_reads_its_table_off_the_checked_orbit(monkeypatch):
+    """The orbit table comes from the orbit verify_root built: the orbit
+    and A complete their systems at cap 28 and probe at 30, and no second
+    orbit completes two more (the caps were 28, 28, 30, 30, 28, 30)."""
+    from gradedcy import rewriting
+
+    caps, complete = [], rewriting.truncated_rewriting
+
+    def counting(pres, cap):
+        caps.append(cap)
+        return complete(pres, cap)
+
+    monkeypatch.setattr(rewriting, "truncated_rewriting", counting)
+    code, out, _ = run("--format", "json", "verify-root",
+                       DATA / "k_xy.pres", "--a", "2")
+    assert code == 0 and json.loads(out)["orbit"]["R(-7)"] == [8, 9]
+    assert caps == [28, 28, 30, 30]
+
+
 def test_dot_outputs():
     code, out, _ = run("--format", "dot", "build-abc", DATA / "k_xy.pres",
                        "--a", "2")
@@ -277,6 +298,50 @@ def test_complex_file_entries_are_checked(tmp_path, old, new, line, message):
                          "--resolution", path, "--window=-4..0")
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}:{line}: ") and message in err, err
+
+
+@pytest.mark.parametrize("old,new,line,message", [
+    ("2 2", "2 2\n[twist]\nzz -1", 12, "twist names unknown arrow zz"),
+    ("2 2", "2 2\n[twist]\nx abc", 12, "bad twist scalar 'abc'"),
+    ("2 2", "2 2\n[twist]\nx 0", 12, "twist scalar for x is zero"),
+    ("2 2", "2 2\n[twist]\nx 1/0", 12, "bad twist scalar '1/0'"),
+    ("2 2", "3 x", 10, "cy values must be integers"),
+    ("P\n", "P\nP\n", 4, "vertex P declared twice"),
+    ("y P P -1", "y P P -1\nx P P -1", 7, "arrow x declared twice"),
+    ("y P P -1", "y P P -1\nz P Q -1", 7, "arrow z names unknown vertex Q"),
+    ("x*y - y*x", "1/0*x*y - y*x", 8, "coefficient 1/0 divides by zero"),
+])
+def test_presentation_file_faults_name_the_line(tmp_path, old, new, line,
+                                                message):
+    """Malformed presentation entries that used to end in a traceback
+    (exit 1) are refused with the file and line, exit 2."""
+    text = (DATA / "k_xy.pres").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = tmp_path / "bad.pres"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    code, out, err = run("build-abc", path, "--a", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:{line}: {message}\n"
+
+
+def test_complex_file_entries_meet_the_summands_vertices(tmp_path):
+    """An entry whose left path does not start at the source summand's
+    left vertex is refused with the file and line, exit 2; the entry with
+    the arrow on the right side is accepted (the verdict itself is only
+    implemented for one vertex)."""
+    pres = tmp_path / "two.pres"
+    pres.write_text("[vertices]\nP Q\n[arrows]\na P Q -1\n[cy]\n2 1\n",
+                    encoding="utf-8")
+    path = tmp_path / "bad.cpx"
+    path.write_text("[term 0]\nP P 0\n[term 1]\nP Q -1\n[map 1]\n0 0 a#1\n",
+                    encoding="utf-8")
+    code, out, err = run("cy-check", pres, "--resolution", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:6: entry a#e_P from T1[0] (P, Q) to T0[0] " \
+        "(P, P) has u from P to Q and v from P to P, not u from P to P and " \
+        "v from P to Q\n"
+    text = path.read_text(encoding="utf-8").replace("a#1", "1#a")
+    parse_complex(text, load_presentation(pres))
 
 
 def test_cy_check_refuses_a_resolution_that_is_not_a_complex(tmp_path):

@@ -731,7 +731,7 @@ def test_four_face_second_grading_slice_quiver():
                 if (k not in within0) and k not in within1}
     assert sorted(crossing.values()) == [1, 1]
 
-    U2 = build_U(p2, 2, cap=12, A=A2)
+    U2 = build_U(p2, 2, cap=12)
     assert U2.dim == 188
     idem = set(A2.idempotents)
     el = SparseEliminator()
@@ -757,7 +757,7 @@ def test_four_face_second_grading_full_extension_quiver():
                                      ("d1", "d2", "h2")], [-1, -1])
     p2 = jacobian_presentation(qp, g2)
     A2 = build_A(p2, 2, cap=12)
-    U2 = build_U(p2, 2, cap=12, A=A2)
+    U2 = build_U(p2, 2, cap=12)
     B2 = build_B(A2, U2)
     assert B2.dim == 252
     mult = arrow_multiplicities(gabriel_quiver(B2))

@@ -1,12 +1,13 @@
 import pytest
 
-from gradedcy.complexes import BimoduleComplex, parse_complex
+from gradedcy.complexes import BimoduleComplex, FreeSummand, parse_complex
 from gradedcy.duality import (builtin_resolution, check_twisted_cy,
                               dg_transport, dualize, exactness_probe,
                               identity_twist, koszul_complex, sign_twist,
                               skew_complex, slice_cohomology)
 from gradedcy.errors import (CapTooSmall, Inhomogeneous, NotComplex, NotFree,
                              WindowTooSmall)
+from gradedcy.quiver import parse_presentation
 from gradedcy.rewriting import RewriteContext
 
 from helpers import (DATA, check_complex_by_reduction, load,
@@ -378,6 +379,38 @@ def test_construction_checks_entry_degrees():
     assert str(err.value) == "entry x*y#e_P from g[x,y] (degree -2) to g[y] " \
         "(degree -1) has |u| + |v| = -2, not the source degree minus the " \
         "target degree, -1"
+
+
+TWO_VERTICES = "[vertices]\nP Q\n[arrows]\na P Q -1\n"
+
+
+@pytest.mark.parametrize("kind,u,v,ends", [
+    ("graded", "a", "e_Q", "u from P to Q and v from Q to Q, not u from P "
+     "to P and v from P to Q"),
+    ("dg-right", "a", "e_Q", "u from P to Q and v from Q to Q, not u from P "
+     "to P and v from P to Q"),
+    ("dg-left", "e_P", "a", "u from P to P and v from P to Q, not u from P "
+     "to P and v from Q to P"),
+])
+def test_construction_checks_entry_vertices(kind, u, v, ends):
+    """An entry (c, u, v) from summand s to summand t meets their
+    vertices: u runs from s's left vertex to t's and v from t's right
+    vertex to s's (graded and dg-right), or u from t's left vertex to s's
+    and v from s's right vertex to t's (dg-left).  Each entry here keeps
+    degrees and breaks only its kind's vertex rule (the dg-left one is a
+    graded entry); a product of such paths used to be 0 without a word."""
+    pres = parse_presentation(TWO_VERTICES)
+    ctx = pres.ctx
+    paths = {"a": ctx.path_from_names(["a"]), "e_P": ctx.lazy("P"),
+             "e_Q": ctx.lazy("Q")}
+    terms = [[FreeSummand("P", "P", 0, "t")], [FreeSummand("P", "Q", -1, "s")]]
+    diffs = [{(0, 0): [(1, paths[u], paths[v])]}]
+    with pytest.raises(Inhomogeneous) as err:
+        BimoduleComplex(pres, terms, diffs, kind=kind)
+    assert str(err.value) == f"entry {u}#{v} from s (P, Q) to t (P, P) has " \
+        + ends
+    if kind == "dg-left":
+        BimoduleComplex(pres, terms, diffs)
 
 
 def test_check_complex_refuses_products_beyond_the_cap():

@@ -4,22 +4,26 @@ from fractions import Fraction
 
 import pytest
 
-from gradedcy import preprojective, slice_algebras
+from gradedcy import preprojective, rewriting, slice_algebras
 from gradedcy.dimer import (dual_qp, grading_from_matchings,
                             jacobian_presentation, load_dimer)
-from gradedcy.errors import PositiveDegree, WindowViolation
+from gradedcy.errors import NotSurjective, PositiveDegree, WindowViolation
 from gradedcy.findim import arrow_multiplicities, gabriel_quiver, radical
-from gradedcy.preprojective import (block_trivial_extension, ext_bimodule,
+from gradedcy.preprojective import (block_arrow_images,
+                                    block_trivial_extension, ext_bimodule,
                                     path_algebra)
-from gradedcy.quiver import load_presentation, parse_presentation
+from gradedcy.quiver import (Arrow, GradedQuiverPresentation, Quiver,
+                             load_presentation, parse_presentation)
 from gradedcy.slice_algebras import (build_A, build_AUB, build_tilde,
                                      build_U, cluster_hom_shadow,
                                      multiply_grading,
                                      relations_from_structure)
 
-from helpers import (DATA, build_A_by_reduction, build_U_by_reduction,
+from helpers import (DATA, build_A_by_reduction, build_tilde_by_scan,
+                     build_U_by_reduction,
                      direct_sum_decomposition_by_idempotents,
-                     ext_bimodule_by_reduction, load, structure_json)
+                     ext_bimodule_by_reduction, load,
+                     relations_from_structure_by_solving, structure_json)
 
 
 def test_dimensions_corpus():
@@ -33,6 +37,7 @@ def test_dimensions_corpus():
     for name, (a, dims) in expected.items():
         A, U, B = build_AUB(load(name), a)
         assert (A.dim, U.dim, B.dim) == dims, name
+    assert build_U(load("k_xy.pres"), 2).dim == 8
 
 
 def test_algebra_axioms_exhaustively():
@@ -70,15 +75,6 @@ def test_positive_degree_rejected():
     pres = parse_presentation("[vertices]\nP\n[arrows]\nx P P 1\n")
     with pytest.raises(PositiveDegree):
         build_A(pres, 2)
-
-
-def test_build_U_rejects_a_foreign_A():
-    pres = load("k_xy.pres")
-    U = build_U(pres, 2, A=build_A(pres, 2))
-    assert U.dim == build_U(pres, 2).dim == 8
-    for other in (build_A(pres, 3), build_A(load("skew_2.pres"), 2)):
-        with pytest.raises(ValueError, match="slice algebra"):
-            build_U(pres, 2, A=other)
 
 
 def test_U_part_squares_to_zero():
@@ -338,11 +334,13 @@ def _bimodule_faults(U, want):
 
 def _slice_faults(pres, a, cap=None):
     """Fields of A and U where build_A / build_U differ from the oracle
-    that reduces every product of two basis paths from scratch."""
+    that reduces every product of two basis paths from scratch; A is
+    checked as built alone and as U's algebra, read off U's context."""
     A, want_A = build_A(pres, a, cap), build_A_by_reduction(pres, a, cap)
-    U = build_U(pres, a, cap, A=A)
+    U = build_U(pres, a, cap)
     want_U = build_U_by_reduction(pres, a, cap, A=want_A)
-    return _algebra_faults(A, want_A) + _bimodule_faults(U, want_U)
+    return _algebra_faults(A, want_A) + _algebra_faults(U.algebra, want_A) \
+        + _bimodule_faults(U, want_U)
 
 
 def _layer_faults(Q):
@@ -389,12 +387,134 @@ def test_products_match_the_reduction_oracle(name, a):
 def test_products_oracle_catches_an_index_mutant(monkeypatch):
     """An off-by-one in the element numbers of _products is caught by the
     comparison, in the slice algebras and in the preprojective layer."""
-    old, new = "{slots[k]: Fraction(c)", "{slots[k - 1]: Fraction(c)"
-    source = textwrap.dedent(inspect.getsource(slice_algebras._products))
+    _mutant(monkeypatch, slice_algebras._products,
+            "{slots[k]: Fraction(c)", "{slots[k - 1]: Fraction(c)")
+    assert _slice_faults(load("skew_3.pres"), 2)
+    assert _layer_faults(load_presentation(DATA / "kronecker.quiver").quiver)
+
+
+# ---------------------------------------------------------------------------
+# one completion, block algebras in one pass, relations off one eliminator
+# ---------------------------------------------------------------------------
+
+def test_one_completion_serves_A_and_U(monkeypatch):
+    """build_AUB completes the rewriting system once at U's cap and once
+    at cap + 2 for the stability probe; A and U used to complete their
+    own contexts (caps 6, 8, 8, 10)."""
+    caps, complete = [], rewriting.truncated_rewriting
+
+    def counting(pres, cap):
+        caps.append(cap)
+        return complete(pres, cap)
+
+    monkeypatch.setattr(rewriting, "truncated_rewriting", counting)
+    build_AUB(load("skew_3.pres"), 2)
+    assert caps == [8, 10]
+
+
+def _fields(x):
+    return {k: v for k, v in vars(x).items() if k != "algebra"}
+
+
+def _tilde_faults(A, U, n):
+    """Fields where build_tilde differs from the scanning oracle, for A~,
+    U~ and B~."""
+    got = slice_algebras.build_tilde(A, U, n)
+    want = build_tilde_by_scan(A, U, n)
+    return [(name, f) for name, g, w in zip(("A~", "U~", "B~"), got, want)
+            for f in _fields(w) if _fields(g)[f] != _fields(w)[f]]
+
+
+@pytest.mark.parametrize("name,a", [(c, a) for c in CORPUS
+                                    for a in (1, 2, 3)])
+def test_block_algebras_match_the_scanning_oracle(name, a):
+    """Every field of A~, U~ and B~ at n = 1..4 equals the oracle's, which
+    scans every (block, A element, U~ element) triple."""
+    A, U, _ = build_AUB(load(f"{name}.pres"), a)
+    for n in (1, 2, 3, 4):
+        assert _tilde_faults(A, U, n) == [], n
+
+
+def _mutant(monkeypatch, function, old, new):
+    """Replace the slice_algebras `function`, in that module and where the
+    preprojective layer imports it, by its source with one edit."""
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1
     namespace = dict(vars(slice_algebras))
     exec(source.replace(old, new), namespace)
     for module in (slice_algebras, preprojective):
-        monkeypatch.setattr(module, "_products", namespace["_products"])
-    assert _slice_faults(load("skew_3.pres"), 2)
-    assert _layer_faults(load_presentation(DATA / "kronecker.quiver").quiver)
+        if hasattr(module, function.__name__):
+            monkeypatch.setattr(module, function.__name__,
+                                namespace[function.__name__])
+
+
+def test_block_oracle_catches_a_corner_mutant(monkeypatch):
+    """U's right action written into block 0 instead of the corner."""
+    _mutant(monkeypatch, slice_algebras.build_tilde,
+            "right[corner + u, corner + i]", "right[corner + u, i]")
+    A, U, _ = build_AUB(load("skew_3.pres"), 2)
+    assert ("U~", "right") in _tilde_faults(A, U, 2)
+
+
+def _three_arrows(B):
+    labels = {l: i for i, l in enumerate(B.labels)}
+    guess = Quiver(["0", "1"], [Arrow("x", "0", "1", -1),
+                                Arrow("y", "0", "1", -1),
+                                Arrow("u", "1", "0", 0)])
+    return guess, {"x": {labels["a:(0->1)x"]: Fraction(1)},
+                   "y": {labels["a:(0->1)y"]: Fraction(1)},
+                   "u": {labels["u:(1=>0)e_P"]: Fraction(1)}}
+
+
+def _reconstruction(case):
+    """(algebra, guess, arrow images, cap, vertex idempotents) of each
+    input that the reconstruction tests use."""
+    if case == "dual numbers":
+        B = build_AUB(load("k_x.pres"), 1)[2]
+        return (B, Quiver(["0"], [Arrow("t", "0", "0", 0)]),
+                {"t": {radical(B).basis[0]: Fraction(1)}}, 4, None)
+    if case.startswith("k_xy"):
+        B = build_AUB(load("k_xy.pres"), 2)[2]
+        guess, images = _three_arrows(B)
+        if case == "k_xy one arrow":
+            guess = Quiver(["0", "1"], [guess.arrow("x")])
+            images = {"x": images["x"]}
+        return B, guess, images, 6, None
+    name, n = case.split()
+    Q = load_presentation(DATA / f"{name}.quiver").quiver
+    B = block_trivial_extension(Q, int(n))
+    lq, images, videm = block_arrow_images(Q, int(n), B)
+    return B, lq, images, 6, videm
+
+
+def _relations(function, case):
+    B, guess, images, cap, videm = _reconstruction(case)
+    ctx = GradedQuiverPresentation(guess, []).ctx
+    try:
+        found = function(B, guess, images, cap, vertex_idempotents=videm)
+    except NotSurjective as e:
+        return str(e)
+    return [(r.format(ctx), list(r.terms.items())) for r in found]
+
+
+RECONSTRUCTIONS = ["dual numbers", "k_xy three arrows", "k_xy one arrow"] \
+    + [f"{q} {n}" for q in ("kronecker", "three_vertex") for n in (1, 2)]
+
+
+@pytest.mark.parametrize("case", RECONSTRUCTIONS)
+def test_relations_match_the_solving_oracle(case):
+    """The relations read off the tags equal, formatted and term by term,
+    those of the dense solve for each dependent word, on every input of
+    the reconstruction tests (k_xy with one arrow is not surjective)."""
+    assert _relations(relations_from_structure, case) \
+        == _relations(relations_from_structure_by_solving, case)
+
+
+def test_relations_oracle_catches_a_tag_mutant(monkeypatch):
+    """A tag read one index off names the wrong words."""
+    _mutant(monkeypatch, slice_algebras.relations_from_structure,
+            "tried[m - alg.dim]", "tried[m - alg.dim - 1]")
+    assert _relations(slice_algebras.relations_from_structure,
+                      "k_xy three arrows") \
+        != _relations(relations_from_structure_by_solving,
+                      "k_xy three arrows")
