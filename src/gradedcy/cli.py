@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success/pass, 1 on a mathematical failure (for instance
-a duality check that comes out false), 2 on input errors.  Text reports
+a duality check that comes out false), 2 on input errors, 141 when the
+reader closes stdout before the report is written.  Text reports
 start with the convention block so results are reproducible.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import GradedCYError, ParseError
@@ -434,7 +436,16 @@ def main(argv=None):
     args = parser.parse_args(
         _glue_window(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone (`| head`); the flush at exit writes to
+        # devnull instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ParseError as e:
         return _fail(str(e), 2)
     except FileNotFoundError as e:

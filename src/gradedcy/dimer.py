@@ -371,12 +371,8 @@ def jacobian_presentation(qp: QuiverWithPotential, deg: DegreeFunction) \
                     poly = poly + NCPoly.monomial(path, sign)
         if poly:
             rels.append(poly)
-    pres = GradedQuiverPresentation(
+    return GradedQuiverPresentation(
         graded, rels, cy=CYData(3, deg.a_invariant), name="jacobian")
-    for r in pres.relations:
-        if not r.is_homogeneous(ctx):
-            raise Inhomogeneous("cyclic derivative not homogeneous")
-    return pres
 
 
 def cy3_complex(qp: QuiverWithPotential, deg: DegreeFunction,
@@ -552,11 +548,10 @@ def rcharge_json(consistency: Consistency):
     if consistency.rcharge is not None:
         data["rcharge"] = {e: str(c) for e, c in
                            sorted(consistency.rcharge.items())}
-        data["margin"] = str(consistency.margin)
     if consistency.certificate is not None:
         data["certificate"] = [str(c) for c in consistency.certificate]
-        if consistency.margin is not None:
-            data["margin"] = str(consistency.margin)
+    if consistency.margin is not None:
+        data["margin"] = str(consistency.margin)
     return json.dumps(data, indent=2, sort_keys=True)
 
 

@@ -3,13 +3,32 @@
 An FDAlgebra is an ordered basis with labels, sparse structure constants
 over Q, and a declared complete set of orthogonal idempotents (given as
 indices of basis elements).  Elements are sparse dicts index -> Fraction.
+Products and both bimodule actions run one bilinear loop over their
+structure table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import vec_add
+
+def _bilinear(table, u, v):
+    """The sum of u_i v_j table[(i, j)] over sparse vectors u and v, for a
+    structure table (i, j) -> sparse vector, added up in place with zeros
+    dropped as they arise."""
+    out = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            w = table.get((i, j))
+            if w:
+                c = a * b
+                for k, x in w.items():
+                    y = out.get(k, 0) + c * x
+                    if y:
+                        out[k] = y
+                    else:
+                        out.pop(k, None)
+    return out
 
 
 class FDAlgebra:
@@ -28,22 +47,13 @@ class FDAlgebra:
     # -- basics ---------------------------------------------------------
 
     def unit(self):
-        u = {}
-        for i in self.idempotents:
-            u = vec_add(u, {i: Fraction(1)})
-        return u
+        return {i: Fraction(1) for i in self.idempotents}
 
     def basis_vec(self, i):
         return {i: Fraction(1)}
 
     def product(self, u, v):
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                w = self.mult.get((i, j))
-                if w:
-                    out = vec_add(out, w, a * b)
-        return out
+        return _bilinear(self.mult, u, v)
 
     def _validate_idempotents(self):
         for i in self.idempotents:
@@ -63,18 +73,8 @@ class FDAlgebra:
             for j in range(self.dim):
                 ij = self.mult.get((i, j), {})
                 for k in range(self.dim):
-                    left = {}
-                    for t, c in ij.items():
-                        tk = self.mult.get((t, k))
-                        if tk:
-                            left = vec_add(left, tk, c)
-                    jk = self.mult.get((j, k), {})
-                    right = {}
-                    for t, c in jk.items():
-                        it = self.mult.get((i, t))
-                        if it:
-                            right = vec_add(right, it, c)
-                    if left != right:
+                    if _bilinear(self.mult, ij, {k: 1}) != _bilinear(
+                            self.mult, {i: 1}, self.mult.get((j, k), {})):
                         raise ValueError(
                             f"associativity fails on "
                             f"({self.labels[i]},{self.labels[j]},"
@@ -131,22 +131,10 @@ class FDBimodule:
         self.name = name
 
     def act_left(self, avec, uvec):
-        out = {}
-        for a, ca in avec.items():
-            for u, cu in uvec.items():
-                w = self.left.get((a, u))
-                if w:
-                    out = vec_add(out, w, ca * cu)
-        return out
+        return _bilinear(self.left, avec, uvec)
 
     def act_right(self, uvec, avec):
-        out = {}
-        for u, cu in uvec.items():
-            for a, ca in avec.items():
-                w = self.right.get((u, a))
-                if w:
-                    out = vec_add(out, w, cu * ca)
-        return out
+        return _bilinear(self.right, uvec, avec)
 
     def check_bimodule(self):
         """Actions commute: (a.u).b == a.(u.b) on all basis triples."""

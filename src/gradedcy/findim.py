@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import Inconclusive, NotBasic, NotSplitBasic
 from .fdalgebra import FDAlgebra
-from .linalg import SparseEliminator, nullspace_with_free, vec_add
+from .linalg import SparseEliminator
 from .quiver import Arrow, Quiver
 
 
@@ -82,14 +82,16 @@ def radical(alg: FDAlgebra) -> RadicalData:
 def gabriel_quiver(alg: FDAlgebra) -> Quiver:
     """Vertices = declared idempotents; dim e_i (J/J^2) e_j arrows i -> j."""
     rad = radical(alg)
-    jset = rad.basis
-    j2 = rad.powers[1] if len(rad.powers) > 1 else SparseEliminator()
 
     # split-basic + k^n quotient means no isomorphic repeats can hide;
     # still, guard against a degenerate declaration.
     if len(set(alg.idempotents)) != len(alg.idempotents):
         raise NotBasic("repeated idempotent in declaration")
 
+    # J is the direct sum of the e_i J e_j and J^2 splits the same way, so
+    # the rank each pair adds to one span seeded with J^2 is
+    # dim e_i J e_j / e_i J^2 e_j
+    span = rad.powers[1] if len(rad.powers) > 1 else SparseEliminator()
     nverts = len(alg.idempotents)
     vertices = [f"v{k}" for k in range(nverts)]
     arrows = []
@@ -97,14 +99,10 @@ def gabriel_quiver(alg: FDAlgebra) -> Quiver:
         ei = alg.basis_vec(alg.idempotents[i])
         for j in range(nverts):
             ej = alg.basis_vec(alg.idempotents[j])
-            # e_i J e_j modulo J^2
-            el = SparseEliminator()
-            for r in j2.pivots.values():
-                el.add(r)
             count = 0
-            for b in jset:
+            for b in rad.basis:
                 v = alg.product(ei, alg.product(alg.basis_vec(b), ej))
-                if v and el.add(v):
+                if v and span.add(v):
                     count += 1
             for m in range(count):
                 arrows.append(Arrow(f"a{i}_{j}_{m}", f"v{i}", f"v{j}", 0))
@@ -163,11 +161,12 @@ class RightModule:
             for j in range(self.alg.dim):
                 prod = self.alg.mult.get((i, j), {})
                 for r in range(self.dim):
-                    row = {r: Fraction(1)}
                     rhs = {}
                     for k, c in prod.items():
-                        rhs = vec_add(rhs, self.act(row, k), c)
-                    if self.act(self.act(row, i), j) != rhs:
+                        for t, x in self.action[k].get(r, {}).items():
+                            rhs[t] = rhs.get(t, 0) + c * x
+                    lhs = self.act(self.act({r: Fraction(1)}, i), j)
+                    if lhs != {t: x for t, x in rhs.items() if x}:
                         raise ValueError("module axiom fails")
         return True
 
@@ -221,17 +220,22 @@ def syzygy(M: RightModule, jbasis):
         for b in range(alg.dim):
             if alg.mult.get((e, b), {}) == {b: Fraction(1)}:
                 pbasis.append((r, b))
-    # kernel of the linear map P -> M (column i is the image of pbasis[i])
-    mat = [[0] * len(pbasis) for _ in range(M.dim)]
+    # each element i of P gets a tag coordinate M.dim + i next to its
+    # image; an element whose image reduces to 0 leaves its kernel vector
+    # in the tags, with 1 at its own (free) column and 0 at every other
+    # free one, since the rows only carry tags of independent columns
+    span, kern, coord = SparseEliminator(), [], {}
     for i, (r, b) in enumerate(pbasis):
-        for j, c in M.act(lifts[r], b).items():
-            mat[j][i] = c
-    kern, free = nullspace_with_free(mat, ncols=len(pbasis))
+        v = span.reduce({**M.act(lifts[r], b), M.dim + i: 1})
+        if min(v) < M.dim:
+            span.add(v)
+        else:
+            coord[r, b] = len(kern)
+            kern.append({j - M.dim: c for j, c in v.items()})
     if not kern:
         return slots, None
     # The kernel basis is echelon over its free columns, so coordinates of
     # an action image are its values at the free columns.
-    coord = {pbasis[f]: row for row, f in enumerate(free)}
     action = [{} for _ in range(alg.dim)]
     for b in range(alg.dim):
         for col, v in enumerate(kern):
@@ -267,13 +271,6 @@ def projective_resolution(M: RightModule, cap) -> Resolution:
     return Resolution(steps, finished_at=-1)
 
 
-def projective_dimension(M: RightModule, cap):
-    res = projective_resolution(M, cap)
-    if res.finished_at < 0:
-        return None
-    return res.finished_at
-
-
 def injective_dimension(alg: FDAlgebra, side, cap):
     """Injective dimension of the regular module on the given side.
 
@@ -287,7 +284,8 @@ def injective_dimension(alg: FDAlgebra, side, cap):
         dual, _ = RightModule.dual_of_regular(alg.opposite())
     else:
         raise ValueError("side must be 'left' or 'right'")
-    return projective_dimension(dual, cap)
+    res = projective_resolution(dual, cap)
+    return None if res.finished_at < 0 else res.finished_at
 
 
 @dataclass

@@ -2,26 +2,19 @@
 
 Sparse vectors are dicts index -> exact number (int or Fraction) with
 zero entries absent.  All elimination goes through one kernel,
-`SparseEliminator`; the dense helpers (`nullspace_with_free`, `solve`,
-`mat_inv`, `mat_det`) take matrices as lists of rows (entries Fractions or
-ints), hand their nonzero entries to it as Fractions and read the answer
-off its reduced row echelon form, so their answers are Fractions.
+`SparseEliminator`; where the package needs a kernel it reads it off
+tag coordinates in one eliminator (`findim.syzygy`,
+`slice_algebras.relations_from_structure`).  The dense helpers
+(`nullspace_with_free`, `solve`, `mat_inv`, `mat_det`) take matrices as
+lists of rows (entries Fractions or ints), hand their nonzero entries to
+it as Fractions and read the answer off its reduced row echelon form, so
+their answers are Fractions.  `mat_inv`, `mat_det`, `mat_mul` and
+`mat_vec` serve the Cartan and Coxeter matrices; `nullspace_with_free`
+and `solve` serve the dense reference oracles of the test suite.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-
-
-def vec_add(u, v, c=1):
-    """u + c*v for sparse dict vectors; returns a new dict without zeros."""
-    out = dict(u)
-    for k, x in v.items():
-        y = out.get(k, 0) + c * x
-        if y:
-            out[k] = y
-        else:
-            out.pop(k, None)
-    return out
 
 
 class SparseEliminator:

@@ -11,15 +11,18 @@ its one entry evaluator; the slice algebras A and U and the first
 preprojective layer the same way, with Path-keyed bases; the block
 algebras A~ and U~ by scanning every (block, A element, U~ element)
 triple; relations recovered from structure constants by a dense solve
-for each dependent word; graded bases by one depth-first walk per degree
+for each dependent word; Gabriel quivers with a fresh copy of the J^2
+span for each vertex pair; graded bases by one depth-first walk per degree
 instead of layer by layer, eliminator rows by reducing every vector,
 linear programs on a Fraction tableau instead of integer rows, dimer
 faces by taking the least unused dart for every face, rotation checks by
 scanning every edge for every vertex, and the `dimer matchings` answer
 by `json.dumps`.  The other JSON
-emitters at the end are kept here for the tests that read them, and
-`slice_matrix` for the tests that look at whole slice matrices; the
-package itself does not use them.
+emitters at the end are kept here for the tests that read them,
+`slice_matrix` for the tests that look at whole slice matrices, and
+`vec_add` for the tests that add sparse vectors; the package itself does
+not use them.  `random_presentation` draws the seeded random
+presentations that the rewriting and resolution differentials share.
 """
 
 from __future__ import annotations
@@ -31,17 +34,17 @@ from pathlib import Path as FsPath
 
 from gradedcy.dimer import DimerEdge, DimerModel
 from gradedcy.duality import _homology_dims
-from gradedcy.errors import (NonStabilizing, NotComplex, NotSurjective,
-                             PositiveDegree)
+from gradedcy.errors import (NonStabilizing, NotBasic, NotComplex,
+                             NotSurjective, PositiveDegree)
 from gradedcy.fdalgebra import FDAlgebra, FDBimodule, trivial_extension
 from gradedcy.findim import radical
 from gradedcy.errors import NotSplitBasic
-from gradedcy.linalg import SparseEliminator, nullspace_with_free, vec_add
+from gradedcy.linalg import SparseEliminator, nullspace_with_free
 from gradedcy.linalg import solve as _solve
 from gradedcy.preprojective import (_plain_paths, path_algebra,
                                     preprojective_presentation)
-from gradedcy.quiver import (GradedQuiverPresentation, NCPoly, Path, Quiver,
-                             load_presentation)
+from gradedcy.quiver import (Arrow, GradedQuiverPresentation, NCPoly, Path,
+                             Quiver, load_presentation)
 from gradedcy.rewriting import GradedPieceBasis, RewriteContext
 from gradedcy.simplex import LPResult
 from gradedcy.slice_algebras import build_B, default_cap
@@ -51,6 +54,48 @@ DATA = FsPath(__file__).resolve().parent.parent / "data"
 
 def load(name):
     return load_presentation(DATA / name)
+
+
+def vec_add(u, v, c=1):
+    """u + c*v for sparse dict vectors; returns a new dict without zeros."""
+    out = dict(u)
+    for k, x in v.items():
+        y = out.get(k, 0) + c * x
+        if y:
+            out[k] = y
+        else:
+            out.pop(k, None)
+    return out
+
+
+def random_presentation(rng):
+    """A random homogeneous presentation: one to three vertices, two to
+    four arrows of degree -1 or -2, and one or two relations, each a
+    combination of two or three parallel paths of length 1..3 and equal
+    degree with coefficients in {-2, -1, 1, 2}."""
+    nv = rng.randrange(1, 4)
+    verts = [str(i) for i in range(nv)]
+    arrows = []
+    for i in range(rng.randrange(2, 5)):
+        arrows.append(Arrow(f"a{i}", rng.choice(verts), rng.choice(verts),
+                            -rng.randrange(1, 3)))
+    Q = Quiver(verts, arrows)
+    probe = GradedQuiverPresentation(Q, [])
+    ctx = probe.ctx
+    buckets = {}
+    for p in all_paths(probe, 4):
+        if 1 <= len(p) <= 3:
+            key = (p.source, ctx.target(p), ctx.degree(p))
+            buckets.setdefault(key, []).append(p)
+    cand = [b for b in buckets.values() if len(b) >= 2]
+    rng.shuffle(cand)
+    rels = []
+    for bucket in cand[:rng.randrange(1, 3)]:
+        k = rng.randrange(2, min(len(bucket), 3) + 1)
+        chosen = rng.sample(bucket, k)
+        rels.append(NCPoly({p: rng.choice([-2, -1, 1, 2])
+                            for p in chosen}))
+    return GradedQuiverPresentation(Q, rels)
 
 
 def honeycomb_torus(m, n):
@@ -254,6 +299,36 @@ def dimension_table_of_algebra(alg):
     return table
 
 
+def gabriel_quiver_by_pairs(alg):
+    """findim.gabriel_quiver as the package computed it before one span
+    served every vertex pair: the J^2 span copied into a new eliminator
+    for each pair (i, j), and the arrows i -> j counted as the rank that
+    e_i J e_j adds to it."""
+    rad = radical(alg)
+    jset = rad.basis
+    j2 = rad.powers[1] if len(rad.powers) > 1 else SparseEliminator()
+    if len(set(alg.idempotents)) != len(alg.idempotents):
+        raise NotBasic("repeated idempotent in declaration")
+    nverts = len(alg.idempotents)
+    vertices = [f"v{k}" for k in range(nverts)]
+    arrows = []
+    for i in range(nverts):
+        ei = alg.basis_vec(alg.idempotents[i])
+        for j in range(nverts):
+            ej = alg.basis_vec(alg.idempotents[j])
+            el = SparseEliminator()
+            for r in j2.pivots.values():
+                el.add(r)
+            count = 0
+            for b in jset:
+                v = alg.product(ei, alg.product(alg.basis_vec(b), ej))
+                if v and el.add(v):
+                    count += 1
+            for m in range(count):
+                arrows.append(Arrow(f"a{i}_{j}_{m}", f"v{i}", f"v{j}", 0))
+    return Quiver(vertices, arrows)
+
+
 # ---------------------------------------------------------------------------
 # dense reference resolution: modules as one dim x dim Fraction matrix per
 # algebra basis element (row vector times matrix), the format findim used
@@ -337,16 +412,19 @@ def _dense_syzygy(alg, jbasis, dim, mats):
     return slots, len(kern), kmats
 
 
-def dense_resolution(alg, dim, mats, cap):
+def dense_resolution(alg, dim, mats, cap, modules=None):
     """(Betti dicts per step, finished_at) of the minimal resolution of the
     module with action matrices `mats`, the conventions of
-    findim.projective_resolution."""
+    findim.projective_resolution.  When `modules` is a list, the action
+    matrices of each nonzero syzygy are appended to it."""
     jbasis = radical(alg).basis
     steps = []
     for k in range(cap + 1):
         if dim == 0:
             return steps, k - 1
         slots, dim, mats = _dense_syzygy(alg, jbasis, dim, mats)
+        if dim and modules is not None:
+            modules.append(mats)
         betti = {}
         for s in slots:
             betti[s] = betti.get(s, 0) + 1

@@ -406,6 +406,32 @@ def test_dimer_consistency_is_the_same_under_python_O():
     assert consistency("-O") == consistency()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", "verify-root", "k_xy.pres", "--a", "2"],
+    ["dimer", "matchings", "hexagonal.dimer"],
+], ids=["emit", "matchings-writer"])
+def test_a_closed_pipe_stops_quietly(argv):
+    """A reader that is gone before the child writes (as `| head` can be)
+    ends the run with exit 141 and no traceback, both for a report
+    printed through `_emit` and for the block writer of `dimer
+    matchings`."""
+    src = str(Path(gradedcy.__file__).resolve().parent.parent)
+    argv = [str(DATA / a) if a.endswith((".pres", ".dimer")) else a
+            for a in argv]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "gradedcy.cli", *argv], stdout=write,
+            stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write)
+    assert "Traceback" not in out.stderr
+    assert out.stderr == ""
+    assert out.returncode == 141
+
+
 def _honeycomb_file(tmp_path, m, n):
     path = tmp_path / f"honeycomb_{m}x{n}.dimer"
     path.write_text(dimer_text(honeycomb_torus(m, n)), encoding="utf-8")

@@ -224,7 +224,7 @@ def test_complex_file_round_trip():
 def test_all_variants_compose_to_zero_on_slices():
     """Plain, transported, dual, and double-dual differentials all square
     to zero slice by slice (so their cohomology is well defined)."""
-    from gradedcy.linalg import vec_add
+    from helpers import vec_add
 
     def composite_vanishes(cplx, rc, degrees):
         for w in degrees:

@@ -1,17 +1,22 @@
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+from gradedcy import findim
 from gradedcy.errors import Inconclusive, NotBasic, NotSplitBasic
 from gradedcy.fdalgebra import FDAlgebra
 from gradedcy.findim import (RightModule, arrow_multiplicities,
                              gabriel_quiver, injective_dimension,
                              is_iwanaga_gorenstein, projective_resolution,
                              radical)
+from gradedcy.preprojective import block_trivial_extension
 from gradedcy.slice_algebras import build_AUB, build_tilde
 
-from helpers import (dense_dual_of_regular, dense_resolution, load,
+from helpers import (dense_dual_of_regular, dense_resolution,
+                     gabriel_quiver_by_pairs, load, random_presentation,
                      sparse_action)
 
 
@@ -226,3 +231,95 @@ def test_resolutions_match_dense_oracle_on_corpus():
         assert (rep.inj_dim_left, rep.inj_dim_right) == \
             (inj["left"], inj["right"]), name
         assert rep.holds == (inj["left"] <= d and inj["right"] <= d), name
+
+
+def _arrows(quiver):
+    return [(a.name, a.source, a.target, a.degree) for a in quiver.arrows]
+
+
+def test_gabriel_quiver_matches_the_per_pair_oracle():
+    """One span seeded with J^2 counts the same arrows, named in the same
+    order, as a fresh copy of J^2 for every vertex pair: on A, B and B^op
+    of the corpus at a = 1, 2 and on the `corpi` block algebras."""
+    algebras = []
+    for name in ("k_x.pres", "k_xy.pres", "skew_2.pres", "skew_3.pres",
+                 "skew_4.pres", "k_xy_23.pres", "k_xyz.pres"):
+        for a in (1, 2):
+            A, _, B = build_AUB(load(name), a)
+            algebras += [(name, a, "A", A), (name, a, "B", B),
+                         (name, a, "B^op", B.opposite())]
+    for name in ("a2.quiver", "kronecker.quiver", "three_vertex.quiver"):
+        for n in (1, 2, 3):
+            algebras.append((name, n, "corpi",
+                             block_trivial_extension(load(name).quiver, n)))
+    for name, a, which, alg in algebras:
+        assert _arrows(gabriel_quiver(alg)) == \
+            _arrows(gabriel_quiver_by_pairs(alg)), (name, a, which)
+
+
+def _syzygy_actions(M, cap):
+    """The action rows of the nonzero syzygies that
+    projective_resolution(M, cap) passes through."""
+    jbasis = radical(M.alg).basis
+    actions = []
+    for _ in range(cap + 1):
+        _, M = findim.syzygy(M, jbasis)
+        if M is None:
+            break
+        actions.append(M.action)
+    return actions
+
+
+def _resolution_faults(pres, a, cap=3):
+    """The sides of B = A + U at which the sparse resolution of D(B) and
+    the dense reference disagree: in a Betti table, in `finished_at`, or
+    in the action rows of a syzygy, which agree entry for entry because
+    both kernel bases are echelon over the same free columns."""
+    _, _, B = build_AUB(pres, a)
+    faults = []
+    for side, alg in (("right", B), ("left", B.opposite())):
+        D, op = RightModule.dual_of_regular(alg)
+        res = projective_resolution(D, cap)
+        modules = []
+        steps, finished = dense_resolution(
+            op, alg.dim, dense_dual_of_regular(alg), cap, modules)
+        if [s.betti for s in res.steps] != steps or \
+                res.finished_at != finished or \
+                _syzygy_actions(D, cap) != [sparse_action(m)
+                                            for m in modules]:
+            faults.append(side)
+    return faults
+
+
+def _random_presentations():
+    # sized for the dense reference: the next presentation from this seed
+    # gives a B of dim 30 that it resolves in several seconds
+    rng = random.Random(1313)
+    return [random_presentation(rng) for _ in range(18)]
+
+
+def test_resolutions_match_dense_oracle_on_random_presentations():
+    """Seeded random presentations through build_AUB at a = 1, 2: both
+    sides of D(B) resolve as the dense reference does, to length 3."""
+    for trial, pres in enumerate(_random_presentations()):
+        for a in (1, 2):
+            assert _resolution_faults(pres, a) == [], (trial, a)
+
+
+@pytest.mark.parametrize("old,new", [
+    # a dependent element whose kernel vector starts at column 0 is kept
+    # as a row of the span instead of entering the kernel
+    ("if min(v) < M.dim:", "if min(v) <= M.dim:"),
+    # every kernel vector is kept as a row as well: later elements reduce
+    # against it, so the kernel basis is no longer echelon over the free
+    # columns (the Betti tables alone do not show this one)
+    ("        else:\n", "        else:\n            span.add(v)\n"),
+], ids=["off-by-one", "kernel-row"])
+def test_resolution_oracle_catches_tag_mutants(monkeypatch, old, new):
+    source = textwrap.dedent(inspect.getsource(findim.syzygy))
+    assert source.count(old) == 1
+    namespace = dict(vars(findim))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(findim, "syzygy", namespace["syzygy"])
+    assert any(_resolution_faults(pres, a)
+               for pres in _random_presentations() for a in (1, 2))

@@ -77,7 +77,7 @@ def test_mesh_relation_vanishes_on_layer():
         A = path_algebra(Q)
         U = ext_bimodule(Q)
         total = {}
-        from gradedcy.linalg import vec_add
+        from helpers import vec_add
         label_pos = {l: i for i, l in enumerate(U.labels)}
         apos = {l: i for i, l in enumerate(A.labels)}
         for a in Q.arrows:

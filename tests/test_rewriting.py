@@ -15,7 +15,8 @@ from gradedcy.rewriting import (RewriteContext, RewritingSystem,
                                 dimension_table, graded_dimension,
                                 length_table, truncated_rewriting)
 
-from helpers import DATA, basis_by_walk, brute_force_graded_dimension, load
+from helpers import (DATA, basis_by_walk, brute_force_graded_dimension, load,
+                     random_presentation)
 
 
 def rule_names(pres, rs):
@@ -174,39 +175,6 @@ def test_length_table_counts_lazy_paths():
     assert lt[("P", "P")][2] == 3
 
 
-def _random_presentation(rng):
-    from fractions import Fraction
-
-    from gradedcy.quiver import (Arrow, GradedQuiverPresentation, NCPoly,
-                                 Quiver)
-
-    from helpers import all_paths
-
-    nv = rng.randrange(1, 4)
-    verts = [str(i) for i in range(nv)]
-    arrows = []
-    for i in range(rng.randrange(2, 5)):
-        arrows.append(Arrow(f"a{i}", rng.choice(verts), rng.choice(verts),
-                            -rng.randrange(1, 3)))
-    Q = Quiver(verts, arrows)
-    probe = GradedQuiverPresentation(Q, [])
-    ctx = probe.ctx
-    buckets = {}
-    for p in all_paths(probe, 4):
-        if 1 <= len(p) <= 3:
-            key = (p.source, ctx.target(p), ctx.degree(p))
-            buckets.setdefault(key, []).append(p)
-    cand = [b for b in buckets.values() if len(b) >= 2]
-    rng.shuffle(cand)
-    rels = []
-    for bucket in cand[:rng.randrange(1, 3)]:
-        k = rng.randrange(2, min(len(bucket), 3) + 1)
-        chosen = rng.sample(bucket, k)
-        rels.append(NCPoly({p: rng.choice([-2, -1, 1, 2])
-                            for p in chosen}))
-    return GradedQuiverPresentation(Q, rels)
-
-
 def test_fuzz_rewriting_against_oracle():
     """Random homogeneous presentations: per vertex pair, counted graded
     dimensions agree with enumerated normal forms and with the path-space
@@ -216,7 +184,7 @@ def test_fuzz_rewriting_against_oracle():
 
     rng = random.Random(424242)
     for trial in range(60):
-        pres = _random_presentation(rng)
+        pres = random_presentation(rng)
         rc = RewriteContext(pres, 6)
         rs = rc.rs
         ctx = pres.ctx
@@ -345,7 +313,7 @@ def test_arrow_maps_match_reduce_path_on_random_presentations():
     degrees -1 and -2, so words of length <= 6 reach degree -12)."""
     rng = random.Random(424242)
     for trial in range(60):
-        pres = _random_presentation(rng)
+        pres = random_presentation(rng)
         assert _arrow_map_faults(pres, 6, range(0, -13, -1), rng) == [], \
             trial
 
@@ -455,7 +423,7 @@ def test_layered_listings_match_the_walk(name):
 def test_layered_listings_match_the_walk_on_random_presentations():
     rng = random.Random(424242)
     for trial in range(60):
-        pres = _random_presentation(rng)
+        pres = random_presentation(rng)
         assert _listing_faults(pres, 6, range(1, -14, -1)) == [], trial
 
 
