@@ -12,7 +12,8 @@ from gradedcy import (block_trivial_extension, ext_bimodule,
                       preprojective_presentation)
 from gradedcy.preprojective import block_arrow_images
 from gradedcy.quiver import Arrow, Quiver
-from gradedcy.rewriting import RewriteContext, length_table
+from gradedcy.normalwords import RewriteContext
+from gradedcy.rewriting import length_table
 from gradedcy.slice_algebras import reduce_mod, relations_from_structure
 
 KRONECKER = Quiver(["0", "1"], [Arrow("x", "0", "1", 0),

@@ -14,7 +14,7 @@ from gradedcy import (build_A, consistency_check, cy3_complex, dual_qp,
                       gabriel_quiver, grading_from_matchings,
                       jacobian_presentation, load_dimer, perfect_matchings)
 from gradedcy.findim import arrow_multiplicities
-from gradedcy.rewriting import RewriteContext
+from gradedcy.normalwords import RewriteContext
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

@@ -21,9 +21,9 @@ _EXPORTS = {
         "Arrow", "CYData", "GradedQuiverPresentation", "NCPoly", "Path",
         "Quiver", "TwistData", "load_presentation", "parse_presentation"),
     "rewriting": (
-        "GradedPieceBasis", "RewriteContext", "RewritingSystem",
-        "dimension_table", "graded_dimension", "length_table",
-        "truncated_rewriting"),
+        "CountContext", "RewritingSystem", "dimension_table",
+        "graded_dimension", "length_table", "truncated_rewriting"),
+    "normalwords": ("GradedPieceBasis", "Listing", "RewriteContext"),
     "fdalgebra": ("FDAlgebra", "FDBimodule", "trivial_extension"),
     "slice_algebras": (
         "build_A", "build_AUB", "build_B", "build_tilde", "build_U",

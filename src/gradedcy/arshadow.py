@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import NotHereditary, NotUnimodular
 from .linalg import mat_det, mat_inv, mat_mul, mat_vec
 from .quiver import Quiver
-from .rewriting import RewriteContext
+from .rewriting import CountContext
 
 
 def cartan_matrix(Q: Quiver):
@@ -187,7 +187,7 @@ class DimVecOrbit:
         self.a = a
         if cap is None:
             cap = 2 * (a + 2)
-        self.rc = RewriteContext(pres, cap)
+        self.rc = CountContext(pres, cap)
         self._cache = {}
 
     def step(self, label: OrbitLabel) -> OrbitLabel:
@@ -208,8 +208,8 @@ class DimVecOrbit:
                     vec.append(0)
                 else:
                     if -w > self.rc.cap:
-                        self.rc = RewriteContext(self.pres,
-                                                 max(-w + 2, self.rc.cap))
+                        self.rc = CountContext(self.pres,
+                                               max(-w + 2, self.rc.cap))
                     vec.append(sum(self.rc.counts(w).values()))
             self._cache[i] = tuple(vec)
         return self._cache[i]

@@ -19,12 +19,13 @@ the list (so a projective resolution lists P_0 first with positions
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from .errors import CapTooSmall, Inhomogeneous, NotComplex, ParseError
-from .rewriting import RewriteContext, _add_into, as_exact
+from .normalwords import RewriteContext, _add_into, as_exact
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,10 @@ class BimoduleComplex:
         """Numbering of the internal-degree-w slice of terms[k].
 
         Returns a dict (summand index, |p|, position of p in
-        rc.listing(|p|)) -> q slots, where q slots maps each position of
-        rc.listing(|q|) to the number of the element p (x) q, or to None
+        rc.listing(|p|)) -> q slots, an int array that maps each position
+        of rc.listing(|q|) to the number of the element p (x) q, or to -1
         for a word of another vertex pair; and the number of elements.
+        Each degree's listing is checked for stability as in rc.basis.
         Graded and dg-right summands take p ending at the left vertex and
         q starting at the right one, dg-left summands p starting at the
         left vertex and q ending at the right one.  With `lazy_left`, p is
@@ -108,25 +110,24 @@ class BimoduleComplex:
         dg_left, out, n = self.kind == "dg-left", {}, 0
 
         def blocks(degree, vertex, at_end):
-            pos = 0
-            for (a, b), words in rc.basis(degree).by_pair.items():
+            rc.counts(degree)
+            for (a, b), pos, block in rc.listing(degree).blocks:
                 if (b if at_end else a) == vertex:
-                    yield pos, words
-                pos += len(words)
+                    yield pos, len(block[1])
 
         for si, s in enumerate(self.terms[k]):
             rest = w - s.degree
             for pdeg in range(0, rest - 1, -1)[:1 if lazy_left else None]:
                 qdeg = rest - pdeg
-                ps = [rc.listing(0)[1][s.left_vertex, ()]] if lazy_left \
-                    else [pos + i for pos, words in
+                ps = [rc.position(s.left_vertex)] if lazy_left \
+                    else [pos + i for pos, size in
                           blocks(pdeg, s.left_vertex, not dg_left)
-                          for i in range(len(words))]
+                          for i in range(size)]
                 for ip in ps:
-                    slots = [None] * len(rc.listing(qdeg)[0])
-                    for pos, words in blocks(qdeg, s.right_vertex, dg_left):
-                        slots[pos:pos + len(words)] = range(n, n + len(words))
-                        n += len(words)
+                    slots = array("i", [-1]) * len(rc.listing(qdeg))
+                    for pos, size in blocks(qdeg, s.right_vertex, dg_left):
+                        slots[pos:pos + size] = array("i", range(n, n + size))
+                        n += size
                     out[si, pdeg, ip] = slots
         return out, n
 
@@ -136,11 +137,10 @@ class BimoduleComplex:
         slots, n = self.slots(rc, k, w)
         out = [None] * n
         for (si, pdeg, ip), qslots in slots.items():
-            p = rc.listing(pdeg)[0][ip]
-            words = rc.listing(w - self.terms[k][si].degree - pdeg)[0]
+            p, qdeg = rc.word(pdeg, ip), w - self.terms[k][si].degree - pdeg
             for iq, g in enumerate(qslots):
-                if g is not None:
-                    out[g] = (si, p, words[iq])
+                if g >= 0:
+                    out[g] = (si, p, rc.word(qdeg, iq))
         return out
 
     def entry_plan(self, rc: RewriteContext, k, si, pdeg, ip, qdeg, target):
@@ -149,9 +149,9 @@ class BimoduleComplex:
         qdeg: a list of (target((ti, |p'|, position of p')), c, rows, row),
         one for each term c * (ti, p', q') of the image, where q' is row(i)
         for q at position i of rc.listing(qdeg) (an index or a sparse dict
-        over rc.listing(qdeg + |v|)); rows is the arrow map that caches
-        row when v is one arrow, else None.  Terms whose target(...) is
-        None are left out.
+        over rc.listing(qdeg + |v|)); rows is the arrow map (-1 for a row
+        that row computes) when v is one arrow, else None.  Terms whose
+        target(...) is None are left out.
 
         The sign rule, for an entry (c, u, v) from summand s to summand t:
         p (x) q goes to (-1)^e c p.u (x) v.q, or to (-1)^e c u.p (x) q.v
@@ -192,17 +192,16 @@ class BimoduleComplex:
                                    w - self.terms[k + 1][si].degree - pdeg,
                                    tgt.get)
             for i, g in enumerate(qslots):
-                if g is None:
+                if g < 0:
                     continue
                 vec = {}
                 for tslots, c, rows, row in plan:
-                    img = row(i) if rows is None else rows[i]
-                    if img is None:
+                    if rows is None or (img := rows[i]) < 0:
                         img = row(i)
                     for j, cm in ((img, 1),) if type(img) is int \
                             else img.items():
                         t = tslots[j]
-                        if t is None:
+                        if t < 0:
                             continue
                         val = vec.get(t, 0) + c * cm
                         if val:
@@ -220,7 +219,6 @@ class BimoduleComplex:
         listed, and NotComplex naming the summands of a nonzero image."""
         rc = cap if isinstance(cap, RewriteContext) else \
             RewriteContext(self.pres, cap)
-        lazy = rc.listing(0)[1]
         for k in range(len(self.diffs) - 1):
             for mid, m in enumerate(self.terms[k + 1]):
                 into = [e for (ti, _), es in self.diffs[k + 1].items()
@@ -235,8 +233,8 @@ class BimoduleComplex:
                         f"multiplies paths to length {longest}, beyond "
                         f"--cap {rc.cap}; raise --cap to at least {longest}")
             for si, s in enumerate(self.terms[k + 2]):
-                vec = {(si, 0, lazy[s.left_vertex, ()],
-                        lazy[s.right_vertex, ()]): 1}
+                vec = {(si, 0, rc.position(s.left_vertex),
+                        rc.position(s.right_vertex)): 1}
                 for j in (k + 1, k):
                     image = {}
                     for (ti, pdeg, ip, iq), c0 in vec.items():
@@ -244,9 +242,9 @@ class BimoduleComplex:
                         for key, c, _, row in self.entry_plan(
                                 rc, j, ti, pdeg, ip, qdeg, lambda key: key):
                             img = row(iq)
-                            _add_into(image, {key + (jq,): cq for jq, cq in (
+                            _add_into(image, ((key + (jq,), cq) for jq, cq in (
                                 ((img, 1),) if type(img) is int
-                                else img.items())}, c0 * c)
+                                else img.items())), c0 * c)
                     vec = image
                 if vec:
                     raise NotComplex(

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import BimoduleComplex, FreeSummand
-from .errors import NotFree, WindowTooSmall
+from .errors import CapTooSmall, NotFree, WindowTooSmall
 from .linalg import SparseEliminator
-from .rewriting import RewriteContext
+from .normalwords import RewriteContext
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +355,15 @@ def check_twisted_cy(pres, cplx, twist: TwistSpec, window=None, cap=None):
         raise WindowTooSmall(
             f"--window {lo}..{hi} does not contain degree 0, where the top "
             f"generator is certified; widen --window to reach 0")
+    shallowest = max(arrow.degree for arrow in pres.quiver.arrows)
     if cap is None:
         cap = max(-lo + 2, pres.max_relation_length + 2, a + 2)
+    elif shallowest < 0 and cap < lo // shallowest:
+        # with every arrow of negative degree, a word of degree lo has at
+        # most lo // shallowest arrows, and a shorter cap cannot list it
+        raise CapTooSmall(
+            f"--cap {cap} is below the length of the longest word of degree "
+            f"{lo}, {lo // shallowest}; use --cap {lo // shallowest} or more")
     rc = RewriteContext(pres, cap)
 
     cplx.check_complex(rc)
@@ -413,7 +420,7 @@ def _twist_action_check(pres, dual, rc, twist, a):
               None)
     if zi is None:
         return {arr.name: False for arr in pres.quiver.arrows}
-    lazy = rc.listing(0)[1][v0, ()]
+    lazy = rc.position(v0)
     results = {}
     for x, arrow in enumerate(pres.quiver.arrows):
         xdeg = arrow.degree
@@ -424,11 +431,12 @@ def _twist_action_check(pres, dual, rc, twist, a):
         for col in dual.images(rc, top, w, dual.slots(rc, top + 1, w)[0],
                                slots):
             el.add(col)
-        ix = rc.listing(xdeg)[1].get((v0, (x,)))
+        ix = rc.position(v0, (x,))
 
         def slot(pdeg, ip, iq):
             qslots = slots.get((zi, pdeg, ip))
-            return None if qslots is None or iq is None else qslots[iq]
+            return None if qslots is None or iq is None or qslots[iq] < 0 \
+                else qslots[iq]
 
         # left action: x . z0 = (-1)^((l+k)|x| + |x||p|) (p then x) (x) q
         l = a

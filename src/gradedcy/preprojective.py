@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import Cyclic
 from .fdalgebra import FDAlgebra, FDBimodule
 from .quiver import Arrow, GradedQuiverPresentation, NCPoly, Path, Quiver
-from .rewriting import RewriteContext
+from .normalwords import RewriteContext
 from .slice_algebras import (_by_pair_name, _products, _slice_elements,
                              build_tilde)
 
@@ -92,10 +92,9 @@ def ext_bimodule(Q: Quiver, cap=8) -> FDBimodule:
     # a path of Q (whose arrows keep their numbers in the double quiver) is
     # a normal word of degree 0: e_v * p is its position in the listing, or
     # raises CapTooSmall when it is longer than the cap
-    lazy = rc.listing(0)[1]
-    a_elements = [(0, 0, 0, next(iter(rc.times(lazy[p.source, ()], 0, p))))
+    a_elements = [(0, 0, 0, next(iter(rc.times(rc.position(p.source), 0, p))))
                   for p in _plain_paths(Q)]
-    return FDBimodule(A, [pp.ctx.format_path(rc.listing(-1)[0][i])
+    return FDBimodule(A, [pp.ctx.format_path(rc.word(-1, i))
                           for _, _, _, i in u_elements],
                       _products(rc, a_elements, u_elements, u_index),
                       _products(rc, u_elements, a_elements, u_index),

@@ -81,7 +81,7 @@ class Quiver:
                 f"{len(self.arrows)} arrows)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A composable arrow sequence, or the lazy path at a vertex.
 

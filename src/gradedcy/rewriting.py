@@ -5,20 +5,15 @@ set, resolving every overlap whose ambiguity word has length <= cap.
 Rewriting under a length-lex order never increases path length, so the
 returned system computes unique normal forms for all paths of length
 <= cap.  An automaton over the rule tips (the Ufnarovski graph) decides
-normality; `RewriteContext.counts` counts graded pieces by dynamic
-programming over it.  `basis` lists them, where a basis is needed, in
-one walk, layer by layer: the words of length L are the words of length
-L - 1 times an arrow the automaton steps on.  `times`, the one product
-of listed words (slice algebras, preprojective layer, duality slices),
-multiplies by paths one arrow at a time through per-degree maps (Green's
-multiplication maps for a Groebner basis), each filled in one sweep of
-index look-ups; only products where a tip fires go through the rules.
-Nothing is claimed beyond the cap: a product that is a normal word
-longer than it raises CapTooSmall, and counts and bases compare
-per-vertex-pair counts with cap+2 and raise NonStabilizing on mismatch
-(the signature of a degree-0 cycle surviving in the quotient), a
-heuristic, not a proof.  `RewritingSystem.reduce` serves the completion
-and reduce_mod.
+normality; `CountContext.counts` counts graded pieces by dynamic
+programming over it, without listing a word.  Listings and products of
+normal words live in `normalwords`: each degree's words form a trie of
+int arrays (parent, last arrow, automaton state), so `dims`, which only
+counts, never compiles them.  Nothing is claimed beyond the cap: counts
+compare per-vertex-pair counts with cap+2 and raise NonStabilizing on
+mismatch (the signature of a degree-0 cycle surviving in the quotient),
+a heuristic, not a proof.  `RewritingSystem.reduce` serves the
+completion and reduce_mod.
 """
 
 from __future__ import annotations
@@ -248,42 +243,6 @@ def truncated_rewriting(pres, cap) -> RewritingSystem:
 # graded dimensions
 # ---------------------------------------------------------------------------
 
-class GradedPieceBasis:
-    """Normal-form basis of one graded piece, split by vertex pair."""
-
-    def __init__(self, degree, by_pair, states):
-        self.degree = degree
-        self.by_pair = by_pair  # (source, target) -> list of Path
-        self.states = states    # (source, target) -> automaton state per path
-
-    def dim(self, source=None, target=None):
-        return sum(len(paths) for (s, t), paths in self.by_pair.items()
-                   if source in (None, s) and target in (None, t))
-
-
-def as_exact(c):
-    """c as an int when it is an integer, else unchanged (a Fraction): the
-    arrow maps carry integer coefficients as ints."""
-    return c.numerator if c.denominator == 1 else c
-
-
-def _add_into(out, vec, c):
-    """out += c * vec for sparse dicts, dropping the entries that cancel.
-    Written here, not taken from linalg, so that `dims`, which needs only
-    this module, does not import linalg on every start."""
-    for k, x in vec.items():
-        y = out.get(k, 0) + c * x
-        if y:
-            out[k] = y
-        else:
-            out.pop(k, None)
-
-
-def _joined(lists):
-    """The lists concatenated; a single list is returned itself."""
-    return lists[0] if len(lists) == 1 else [x for part in lists for x in part]
-
-
 def _pair_counts(rs, degree):
     """(source, target) -> number of normal paths of the degree within the
     cap of `rs`; pairs with none are absent."""
@@ -291,28 +250,16 @@ def _pair_counts(rs, degree):
             for pair, rows in rs.count_normal().items() if degree in rows}
 
 
-class RewriteContext:
-    """Caches the rewriting system, graded bases and the maps 'multiply by
-    one arrow' for one presentation."""
+class CountContext:
+    """The rewriting system of one presentation and its graded-piece
+    counts; normalwords.RewriteContext adds listings and products."""
 
     def __init__(self, pres, cap):
         self.pres = pres
         self.cap = max(cap, pres.max_relation_length)
         self.rs = truncated_rewriting(pres, self.cap)
-        self._basis_cache = {}
         self._checked_degrees = set()
         self._probe = None
-        self._listings = {}
-        self._rows = {}     # (degree, arrow, left) -> rows, None = not yet
-        self._layers = {}   # (degree, length) -> _layer()
-        self._out = {}      # degree -> vertex -> arrows out of it, in order
-        for x in sorted(pres.ctx.order_key, key=pres.ctx.order_key.get):
-            a = pres.quiver.arrows[x]
-            self._out.setdefault(a.degree, {}).setdefault(a.source, []) \
-                .append(x)
-        self._rules = {lhs: (pres.ctx.degree(Path(src, lhs)),
-                             [(q, as_exact(c)) for q, c in rhs.terms.items()])
-                       for lhs, src, rhs in self.rs.rules}
 
     def counts(self, degree, check_stability=True):
         """(source, target) -> dimension of the graded piece, counted
@@ -334,185 +281,18 @@ class RewriteContext:
             self._checked_degrees.add(degree)
         return got
 
-    def basis(self, degree, check_stability=True):
-        """Normal-form basis of the graded piece, checked like counts(),
-        built from the layers of lengths 0..cap: each pair's words in the
-        monomial order, the pairs in the order the depth-first walk of
-        normal_paths from each vertex in turn first meets them."""
-        if check_stability and degree not in self._checked_degrees:
-            self.counts(degree)
-        if degree not in self._basis_cache:
-            found = {}
-            for length in range(self.cap + 1):
-                for pair, part in self._layer(degree, length).items():
-                    found.setdefault(pair, []).append(part)
-            pairs, vertices = list(found), self.pres.quiver.vertices
-            if len(pairs) > 1:
-                pairs.sort(key=lambda pair: (vertices.index(pair[0]), min(
-                    w.arrows for words, _ in found[pair] for w in words)))
-            self._basis_cache[degree] = GradedPieceBasis(
-                degree, {pair: _joined([ws for ws, _ in found[pair]])
-                         for pair in pairs},
-                {pair: _joined([ss for _, ss in found[pair]])
-                 for pair in pairs})
-        return self._basis_cache[degree]
-
-    def _layer(self, degree, length):
-        """(source, target) -> (words, states): the normal words of the
-        degree and length, each pair's in the monomial order, with their
-        automaton states: w * x for w one arrow shorter and x an arrow the
-        automaton steps on from w's state.  Words w in order times arrows x
-        in order come out in order; only several vertices or degrees sort."""
-        if (degree, length) in self._layers:
-            return self._layers[degree, length]
-        got, arrows = {}, self.pres.quiver.arrows
-        if length == 0 and degree == 0:
-            got = {(v, v): ([Path(v, ())], [()])
-                   for v in self.pres.quiver.vertices}
-        for e, out in self._out.items() if length else ():
-            for (s, t), (words, states) in \
-                    self._layer(degree - e, length - 1).items():
-                sinks = [(x, got.setdefault((s, arrows[x].target), ([], [])))
-                         for x in out.get(t, ())]
-                moves = {}      # state -> [(x, next state, sink)]
-                for w, st in zip(words, states):
-                    if st not in moves:
-                        moves[st] = [(x, nxt, sink) for x, sink in sinks if
-                                     (nxt := self.rs._step(st, x)) is not None]
-                    for x, nxt, (ws, ss) in moves[st]:
-                        ws.append(Path(s, w.arrows + (x,)))
-                        ss.append(nxt)
-        for pair, (ws, ss) in list(got.items()):
-            if not ws:
-                del got[pair]
-            elif len(self._out) > 1 or len(self.pres.quiver.vertices) > 1:
-                order = sorted(range(len(ws)),
-                               key=lambda i: self.pres.ctx.key(ws[i]))
-                got[pair] = [ws[i] for i in order], [ss[i] for i in order]
-        self._layers[degree, length] = got
-        return got
-
-    def listing(self, degree):
-        """(words, index, states) for basis(degree) in one flat order: the
-        paths, (source, arrows) -> position, and each path's automaton
-        state.  The multiplication maps are indexed by these positions."""
-        got = self._listings.get(degree)
-        if got is None:
-            basis = self.basis(degree, check_stability=False)
-            words = _joined(list(basis.by_pair.values()))
-            got = self._listings[degree] = (
-                words, {(p.source, p.arrows): i for i, p in enumerate(words)},
-                _joined(list(basis.states.values())))
-        return got
-
-    def times(self, i, degree, path, left=False):
-        """Normal form of q * path, or of path * q when `left`, for the word
-        q at position i of listing(degree), as a sparse dict over
-        listing(degree + |path|); a path that does not compose with q
-        gives 0.  The path is applied one arrow at a time through the
-        arrow maps, so a product that passes through a normal word longer
-        than the cap raises CapTooSmall (see _arrow_product)."""
-        arrows = path.arrows[::-1] if left else path.arrows
-        if not arrows:
-            q = self.listing(degree)[0][i]
-            end = q.source if left else self.pres.ctx.target(q)
-            return {i: 1} if end == path.source else {}
-        quiver, vec = self.pres.quiver, {i: 1}
-        for x in arrows:
-            out = {}
-            for j, c in vec.items():
-                row = self.arrow_row(degree, x, j, left)
-                _add_into(out, {row: 1} if type(row) is int else row, c)
-            vec, degree = out, degree + quiver.arrows[x].degree
-        return vec
-
-    def arrow_map(self, degree, x, left=False):
-        """Rows of 'times arrow x' (x * q when `left`) on listing(degree):
-        the product's position in listing(degree + |x|), else a sparse dict
-        over it, or None until arrow_row computes it.  One sweep of index
-        look-ups fills the map, and leaves the misses (a tip fires, the
-        word does not compose, or it is too long: CapTooSmall) to arrow_row."""
-        rows = self._rows.get((degree, x, left))
-        if rows is None:
-            words, arrow = self.listing(degree)[0], self.pres.quiver.arrows[x]
-            get = self.listing(degree + arrow.degree)[1].get
-            # x * (lazy path) is listed whether or not it composes
-            rows = self._rows[degree, x, left] = [
-                get((arrow.source, (x,) + q.arrows)) if q.arrows else None
-                for q in words] if left else [
-                get((q.source, q.arrows + (x,))) for q in words]
-        return rows
-
-    def arrow_row(self, degree, x, i, left=False):
-        """Row i of arrow_map(degree, x, left), computed on first use.  A
-        row needs rows of strictly smaller products only (in the monomial
-        order), so a map may be asked for its own rows while it is filled."""
-        rows = self.arrow_map(degree, x, left)
-        if rows[i] is None:
-            rows[i] = self._arrow_product(degree, x, i, left)
-        return rows[i]
-
-    def _arrow_product(self, degree, x, i, left):
-        """x * q (left) or q * x for the normal word q = listing(degree)[i].
-
-        q * x is normal exactly when the automaton steps from q's state;
-        otherwise the longest tip that ends the word fires, as in
-        reduce_path.  In x * q only a tip starting with x can fire, the
-        first of them in rule order.  The word is then (rest) * tip or
-        tip * (rest) with `rest` normal, and each term of the tip's
-        right-hand side is multiplied onto `rest` by the maps again.  A
-        product that is one listed normal word comes back as its index; a
-        normal word that is not listed is longer than the cap, and raises
-        CapTooSmall rather than being dropped."""
-        words, _, states = self.listing(degree)
-        q, arrow, rs = words[i], self.pres.quiver.arrows[x], self.rs
-        if left:
-            if arrow.target != q.source:
-                return {}
-            word, source = (x,) + q.arrows, arrow.source
-            tips = [rs.rules[r][0] for r in rs._by_first.get(x, ())]
-            tip = next((t for t in tips if word[:len(t)] == t), None)
-        else:
-            if self.pres.ctx.target(q) != arrow.source:
-                return {}
-            word, source, tip = q.arrows + (x,), q.source, None
-            if rs._step(states[i], x) is None:
-                end = states[i] + (x,)
-                tip = next(end[k:] for k in range(len(end))
-                           if end[k:] in self._rules)
-        if tip is None:
-            j = self.listing(degree + arrow.degree)[1].get((source, word))
-            if j is None:
-                shown = self.pres.ctx.format_path(Path(source, word))
-                raise CapTooSmall(
-                    f"the product {shown} is a normal word of length "
-                    f"{len(word)} in degree {degree + arrow.degree}, beyond "
-                    f"--cap {self.cap}; raise --cap to at least {len(word)}")
-            return j
-        tip_degree, rhs = self._rules[tip]
-        if left:
-            rest = word[len(tip):]
-            rest_source = self.pres.quiver.arrows[tip[-1]].target
-        else:
-            rest, rest_source = word[:len(word) - len(tip)], source
-        rest_degree = degree + arrow.degree - tip_degree
-        start = self.listing(rest_degree)[1][rest_source, rest]
-        out = {}
-        for r, c in rhs:
-            _add_into(out, self.times(start, rest_degree, r, left), c)
-        return out
-
 
 def graded_dimension(pres, degree, source, target, cap):
     """Dimension of the (source -> target) graded piece, plus its basis."""
-    rc = RewriteContext(pres, cap)
-    basis = rc.basis(degree)
+    from .normalwords import RewriteContext
+
+    basis = RewriteContext(pres, cap).basis(degree)
     return basis.dim(source, target), basis
 
 
 def dimension_table(pres, degrees, cap):
     """degree -> {(source, target) -> dim} for the listed degrees."""
-    rc = RewriteContext(pres, cap)
+    rc = CountContext(pres, cap)
     return {w: dict(sorted(rc.counts(w).items(), key=lambda kv: str(kv[0])))
             for w in degrees}
 
@@ -526,3 +306,13 @@ def length_table(pres, max_len):
     rs = truncated_rewriting(pres, max_len)
     return {pair: [sum(col) for col in zip(*rows.values())]
             for pair, rows in rs.count_normal().items()}
+
+
+def __getattr__(name):
+    """`rewriting.RewriteContext`, the class's name before it moved to
+    normalwords (bench/tracer.py wraps it there), imported on first use so
+    that `dims` does not compile normalwords."""
+    if name == "RewriteContext":
+        from .normalwords import RewriteContext
+        return RewriteContext
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

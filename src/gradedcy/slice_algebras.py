@@ -21,7 +21,8 @@ from .errors import NotSurjective, PositiveDegree, WindowViolation
 from .fdalgebra import FDAlgebra, FDBimodule, trivial_extension
 from .linalg import SparseEliminator
 from .quiver import GradedQuiverPresentation, NCPoly, Path, Quiver
-from .rewriting import RewriteContext, truncated_rewriting
+from .normalwords import RewriteContext
+from .rewriting import truncated_rewriting
 
 
 def default_cap(a):
@@ -66,7 +67,7 @@ def _slice_elements(orders, a, offset):
 
 
 def _slice_labels(rc, elements, sep):
-    return [f"({s}{sep}{t}){rc.pres.ctx.format_path(rc.listing(w)[0][i])}"
+    return [f"({s}{sep}{t}){rc.pres.ctx.format_path(rc.word(w, i))}"
             for s, t, w, i in elements]
 
 
@@ -76,11 +77,11 @@ def _products(rc, lefts, rights, index):
     degree, position in rc.listing(degree)); the product of (s, t, ...)
     and (t, u, ...) lies in slot (s, u), whose index maps each position of
     the product's listing to its element number."""
-    out = {}
+    out, words = {}, [rc.word(dq, iq) for _, _, dq, iq in rights]
     for i, (s, t, dp, ip) in enumerate(lefts):
-        for j, (t2, u, dq, iq) in enumerate(rights):
+        for j, (t2, u, _, _) in enumerate(rights):
             if t == t2:
-                vec = rc.times(ip, dp, rc.listing(dq)[0][iq])
+                vec = rc.times(ip, dp, words[j])
                 if vec:
                     slots = index[s, u]
                     out[i, j] = {slots[k]: Fraction(c) for k, c in vec.items()}
@@ -91,7 +92,7 @@ def _slice_algebra(pres, a, rc, orders):
     """The slice algebra A read off a context of depth a - 1 or more, and
     its elements."""
     elements, index = _slice_elements(orders, a, 0)
-    lazy = [i for i in orders[0] if rc.listing(0)[0][i].is_lazy]
+    lazy = [i for i in orders[0] if rc.word(0, i).is_lazy]
     idems = [index[s, s][i] for s in range(a) for i in lazy]
     return FDAlgebra(_slice_labels(rc, elements, "->"),
                      _products(rc, elements, elements, index), idems,

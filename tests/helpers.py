@@ -3,9 +3,9 @@
 The oracles here deliberately avoid the machinery they check: graded
 dimensions are recomputed by spanning the whole path space and quotienting
 by the ideal slice, and matchings by exhausting edge subsets or by a plain
-backtracker.  Minimal resolutions are recomputed with dense action
-matrices; one-sided generator complexes, slice matrices and the d o d
-check by reducing every product from scratch instead of multiplying
+backtracker.  Minimal resolutions are recomputed with a dense kernel
+solve for each syzygy; one-sided generator complexes, slice matrices and
+the d o d check by reducing every product from scratch instead of multiplying
 through arrow maps, with the sign rules as the package wrote them before
 its one entry evaluator; the slice algebras A and U and the first
 preprojective layer the same way, with Path-keyed bases; the block
@@ -13,7 +13,9 @@ algebras A~ and U~ by scanning every (block, A element, U~ element)
 triple; relations recovered from structure constants by a dense solve
 for each dependent word; Gabriel quivers with a fresh copy of the J^2
 span for each vertex pair; graded bases by one depth-first walk per degree
-instead of layer by layer, eliminator rows by reducing every vector,
+instead of layer by layer, and listings and arrow maps as lists of Paths
+with a (source, arrows) index instead of a trie; eliminator rows by
+reducing every vector,
 linear programs on a Fraction tableau instead of integer rows, dimer
 faces by taking the least unused dart for every face, rotation checks by
 scanning every edge for every vertex, and the `dimer matchings` answer
@@ -45,7 +47,7 @@ from gradedcy.preprojective import (_plain_paths, path_algebra,
                                     preprojective_presentation)
 from gradedcy.quiver import (Arrow, GradedQuiverPresentation, NCPoly, Path,
                              Quiver, load_presentation)
-from gradedcy.rewriting import GradedPieceBasis, RewriteContext
+from gradedcy.normalwords import GradedPieceBasis, RewriteContext
 from gradedcy.simplex import LPResult
 from gradedcy.slice_algebras import build_B, default_cap
 
@@ -330,9 +332,10 @@ def gabriel_quiver_by_pairs(alg):
 
 
 # ---------------------------------------------------------------------------
-# dense reference resolution: modules as one dim x dim Fraction matrix per
-# algebra basis element (row vector times matrix), the format findim used
-# before its sparse action rows
+# dense reference resolution: each syzygy is the kernel of one dense
+# dim(M) x dim(P) Fraction matrix, solved by nullspace_with_free, as findim
+# did before it read kernels off tag coordinates; modules keep RightModule's
+# sparse action rows, so that the reference emits them directly
 # ---------------------------------------------------------------------------
 
 def sparse_action(mats):
@@ -354,20 +357,20 @@ def dense_dual_of_regular(alg):
     return mats
 
 
-def _dense_act(mats, row_vec, b):
-    m = mats[b]
-    out = [Fraction(0)] * len(row_vec)
+def _dense_act(action, row_vec, b):
+    """The dense row vector row_vec . b in a module with sparse action
+    rows."""
+    rows, out = action[b], [Fraction(0)] * len(row_vec)
     for i, c in enumerate(row_vec):
-        if c:
-            for j, x in enumerate(m[i]):
-                if x:
-                    out[j] += c * x
+        if c and i in rows:
+            for j, x in rows[i].items():
+                out[j] += c * x
     return out
 
 
 def _dense_syzygy(alg, jbasis, dim, mats):
-    """(slots, kernel dim, kernel action matrices) of the projective cover
-    of the module (dim, mats)."""
+    """(slots, kernel dim, kernel action rows) of the projective cover of
+    the module (dim, action rows mats)."""
     def unit(r):
         row = [0] * dim
         row[r] = 1
@@ -396,7 +399,7 @@ def _dense_syzygy(alg, jbasis, dim, mats):
     pindex = {pb: i for i, pb in enumerate(pbasis)}
     kmats = []
     for b in range(alg.dim):
-        m = [[Fraction(0)] * len(kern) for _ in kern]
+        m = {}
         for col, v in enumerate(kern):
             w = {}
             for i, c in v.items():
@@ -405,18 +408,18 @@ def _dense_syzygy(alg, jbasis, dim, mats):
                     key = pindex.get((r, k2))
                     if key is not None:
                         w[key] = w.get(key, 0) + c * c2
-            for row, f in enumerate(free):
-                if w.get(f):
-                    m[col][row] = w[f]
+            image = {row: w[f] for row, f in enumerate(free) if w.get(f)}
+            if image:
+                m[col] = image
         kmats.append(m)
     return slots, len(kern), kmats
 
 
 def dense_resolution(alg, dim, mats, cap, modules=None):
     """(Betti dicts per step, finished_at) of the minimal resolution of the
-    module with action matrices `mats`, the conventions of
+    module with sparse action rows `mats`, the conventions of
     findim.projective_resolution.  When `modules` is a list, the action
-    matrices of each nonzero syzygy are appended to it."""
+    rows of each nonzero syzygy are appended to it."""
     jbasis = radical(alg).basis
     steps = []
     for k in range(cap + 1):
@@ -1182,6 +1185,76 @@ def basis_by_walk(rc, degree):
         degree, {pair: [p for p, _ in words]
                  for pair, words in found.items()},
         {pair: [st for _, st in words] for pair, words in found.items()})
+
+
+class PathListings:
+    """The listings and arrow maps of a RewriteContext as they were built
+    before the trie: each (degree, length) layer as Paths with their
+    automaton states, w * x for w one arrow shorter, sorted by the monomial
+    order when there are several vertices or arrow degrees; each degree's
+    pairs ordered by vertex and least word; a (source, arrows) -> position
+    index; and arrow maps filled by index look-ups, None for a miss (a lazy
+    word times an arrow on the left is looked up too)."""
+
+    def __init__(self, rc):
+        self.rc, self.layers, self.listings, self.out = rc, {}, {}, {}
+        ctx = rc.pres.ctx
+        for x in sorted(ctx.order_key, key=ctx.order_key.get):
+            a = rc.pres.quiver.arrows[x]
+            self.out.setdefault(a.degree, {}).setdefault(a.source, []) \
+                .append(x)
+
+    def layer(self, degree, length):
+        if (degree, length) in self.layers:
+            return self.layers[degree, length]
+        rc, got = self.rc, {}
+        arrows = rc.pres.quiver.arrows
+        if length == 0 and degree == 0:
+            got = {(v, v): ([Path(v, ())], [()])
+                   for v in rc.pres.quiver.vertices}
+        for e, out in self.out.items() if length else ():
+            for (s, t), (words, states) in \
+                    self.layer(degree - e, length - 1).items():
+                for w, st in zip(words, states):
+                    for x in out.get(t, ()):
+                        nxt = rc.rs._step(st, x)
+                        if nxt is not None:
+                            ws, ss = got.setdefault((s, arrows[x].target),
+                                                    ([], []))
+                            ws.append(Path(s, w.arrows + (x,)))
+                            ss.append(nxt)
+        for pair, (ws, ss) in list(got.items()):
+            if len(self.out) > 1 or len(rc.pres.quiver.vertices) > 1:
+                order = sorted(range(len(ws)),
+                               key=lambda i: rc.pres.ctx.key(ws[i]))
+                got[pair] = [ws[i] for i in order], [ss[i] for i in order]
+        self.layers[degree, length] = got
+        return got
+
+    def listing(self, degree):
+        """(words, index, states) of the degree."""
+        if degree not in self.listings:
+            found = {}
+            for length in range(self.rc.cap + 1):
+                for pair, part in self.layer(degree, length).items():
+                    found.setdefault(pair, []).append(part)
+            vertices = self.rc.pres.quiver.vertices
+            pairs = sorted(found, key=lambda pair: (
+                vertices.index(pair[0]),
+                min(w.arrows for words, _ in found[pair] for w in words)))
+            words = [w for pair in pairs for ws, _ in found[pair] for w in ws]
+            self.listings[degree] = (
+                words, {(p.source, p.arrows): i for i, p in enumerate(words)},
+                [st for pair in pairs for _, ss in found[pair] for st in ss])
+        return self.listings[degree]
+
+    def arrow_map(self, degree, x, left=False):
+        words, arrow = self.listing(degree)[0], self.rc.pres.quiver.arrows[x]
+        get = self.listing(degree + arrow.degree)[1].get
+        if left:
+            return [get((arrow.source, (x,) + q.arrows))
+                    if arrow.target == q.source else None for q in words]
+        return [get((q.source, q.arrows + (x,))) for q in words]
 
 
 class ReducingEliminator(SparseEliminator):

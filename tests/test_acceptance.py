@@ -23,7 +23,8 @@ from gradedcy.preprojective import (block_arrow_images,
                                     block_trivial_extension,
                                     layered_presentation)
 from gradedcy.quiver import Arrow, GradedQuiverPresentation, NCPoly, Quiver
-from gradedcy.rewriting import RewriteContext, length_table
+from gradedcy.normalwords import RewriteContext
+from gradedcy.rewriting import length_table
 from gradedcy.slice_algebras import (build_AUB, build_tilde,
                                      cluster_hom_shadow,
                                      relations_from_structure, reduce_mod)

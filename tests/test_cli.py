@@ -369,6 +369,28 @@ def test_cy_check_names_the_cap_for_long_entries(tmp_path):
     assert err.startswith("error: CapTooSmall: ") and "--cap 4" in err, err
 
 
+@pytest.mark.parametrize("name,cap,window,longest", [
+    ("skew_3.pres", 1, "--window=-3..0", 3),
+    ("k_xyz.pres", 2, "--window=-5..0", 5),
+])
+def test_cy_check_refuses_a_cap_below_the_window(monkeypatch, name, cap,
+                                                 window, longest):
+    """With every arrow of negative degree, an explicit --cap shorter than
+    the longest word of the window's lowest degree is refused before any
+    completion runs, naming the cap the window needs."""
+    from gradedcy import rewriting
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("completion ran before the cap check")
+
+    monkeypatch.setattr(rewriting, "truncated_rewriting", refuse)
+    code, out, err = run("cy-check", DATA / name, "--twist", "id",
+                         "--cap", cap, window)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: CapTooSmall: ") and f"--cap {cap} " in err
+    assert f"--cap {longest} or more" in err, err
+
+
 def test_tracer_wraps_every_name_it_names():
     """bench/tracer.py wraps package functions by name; renaming or
     removing one of them fails here, not only in traced benchmark runs."""

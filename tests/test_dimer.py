@@ -15,7 +15,8 @@ from gradedcy.dimer import (DimerEdge, DimerModel, consistency_check,
                             parse_dimer, perfect_matchings)
 from gradedcy.errors import (NonStabilizing, NotBipartite, NotTorus,
                              ParseError)
-from gradedcy.rewriting import RewriteContext, dimension_table
+from gradedcy.normalwords import RewriteContext
+from gradedcy.rewriting import dimension_table
 from gradedcy.simplex import LPResult
 
 from helpers import (DATA, brute_force_graded_dimension, faces_by_min,

@@ -208,8 +208,9 @@ def test_gorenstein_invariant_across_corpus():
 
 
 def test_resolutions_match_dense_oracle_on_corpus():
-    """Sparse resolutions of D(B) on both sides, and the IG reports built
-    from them, against the dense reference resolution."""
+    """Sparse resolutions of D(B) on both sides, the action rows of every
+    syzygy, and the IG reports built from them, against the dense
+    reference resolution."""
     for name in ("k_x.pres", "k_xy.pres", "skew_2.pres", "skew_3.pres",
                  "k_xy_23.pres", "k_xyz.pres"):
         pres = load(name)
@@ -218,14 +219,16 @@ def test_resolutions_match_dense_oracle_on_corpus():
         inj = {}
         for side, alg in (("right", B), ("left", B.opposite())):
             D, op = RightModule.dual_of_regular(alg)
-            dense = dense_dual_of_regular(alg)
-            assert D.action == sparse_action(dense), (name, side)
-            res = projective_resolution(D, d + 2)
-            steps, finished = dense_resolution(op, alg.dim, dense, d + 2)
+            dense = sparse_action(dense_dual_of_regular(alg))
+            assert D.action == dense, (name, side)
+            res, modules = projective_resolution(D, d + 2), []
+            steps, finished = dense_resolution(op, alg.dim, dense, d + 2,
+                                               modules)
             assert [s.betti for s in res.steps] == steps, (name, side)
             assert res.finished_at == finished, (name, side)
             assert [s.total_rank for s in res.steps] == \
                 [sum(b.values()) for b in steps], (name, side)
+            assert _syzygy_actions(D, d + 2) == modules, (name, side)
             inj[side] = finished if finished >= 0 else None
         rep = is_iwanaga_gorenstein(B, d, d + 2)
         assert (rep.inj_dim_left, rep.inj_dim_right) == \
@@ -282,11 +285,11 @@ def _resolution_faults(pres, a, cap=3):
         res = projective_resolution(D, cap)
         modules = []
         steps, finished = dense_resolution(
-            op, alg.dim, dense_dual_of_regular(alg), cap, modules)
+            op, alg.dim, sparse_action(dense_dual_of_regular(alg)), cap,
+            modules)
         if [s.betti for s in res.steps] != steps or \
                 res.finished_at != finished or \
-                _syzygy_actions(D, cap) != [sparse_action(m)
-                                            for m in modules]:
+                _syzygy_actions(D, cap) != modules:
             faults.append(side)
     return faults
 
@@ -323,3 +326,16 @@ def test_resolution_oracle_catches_tag_mutants(monkeypatch, old, new):
     monkeypatch.setattr(findim, "syzygy", namespace["syzygy"])
     assert any(_resolution_faults(pres, a)
                for pres in _random_presentations() for a in (1, 2))
+
+
+def test_corpus_oracle_catches_the_kernel_row_mutant(monkeypatch):
+    """Keeping every kernel vector as a span row as well leaves the Betti
+    tables of the corpus as they are, but not the action rows of the
+    syzygies: the corpus comparison sees it on skew_3 at a = 2."""
+    old, new = "        else:\n", "        else:\n            span.add(v)\n"
+    source = textwrap.dedent(inspect.getsource(findim.syzygy))
+    assert source.count(old) == 1
+    namespace = dict(vars(findim))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(findim, "syzygy", namespace["syzygy"])
+    assert _resolution_faults(load("skew_3.pres"), 2, 3)

@@ -11,7 +11,8 @@ from gradedcy.preprojective import (block_arrow_images,
                                     path_algebra,
                                     preprojective_presentation, star_name)
 from gradedcy.quiver import Arrow, NCPoly, Quiver
-from gradedcy.rewriting import RewriteContext, length_table
+from gradedcy.normalwords import RewriteContext
+from gradedcy.rewriting import length_table
 from gradedcy.slice_algebras import reduce_mod, relations_from_structure
 
 from helpers import brute_force_graded_dimension

@@ -5,18 +5,19 @@ from math import comb
 
 import pytest
 
-from gradedcy import rewriting as rewriting_module
+from gradedcy import normalwords
 from gradedcy.dimer import (dual_qp, grading_from_matchings,
                             jacobian_presentation, load_dimer,
                             perfect_matchings)
 from gradedcy.errors import CapTooSmall, NonStabilizing
 from gradedcy.quiver import NCPoly, Path, parse_presentation
-from gradedcy.rewriting import (RewriteContext, RewritingSystem,
-                                dimension_table, graded_dimension,
-                                length_table, truncated_rewriting)
+from gradedcy.normalwords import RewriteContext
+from gradedcy.rewriting import (RewritingSystem, dimension_table,
+                                graded_dimension, length_table,
+                                truncated_rewriting)
 
-from helpers import (DATA, basis_by_walk, brute_force_graded_dimension, load,
-                     random_presentation)
+from helpers import (DATA, PathListings, basis_by_walk,
+                     brute_force_graded_dimension, load, random_presentation)
 
 
 def rule_names(pres, rs):
@@ -261,17 +262,16 @@ def _arrow_map_faults(pres, cap, degrees, rng, trials=20):
     ctx, quiver = pres.ctx, pres.quiver
 
     def fault(degree, i, path, left):
-        q = rc.listing(degree)[0][i]
+        q = rc.word(degree, i)
         prod = ctx.compose(path, q) if left else ctx.compose(q, path)
         want = {} if prod is None else rc.rs.reduce_path(prod).terms
-        words = rc.listing(degree + ctx.degree(path))[0]
-        got = {words[j]: c
+        got = {rc.word(degree + ctx.degree(path), j): c
                for j, c in rc.times(i, degree, path, left).items()}
         return [] if got == want else [(q, path, left)]
 
     faults = []
     for d in degrees:
-        words = rc.listing(d)[0]
+        words = [rc.word(d, i) for i in range(len(rc.listing(d)))]
         for i, q in enumerate(words):
             if len(q) < rc.cap:
                 for x, a in enumerate(quiver.arrows):
@@ -294,7 +294,7 @@ def test_times_refuses_a_product_beyond_the_cap(left):
     listings do not reach: the product raises, naming the cap, instead of
     coming back as 0."""
     rc = RewriteContext(load("k_x.pres"), 2)
-    assert rc.listing(-2)[0] == [Path("P", (0, 0))]
+    assert len(rc.listing(-2)) == 1 and rc.word(-2, 0) == Path("P", (0, 0))
     with pytest.raises(CapTooSmall) as err:
         rc.times(0, -2, Path("P", (0,)), left)
     assert "--cap 2" in str(err.value) and "degree -3" in str(err.value)
@@ -333,23 +333,26 @@ def test_arrow_maps_match_reduce_path_on_corpus(name):
 
 
 @pytest.mark.parametrize("old,new", [
-    # the normal-word fast path taken without asking the automaton
-    ("if rs._step(states[i], x) is None:", "if False:"),
+    # a tip never fires at the end of q * x: the automaton is not asked
+    ("if self.rs._step(state, x) is None:", "if False:"),
     # a rule's right-hand side applied with the wrong sign
-    ("_add_into(out, self.times(start, rest_degree, r, left), c)",
-     "_add_into(out, self.times(start, rest_degree, r, left), -c)"),
-])
+    ("_add_into(out, self.times(start, rest_degree, r).items(), c)",
+     "_add_into(out, self.times(start, rest_degree, r).items(), -c)"),
+    # x * (q' * y) taken as (x * q') * x: the wrong last arrow
+    ("self.arrow_row(d + arrows[x].degree, y, prod)",
+     "self.arrow_row(d + arrows[x].degree, x, prod)"),
+], ids=["no-tip", "rhs-sign", "left-step"])
 def test_arrow_map_differential_catches_mutants(monkeypatch, old, new):
     source = textwrap.dedent(
         inspect.getsource(RewriteContext._arrow_product))
     assert source.count(old) == 1
-    namespace = dict(vars(rewriting_module))
+    namespace = dict(vars(normalwords))
     exec(source.replace(old, new), namespace)
     monkeypatch.setattr(RewriteContext, "_arrow_product",
                         namespace["_arrow_product"])
     # a typed refusal catches the mutant as well as a wrong product: the
-    # first mutant looks a product that is not normal up in the listing,
-    # misses, and refuses it as a normal word beyond the cap
+    # first mutant takes a product that is not normal for a normal word
+    # the listing misses, and refuses it as a normal word beyond the cap
     try:
         faults = _arrow_map_faults(load("skew_3.pres"), 6, range(0, -5, -1),
                                    random.Random(7))
@@ -359,21 +362,31 @@ def test_arrow_map_differential_catches_mutants(monkeypatch, old, new):
 
 
 def _listing_faults(pres, cap, degrees):
-    """Degrees where the layered basis or listing of a RewriteContext
-    differs from one depth-first walk per degree: the pairs in order, the
-    words of each pair in order, the automaton states, and the flat
-    listing with its index."""
+    """Degrees where the trie listing of a RewriteContext differs from the
+    oracles: its basis from one depth-first walk per degree (the pairs,
+    the words of each pair and their automaton states, in order), and its
+    words, positions, states and every row of the right and left arrow
+    maps from the listings of Paths that the trie replaced."""
     rc = RewriteContext(pres, cap)
-    faults = []
+    old, faults = PathListings(rc), []
+
+    def rows(d, x, left):
+        return [-1 if r is None else r for r in old.arrow_map(d, x, left)]
+
     for d in degrees:
         got, want = rc.basis(d, check_stability=False), basis_by_walk(rc, d)
-        words = [p for ps in want.by_pair.values() for p in ps]
-        states = [st for sts in want.states.values() for st in sts]
-        if list(got.by_pair.items()) != list(want.by_pair.items()) or \
-                list(got.states.items()) != list(want.states.items()) or \
-                rc.listing(d) != (words, {(p.source, p.arrows): i
-                                          for i, p in enumerate(words)},
-                                  states):
+        words, _, states = old.listing(d)
+        agree = [
+            list(got.by_pair.items()) == list(want.by_pair.items()),
+            list(got.states.items()) == list(want.states.items()),
+            [rc.word(d, i) for i in range(len(rc.listing(d)))] == words,
+            [rc.position(p.source, p.arrows) for p in words] ==
+            list(range(len(words))),
+            [st for sts in got.states.values() for st in sts] == states,
+            all([max(r, -1) for r in rc.arrow_map(d, x, left)] ==
+                rows(d, x, left) for x in range(len(pres.quiver.arrows))
+                for left in (False, True))]
+        if not all(agree):
             faults.append(d)
     return faults
 
@@ -429,18 +442,39 @@ def test_layered_listings_match_the_walk_on_random_presentations():
 
 @pytest.mark.parametrize("method,old,new", [
     # words one arrow longer than the cap are listed too
-    ("basis", "range(self.cap + 1)", "range(self.cap + 2)"),
+    ("listing", "self._grow(degree, self.cap)",
+     "self._grow(degree, self.cap + 1)"),
     # a word keeps the state of its prefix instead of the stepped one
-    ("_layer", "ss.append(nxt)", "ss.append(st)"),
-])
+    ("_grow", "sts.append(nxt)", "sts.append(st)"),
+    # the parent pointer names the word before the prefix
+    ("_grow", "parent.append(j)", "parent.append(max(j - 1, 0))"),
+    # the child table drops the start of the child's block
+    ("_edges", "rows[base + parent[j]] = start + j",
+     "rows[base + parent[j]] = j"),
+    # x * (q * y) taken as x * q, without the step along y
+    ("_fill_left", "rows[start + j] = child[u] if u >= 0 else -1",
+     "rows[start + j] = u"),
+], ids=["cap-plus-one", "stale-state", "parent", "child-table",
+        "left-recursion"])
 def test_listing_oracle_catches_mutants(monkeypatch, method, old, new):
+    """Each mutant is caught on skew_3 (one vertex-pair block per degree)
+    or on the preprojective Kronecker algebra (several), as a fault or as
+    an error from a position out of range."""
     source = textwrap.dedent(
         inspect.getsource(getattr(RewriteContext, method)))
     assert source.count(old) == 1
-    namespace = dict(vars(rewriting_module))
+    namespace = dict(vars(normalwords))
     exec(source.replace(old, new), namespace)
     monkeypatch.setattr(RewriteContext, method, namespace[method])
-    assert _listing_faults(load("skew_3.pres"), 6, range(0, -9, -1))
+    caught = []
+    for pres, cap, degrees in ((load("skew_3.pres"), 6, range(0, -9, -1)),
+                               (_kronecker_preprojective(), 8,
+                                range(1, -4, -1))):
+        try:
+            caught += _listing_faults(pres, cap, degrees)
+        except (IndexError, KeyError, CapTooSmall):
+            caught.append("error")
+    assert caught
 
 
 def test_duality_and_slices_list_without_the_walk(monkeypatch):

@@ -119,7 +119,7 @@ def test_radical_block_decomposition():
 def test_multiply_grading():
     pres = load("k_x.pres")
     tripled = multiply_grading(pres, 3)
-    from gradedcy.rewriting import RewriteContext
+    from gradedcy.normalwords import RewriteContext
     rc = RewriteContext(tripled, 8)
     assert rc.basis(-3).dim() == 1
     assert rc.basis(-1).dim() == 0
