@@ -8,7 +8,7 @@ derived functor is ever computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NotHereditary, NotUnimodular
@@ -58,20 +58,16 @@ def coxeter_step(C):
     return Phi, Phi_inv
 
 
-@dataclass
-class KnitNode:
-    step: int
-    vertex: object
-    dimvec: tuple
-    label: str
+KnitNode = namedtuple("KnitNode", "step vertex dimvec label")
 
 
-@dataclass
-class KnitComponent:
-    nodes: dict          # (step, vertex) -> KnitNode
-    arrows: list         # ((step, v), (step', v')) pairs
-    meshes: list         # (end_low, middles, end_high) node keys
-    closed: bool         # True when the component closed up (finite type)
+class KnitComponent(namedtuple("KnitComponent",
+                               "nodes arrows meshes closed")):
+    """`nodes` maps (step, vertex) to a KnitNode; `arrows` lists ((step, v),
+    (step', v')) pairs; `meshes` lists (end_low, middles, end_high) node
+    keys; `closed` is True when the component closed up (finite type)."""
+
+    __slots__ = ()
 
     def to_dot(self):
         lines = ["digraph knit {"]
@@ -166,10 +162,8 @@ def mesh_additive(component: KnitComponent):
 # the labeled orbit and the root verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OrbitLabel:
-    i: int
-    j: int
+class OrbitLabel(namedtuple("OrbitLabel", "i j")):
+    __slots__ = ()
 
     def __str__(self):
         shift = f"[{self.j}]" if self.j else ""
@@ -215,13 +209,12 @@ class DimVecOrbit:
         return self._cache[i]
 
 
-@dataclass
-class RootReport:
-    steps: int
-    label_ok: bool
-    dimvec_ok: bool
-    failures: list
-    orbit: DimVecOrbit   # with the vectors of the labels checked cached
+class RootReport(namedtuple("RootReport",
+                            "steps label_ok dimvec_ok failures orbit")):
+    """`orbit` is the DimVecOrbit, with the vectors of the labels checked
+    cached."""
+
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -18,7 +18,7 @@ stream in blocks of `_BLOCK` matchings, byte for byte the text that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -29,11 +29,7 @@ from .quiver import Arrow, CYData, GradedQuiverPresentation, NCPoly, Path, \
 from .simplex import _check, solve_lp
 
 
-@dataclass
-class DimerEdge:
-    name: str
-    black: str
-    white: str
+DimerEdge = namedtuple("DimerEdge", "name black white")
 
 
 class DimerModel:
@@ -121,10 +117,12 @@ class DimerModel:
         return faces, report
 
 
-@dataclass
-class QuiverWithPotential:
-    quiver: Quiver
-    potential: list    # list of (sign, tuple of arrow names, dimer vertex)
+class QuiverWithPotential(namedtuple("QuiverWithPotential",
+                                    "quiver potential")):
+    """A quiver and its potential, a list of (sign, tuple of arrow names,
+    dimer vertex)."""
+
+    __slots__ = ()
 
     def cycles_through(self, arrow_name):
         out = []
@@ -187,12 +185,10 @@ def _check_potential(qp: QuiverWithPotential):
 # consistency via exact LP
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Consistency:
-    feasible: bool
-    rcharge: dict | None      # edge -> Fraction, all > 0
-    margin: Fraction | None   # maximized minimum of the charges
-    certificate: list | None  # Farkas vector or optimal dual bound
+# rcharge: edge -> Fraction, all > 0, or None; margin: the maximized
+# minimum of the charges, or None; certificate: a Farkas vector or the
+# optimal dual bound, or None
+Consistency = namedtuple("Consistency", "feasible rcharge margin certificate")
 
 
 def consistency_check(dimer: DimerModel) -> Consistency:
@@ -310,10 +306,11 @@ def _matchings(adjacency, dead):
     return search(0, 0)
 
 
-@dataclass
-class DegreeFunction:
-    degrees: dict      # edge name -> int
-    level: int         # the constant vertex sum l
+class DegreeFunction(namedtuple("DegreeFunction", "degrees level")):
+    """Edge name -> int degrees whose sum at every vertex is the constant
+    `level` l."""
+
+    __slots__ = ()
 
     @property
     def a_invariant(self):

@@ -30,7 +30,7 @@ RewriteContext.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .complexes import BimoduleComplex, FreeSummand
@@ -43,10 +43,11 @@ from .normalwords import RewriteContext
 # twists
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TwistSpec:
-    scalars: dict   # arrow name -> Fraction (diagonal automorphism)
-    shift: int      # claimed total shift (CY dimension of the dual)
+class TwistSpec(namedtuple("TwistSpec", "scalars shift")):
+    """A diagonal automorphism (`scalars`: arrow name -> Fraction) and the
+    claimed total shift (the CY dimension of the dual)."""
+
+    __slots__ = ()
 
     def scalar(self, name):
         return self.scalars.get(name, Fraction(1))
@@ -301,15 +302,15 @@ def exactness_probe(cplx, window, rc):
 DIRECT_FLOOR = -2
 
 
-@dataclass
-class CYVerdict:
-    passed: bool
-    shift: int
-    window: tuple
-    dim_rows: list        # (degree v, expected dim R_v, computed, method)
-    certificate: dict     # (position, degree) -> (got, expected) mismatches
-    action_ok: dict       # arrow name -> bool (twist relation held)
-    probe_failures: dict  # exactness probe violations
+class CYVerdict(namedtuple("CYVerdict", "passed shift window dim_rows "
+                           "certificate action_ok probe_failures")):
+    """The verdict: `dim_rows` lists (degree v, expected dim R_v, computed,
+    method); `certificate` maps (position, degree) to (got, expected) at
+    each mismatch; `action_ok` maps an arrow name to whether the twist
+    relation held; `probe_failures` holds the exactness probe's
+    violations."""
+
+    __slots__ = ()
 
     def summary(self):
         lines = []

@@ -13,7 +13,7 @@ questions go through the opposite algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import Inconclusive, NotBasic, NotSplitBasic
@@ -26,11 +26,10 @@ from .quiver import Arrow, Quiver
 # radical
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RadicalData:
-    basis: list          # indices of basis elements spanning J
-    powers: list         # list of SparseEliminator spans: J, J^2, ... until 0
-    loewy_length: int    # least k with J^k = 0
+# basis: the indices of the basis elements spanning J; powers: the
+# SparseEliminator spans of J, J^2, ... until 0; loewy_length: the least
+# k with J^k = 0
+RadicalData = namedtuple("RadicalData", "basis powers loewy_length")
 
 
 def radical(alg: FDAlgebra) -> RadicalData:
@@ -171,16 +170,10 @@ class RightModule:
         return True
 
 
-@dataclass
-class ResolutionStep:
-    betti: dict        # idempotent slot -> multiplicity
-    total_rank: int
-
-
-@dataclass
-class Resolution:
-    steps: list
-    finished_at: int   # index k with zero syzygy, or -1 if cap reached
+# betti: idempotent slot -> multiplicity
+ResolutionStep = namedtuple("ResolutionStep", "betti total_rank")
+# finished_at: the index k with zero syzygy, or -1 if the cap was reached
+Resolution = namedtuple("Resolution", "steps finished_at")
 
 
 def projective_cover_data(M: RightModule, jbasis):
@@ -288,12 +281,7 @@ def injective_dimension(alg: FDAlgebra, side, cap):
     return None if res.finished_at < 0 else res.finished_at
 
 
-@dataclass
-class IGReport:
-    holds: bool
-    inj_dim_left: object
-    inj_dim_right: object
-    d: int
+IGReport = namedtuple("IGReport", "holds inj_dim_left inj_dim_right d")
 
 
 def is_iwanaga_gorenstein(alg: FDAlgebra, d, cap) -> IGReport:

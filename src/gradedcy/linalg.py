@@ -4,13 +4,18 @@ Sparse vectors are dicts index -> exact number (int or Fraction) with
 zero entries absent.  All elimination goes through one kernel,
 `SparseEliminator`; where the package needs a kernel it reads it off
 tag coordinates in one eliminator (`findim.syzygy`,
-`slice_algebras.relations_from_structure`).  The dense helpers
-(`nullspace_with_free`, `solve`, `mat_inv`, `mat_det`) take matrices as
-lists of rows (entries Fractions or ints), hand their nonzero entries to
-it as Fractions and read the answer off its reduced row echelon form, so
-their answers are Fractions.  `mat_inv`, `mat_det`, `mat_mul` and
-`mat_vec` serve the Cartan and Coxeter matrices; `nullspace_with_free`
-and `solve` serve the dense reference oracles of the test suite.
+`slice_algebras.relations_from_structure`).  Most vectors the duality
+verdict ranks have one entry, so a pivot whose row is a unit vector is
+kept as its index alone, with no row dict stored and none walked (the
+simplest case of the unit-entry cancellation of algebraic Morse
+theory).  `add` answers whether the vector enlarged the span.  The
+dense helpers (`nullspace_with_free`, `solve`, `mat_inv`, `mat_det`)
+take matrices as lists of rows (entries Fractions or ints), hand their
+nonzero entries to it as Fractions and read the answer off its reduced
+row echelon form, so their answers are Fractions.  `mat_inv`,
+`mat_det`, `mat_mul` and `mat_vec` serve the Cartan and Coxeter
+matrices; `nullspace_with_free` and `solve` serve the dense reference
+oracles of the test suite.
 """
 
 from fractions import Fraction
@@ -21,22 +26,31 @@ class SparseEliminator:
     """Incremental row reduction of sparse dict vectors over Q.
 
     Rows are kept pivot-normalized: the row at pivot p has 1 at p and no
-    index below p.  `add(vec)` reduces vec against the current span and
-    either absorbs it (returning the reduced nonzero row) or returns None
-    when vec was already in the span.  A row whose pivot entry is already
-    1 or -1 is kept or negated rather than divided, so integer rows stay
+    index below p.  A unit pivot, whose row is the unit vector {p: 1}, is
+    kept as `pivots[p] = None` with no row dict; `row(p)` expands it.  It
+    comes from a vector that arrives with one entry at an index that is
+    no pivot, or that reduces to one entry.  `add(vec)` reduces vec
+    against the current span and returns True when vec enlarged it, False
+    when vec was already in it.  A row whose pivot entry is already 1 or
+    -1 is kept or negated rather than divided, so integer rows stay
     integer.
     """
 
     def __init__(self):
-        self.pivots = {}  # pivot index -> normalized row (dict)
+        # pivot index -> normalized row (dict), or None for {pivot: 1}
+        self.pivots = {}
+
+    def row(self, p):
+        """The normalized row at pivot p."""
+        row = self.pivots[p]
+        return {p: 1} if row is None else row
 
     def reduce(self, vec):
         """vec minus the element of the span that clears every pivot index.
 
         Subtracting the row at pivot k only touches indices >= k, so taking
         pending pivot indices from a heap in increasing order clears them
-        all in one pass.
+        all in one pass; a unit pivot index is deleted, with no row to walk.
         """
         vec = dict(vec)
         pivots = self.pivots
@@ -47,7 +61,11 @@ class SparseEliminator:
             c = vec.get(k)
             if not c:
                 continue
-            for j, x in pivots[k].items():
+            row = pivots[k]
+            if row is None:
+                del vec[k]
+                continue
+            for j, x in row.items():
                 y = vec.get(j, 0) - c * x
                 if y:
                     if j not in vec and j in pivots:
@@ -58,22 +76,30 @@ class SparseEliminator:
         return vec
 
     def add(self, vec):
-        # a monomial whose index is not a pivot is already reduced
-        new = len(vec) == 1 and next(iter(vec)) not in self.pivots
-        vec = dict(vec) if new else self.reduce(vec)
+        pivots = self.pivots
+        if len(vec) == 1:
+            p = next(iter(vec))
+            if p not in pivots:
+                pivots[p] = None
+                return True
+            if pivots[p] is None:
+                return False
+            # a monomial at a longer row still needs reducing
+        vec = self.reduce(vec)
         if not vec:
-            return None
+            return False
         p = min(vec)
         c = vec[p]
-        if c == 1:
-            row = vec
+        if len(vec) == 1:
+            pivots[p] = None
+        elif c == 1:
+            pivots[p] = vec
         elif c == -1:
-            row = {k: -x for k, x in vec.items()}
+            pivots[p] = {k: -x for k, x in vec.items()}
         else:
             c = Fraction(c)
-            row = {k: x / c for k, x in vec.items()}
-        self.pivots[p] = row
-        return row
+            pivots[p] = {k: x / c for k, x in vec.items()}
+        return True
 
     def contains(self, vec):
         return not self.reduce(vec)
@@ -86,8 +112,8 @@ class SparseEliminator:
         """pivot -> row of the reduced row echelon form of the span: 1 at
         its pivot and 0 at every other pivot."""
         out = {}
-        for p, row in self.pivots.items():
-            tail = dict(row)
+        for p in self.pivots:
+            tail = dict(self.row(p))
             del tail[p]
             out[p] = {p: Fraction(1), **self.reduce(tail)}
         return out

@@ -10,18 +10,38 @@ suppliable arrow order (default: declaration order).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import Inhomogeneous, ParseError
 
 
-@dataclass(frozen=True)
 class Arrow:
-    name: str
-    source: object
-    target: object
-    degree: int
+    """A named arrow source -> target of an integer degree; arrows with
+    equal fields are equal and hash alike."""
+
+    __slots__ = ("name", "source", "target", "degree")
+
+    def __init__(self, name, source, target, degree):
+        self.name = name
+        self.source = source
+        self.target = target
+        self.degree = degree
+
+    def _key(self):
+        return (self.name, self.source, self.target, self.degree)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Arrow(name=%r, source=%r, target=%r, degree=%r)" % \
+            self._key()
 
 
 class Quiver:
@@ -81,16 +101,30 @@ class Quiver:
                 f"{len(self.arrows)} arrows)")
 
 
-@dataclass(frozen=True, slots=True)
 class Path:
     """A composable arrow sequence, or the lazy path at a vertex.
 
     Stored as the source vertex plus a tuple of arrow indices into the
-    owning quiver.  Degree is the sum of the arrow degrees.
+    owning quiver.  Degree is the sum of the arrow degrees.  Paths with
+    equal fields are equal and hash alike.
     """
 
-    source: object
-    arrows: tuple = ()
+    __slots__ = ("source", "arrows")
+
+    def __init__(self, source, arrows=()):
+        self.source = source
+        self.arrows = arrows
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.arrows) == (other.source, other.arrows)
+
+    def __hash__(self):
+        return hash((self.source, self.arrows))
+
+    def __repr__(self):
+        return f"Path(source={self.source!r}, arrows={self.arrows!r})"
 
     @property
     def is_lazy(self):
@@ -225,20 +259,18 @@ class NCPoly:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
-@dataclass
-class TwistData:
-    """Diagonal graded automorphism: each arrow scales by a nonzero scalar."""
+class TwistData(namedtuple("TwistData", "scalars")):
+    """Diagonal graded automorphism: each arrow scales by a nonzero scalar
+    (`scalars`: arrow name -> Fraction)."""
 
-    scalars: dict  # arrow name -> Fraction
+    __slots__ = ()
 
     def scalar(self, name):
         return self.scalars.get(name, Fraction(1))
 
 
-@dataclass
-class CYData:
-    dimension: int  # the "d+1" of a (d+1)-Calabi-Yau presentation
-    a_invariant: int
+# dimension is the "d+1" of a (d+1)-Calabi-Yau presentation
+CYData = namedtuple("CYData", "dimension a_invariant")
 
 
 class GradedQuiverPresentation:

@@ -12,17 +12,14 @@ callers can verify the bound (A, b with the rows where b_i < 0 negated).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
-@dataclass
-class LPResult:
-    status: str          # 'optimal', 'infeasible', 'unbounded'
-    x: list | None
-    value: Fraction | None
-    dual: list | None    # y with y.A >= c (componentwise), y.b = value
-    farkas: list | None  # y with y.A >= 0, y.b < 0 when infeasible
+# status: 'optimal', 'infeasible' or 'unbounded'; x, value: the optimum
+# or None; dual: y with y.A >= c (componentwise), y.b = value, or None;
+# farkas: y with y.A >= 0, y.b < 0 when infeasible, else None
+LPResult = namedtuple("LPResult", "status x value dual farkas")
 
 
 def _check(ok, what):

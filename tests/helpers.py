@@ -319,8 +319,8 @@ def gabriel_quiver_by_pairs(alg):
         for j in range(nverts):
             ej = alg.basis_vec(alg.idempotents[j])
             el = SparseEliminator()
-            for r in j2.pivots.values():
-                el.add(r)
+            for p in j2.pivots:
+                el.add(j2.row(p))
             count = 0
             for b in jset:
                 v = alg.product(ei, alg.product(alg.basis_vec(b), ej))

@@ -136,6 +136,21 @@ def test_dims_non_stabilizing_exit_1(tmp_path):
     assert "--cap 5" in err and "heuristic" in err
 
 
+def test_non_stabilizing_names_a_degree_zero_cycle(tmp_path):
+    """x*t = t*x with deg t = 0: every t^k is normal, so the degree-0
+    piece grows with the cap and the error names the cycle t.  Without a
+    degree-0 arrow (k[x, y] at too small a cap) it names none."""
+    pres = tmp_path / "xt.pres"
+    pres.write_text("[vertices]\nP\n[arrows]\nx P P -1\nt P P 0\n"
+                    "[relations]\nx*t - t*x\n")
+    code, out, err = run("dims", pres, "--max-degree", "2")
+    assert code == 1 and out == ""
+    assert "a degree-0 cycle survives (t: all its powers are normal at " \
+        "--cap 6) or --cap is too small" in err, err
+    code, _, err = run("dims", DATA / "k_xy.pres", "--cap", "2")
+    assert code == 1 and "a degree-0 cycle survives or --cap" in err, err
+
+
 def test_dims_explicit_cap_zero_is_used():
     code, out, err = run("dims", DATA / "k_x.pres", "--cap", "0",
                          "--max-degree", "2")
@@ -534,3 +549,39 @@ def test_dimer_commands_leave_the_algebra_stack_unloaded():
     assert "'gradedcy.dimer'" in out
     assert "gradedcy.rewriting" not in out and \
         "gradedcy.complexes" not in out, out
+
+
+def test_no_command_imports_dataclasses_or_inspect():
+    """Every subcommand and dimer action runs in one child started with
+    -S, so that no site hook preloads anything; at exit `dataclasses`,
+    `inspect` (which it pulls in, with `ast`, `dis` and `tokenize`, about
+    1 MB of max-RSS) and `typing` are not loaded."""
+    src = str(Path(gradedcy.__file__).resolve().parent.parent)
+    pres, quiver, dimer = (str(DATA / name) for name in
+                           ("k_xy.pres", "a2.quiver", "hexagonal.dimer"))
+    commands = [
+        ["dims", pres, "--max-degree", "2"],
+        ["ig-check", pres, "--a", "2", "--d", "1"],
+        ["cy-check", pres, "--twist", "sigma"],
+        ["build-abc", pres, "--a", "1"],
+        ["tilde", pres, "--a", "1", "--n", "2"],
+        ["qhat", quiver, "--n", "2"],
+        ["corpi", quiver, "--n", "2"],
+        ["knit", quiver],
+        ["verify-root", pres, "--a", "2", "--steps", "4"],
+        *(["dimer", action, dimer] for action in
+          ("validate", "qp", "consistency", "matchings", "jacobian")),
+        ["--format", "json", "cy-check", pres, "--twist", "sigma"],
+    ]
+    probe = (
+        "import io, sys, contextlib\n"
+        "from gradedcy import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'}\n"
+        "             & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-S", "-c", probe],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n", out

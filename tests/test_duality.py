@@ -518,11 +518,12 @@ def test_wide_window_skew_three():
 
 
 def test_verdict_peak_memory_stays_small():
-    """The skew_3 verdict down to degree -9 peaks at 3.4 MB of traced
-    allocations (Python 3.11) with its words stored as trie arrays,
-    against 7.1 MB when each listed word was a Path with an arrow tuple
-    and a tuple-keyed index: per-word objects that come back fail here,
-    not only in the benchmark's max-RSS."""
+    """The skew_3 verdict down to degree -9 peaks at 1.95 MB of traced
+    allocations (Python 3.11) with its words stored as trie arrays and
+    its unit pivots kept without rows, against 3.4 MB with a row dict per
+    pivot and 7.1 MB when each listed word was a Path with an arrow tuple
+    and a tuple-keyed index: per-word objects or per-pivot rows that come
+    back fail here, not only in the benchmark's max-RSS."""
     import tracemalloc
 
     pres = load("skew_3.pres")
@@ -535,4 +536,4 @@ def test_verdict_peak_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert verdict.passed, verdict.summary()
-    assert peak < 4_500_000, peak
+    assert peak < 2_600_000, peak

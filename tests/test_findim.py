@@ -339,3 +339,18 @@ def test_corpus_oracle_catches_the_kernel_row_mutant(monkeypatch):
     exec(source.replace(old, new), namespace)
     monkeypatch.setattr(findim, "syzygy", namespace["syzygy"])
     assert _resolution_faults(load("skew_3.pres"), 2, 3)
+
+
+def test_corpus_oracle_catches_the_unit_pivot_mutant(monkeypatch):
+    """An eliminator that takes a one-entry vector at a pivot whose row is
+    longer for one already in its span, without reducing it, shortens
+    skew_3's resolutions at a = 2: the corpus comparison sees both sides."""
+    from gradedcy import linalg
+
+    old = "        if pivots[p] is None:\n            return False\n"
+    source = textwrap.dedent(inspect.getsource(linalg.SparseEliminator.add))
+    assert source.count(old) == 1
+    namespace = dict(vars(linalg))
+    exec(source.replace(old, "        return False\n"), namespace)
+    monkeypatch.setattr(linalg.SparseEliminator, "add", namespace["add"])
+    assert _resolution_faults(load("skew_3.pres"), 2) == ["right", "left"]

@@ -2,12 +2,15 @@
 property that needs no second elimination: planted ranks and spans,
 matrix products and the Leibniz expansion."""
 
+import inspect
 import itertools
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+from gradedcy import linalg
 from gradedcy.linalg import (SparseEliminator, mat_det, mat_inv, mat_mul,
                              mat_vec, nullspace_with_free, solve)
 
@@ -186,12 +189,34 @@ def test_pivot_of_one_keeps_integer_rows():
     """A pivot entry of 1 keeps the row and -1 negates it, so integer rows
     stay integer; any other pivot divides, as a Fraction."""
     el = SparseEliminator()
-    assert el.add({0: 1, 2: 3}) == {0: 1, 2: 3}
-    assert el.add({1: -1, 2: 4}) == {1: 1, 2: -4}
-    assert el.add({2: 2, 3: 1}) == {2: 1, 3: Fraction(1, 2)}
-    assert all(type(x) is int for p in (0, 1) for x in el.pivots[p].values())
-    assert type(el.pivots[2][3]) is Fraction
+    assert el.add({0: 1, 2: 3}) is True and el.row(0) == {0: 1, 2: 3}
+    assert el.add({1: -1, 2: 4}) is True and el.row(1) == {1: 1, 2: -4}
+    assert el.add({2: 2, 3: 1}) is True and \
+        el.row(2) == {2: 1, 3: Fraction(1, 2)}
+    assert all(type(x) is int for p in (0, 1) for x in el.row(p).values())
+    assert type(el.row(2)[3]) is Fraction
     assert el.contains({0: 1, 1: 1, 3: Fraction(1, 2)})
+
+
+def test_unit_pivots_keep_no_row():
+    """A vector that arrives with one entry, or reduces to one entry, is
+    kept as its pivot index alone; a one-entry vector at a longer row is
+    reduced, and `row` and `rref` expand the unit rows."""
+    el = SparseEliminator()
+    assert el.add({3: Fraction(2, 3)}) is True
+    assert el.add({1: 1, 2: 5}) is True
+    assert el.add({1: 1, 2: 1, 3: 4}) is True      # reduces to {2: -4}
+    assert el.pivots == {3: None, 1: {1: 1, 2: 5}, 2: None}
+    assert el.row(3) == {3: 1} and el.row(2) == {2: 1}
+    assert el.add({3: -7}) is False and el.add({2: 1, 3: 1}) is False
+    assert el.reduce({1: 1, 2: 1, 4: 2}) == {4: 2}
+    assert el.rref() == {3: {3: 1}, 1: {1: 1}, 2: {2: 1}}
+    el = SparseEliminator()
+    el.add({0: 1, 1: 1})
+    assert el.add({0: 3}) is True                   # reduces to {1: -3}
+    assert el.pivots == {0: {0: 1, 1: 1}, 1: None}
+    assert el.add({0: 2}) is False and el.rank == 2
+    assert el.contains({0: 1}) and not el.contains({2: 1})
 
 
 def test_dense_helpers_answer_in_fractions():
@@ -226,32 +251,66 @@ def _random_sparse(rng, width):
     return out
 
 
-def test_add_matches_the_reducing_oracle():
-    """`add` with its monomial fast path stores the same rows as adding
-    every vector through `reduce`: same return values, ranks, pivots and
-    rows, entry types included (a Fraction monomial stays a Fraction)."""
+def _row_fault(fast, slow, p):
+    """None if the rows at pivot p agree, entry types and order included;
+    a unit pivot stores no entry, so there only the value is compared."""
+    if p not in fast.pivots:
+        return p
+    if fast.pivots[p] is None:
+        return None if slow.row(p) == {p: 1} else p
+    return None if _typed(fast.row(p)) == _typed(slow.row(p)) else p
+
+
+def _oracle_faults(rng):
+    """(vectors added, one-entry vectors among them, faults), where a fault
+    is an add whose answer, input or stored row differs from adding every
+    vector through `reduce`, or a span whose pivots and rows differ."""
     from helpers import ReducingEliminator
 
-    rng = random.Random(8080)
     vectors = monomials = 0
-    for _ in range(100):
+    faults = []
+    for trial in range(100):
         fast, slow = SparseEliminator(), ReducingEliminator()
         width = rng.randint(3, 16)
         for _ in range(rng.randint(10, 40)):
             vec = _random_sparse(rng, width)
             before = dict(vec)
             got, want = fast.add(vec), slow.add(dict(vec))
-            assert vec == before and got is not vec   # nor kept
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert _typed(got) == _typed(want)
+            if vec != before or got is not (want is not None):
+                faults.append((trial, vectors))
+            elif want is not None:
+                p = min(want)
+                if fast.pivots.get(p) is vec or _row_fault(fast, slow, p):
+                    faults.append((trial, vectors))   # kept or differs
             vectors += 1
             monomials += len(vec) == 1
-        assert fast.rank == slow.rank
-        assert list(fast.pivots) == list(slow.pivots)
-        for p in fast.pivots:
-            assert _typed(fast.pivots[p]) == _typed(slow.pivots[p])
+        if fast.rank != slow.rank or list(fast.pivots) != list(slow.pivots) \
+                or any(_row_fault(fast, slow, p) for p in fast.pivots):
+            faults.append((trial, "span"))
+    return vectors, monomials, faults
+
+
+def test_add_matches_the_reducing_oracle():
+    """`add` with its monomial fast path and unit pivots stores the same
+    rows as adding every vector through `reduce`: same answers, ranks,
+    pivots and rows, entry types included (a row that is not a unit
+    vector keeps the oracle's ints and Fractions)."""
+    vectors, monomials, faults = _oracle_faults(random.Random(8080))
+    assert faults == []
     assert vectors >= 2000 and monomials > vectors // 2
+
+
+def test_reducing_oracle_catches_a_unit_pivot_mutant(monkeypatch):
+    """Taking a one-entry vector at a pivot whose row is longer for one
+    already in the span, without reducing it, is caught by the oracle."""
+    old = "        if pivots[p] is None:\n            return False\n"
+    new = "        return False\n"
+    source = textwrap.dedent(inspect.getsource(SparseEliminator.add))
+    assert source.count(old) == 1
+    namespace = dict(vars(linalg))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(SparseEliminator, "add", namespace["add"])
+    assert _oracle_faults(random.Random(8080))[2]
 
 
 def _answers():
