@@ -1278,6 +1278,21 @@ class ReducingEliminator(SparseEliminator):
         return row
 
 
+def unit_pivot_mutant_add():
+    """SparseEliminator.add with one planted slip: a one-entry vector at a
+    pivot whose row is longer counts as already in the span, unreduced."""
+    import inspect
+    import textwrap
+    from gradedcy import linalg
+
+    old = "        if pivots[p] is None:\n            return False\n"
+    source = textwrap.dedent(inspect.getsource(SparseEliminator.add))
+    assert source.count(old) == 1
+    namespace = dict(vars(linalg))
+    exec(source.replace(old, "        return False\n"), namespace)
+    return namespace["add"]
+
+
 def matchings_json(matchings, truncated=False):
     import json
     return json.dumps({"count": len(matchings),
