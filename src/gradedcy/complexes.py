@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from array import array
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -27,33 +28,13 @@ from .errors import CapTooSmall, Inhomogeneous, NotComplex, ParseError
 from .normalwords import RewriteContext, _add_into, as_exact
 
 
-class FreeSummand:
+class FreeSummand(namedtuple("FreeSummand",
+                             "left_vertex right_vertex degree label",
+                             defaults=("",))):
     """A rank-one free summand R g R: the generator's vertex pair, its
-    internal degree and a label; summands with equal fields are equal and
-    hash alike."""
+    internal degree and a label."""
 
-    __slots__ = ("left_vertex", "right_vertex", "degree", "label")
-
-    def __init__(self, left_vertex, right_vertex, degree, label=""):
-        self.left_vertex = left_vertex
-        self.right_vertex = right_vertex
-        self.degree = degree
-        self.label = label
-
-    def _key(self):
-        return (self.left_vertex, self.right_vertex, self.degree, self.label)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return ("FreeSummand(left_vertex=%r, right_vertex=%r, degree=%r, "
-                "label=%r)" % self._key())
+    __slots__ = ()
 
 
 def _degree_fault(ctx, terms, diffs, kind):

@@ -16,32 +16,10 @@ from fractions import Fraction
 from .errors import Inhomogeneous, ParseError
 
 
-class Arrow:
-    """A named arrow source -> target of an integer degree; arrows with
-    equal fields are equal and hash alike."""
+class Arrow(namedtuple("Arrow", "name source target degree")):
+    """A named arrow source -> target of an integer degree."""
 
-    __slots__ = ("name", "source", "target", "degree")
-
-    def __init__(self, name, source, target, degree):
-        self.name = name
-        self.source = source
-        self.target = target
-        self.degree = degree
-
-    def _key(self):
-        return (self.name, self.source, self.target, self.degree)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "Arrow(name=%r, source=%r, target=%r, degree=%r)" % \
-            self._key()
+    __slots__ = ()
 
 
 class Quiver:

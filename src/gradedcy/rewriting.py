@@ -251,54 +251,6 @@ def _pair_counts(rs, degree):
             for pair, rows in rs.count_normal().items() if degree in rows}
 
 
-def _degree_zero_cycle(rs):
-    """A cycle c of degree-0 arrows all of whose powers are normal in
-    `rs`, as a Path, or None: the shortest word that the normality
-    automaton reads along degree-0 arrows from a reachable (vertex,
-    state) pair back to it.  With w a normal word reaching that pair,
-    each c^k is a subword of the normal word w * c^k, so normal.
-    Conversely the states after c, c^2, ... repeat, so when every arrow
-    degree is <= 0 (a degree-0 cycle then has degree-0 arrows only) None
-    means that no cycle of degree 0 has all its powers normal."""
-    quiver = rs.ctx.quiver
-    reached = [(v, ()) for v in quiver.vertices]
-    seen = set(reached)
-    for v, state in reached:        # (vertex, state) of every normal word
-        for i in quiver.arrows_by_source[v]:
-            node = (quiver.arrows[i].target, rs._step(state, i))
-            if node[1] is not None and node not in seen:
-                seen.add(node)
-                reached.append(node)
-    cycles = [c for c in (_return_word(rs, root) for root in reached) if c]
-    if not cycles:
-        return None
-    best = min(cycles, key=len)
-    return Path(quiver.arrows[best[0]].source, best)
-
-
-def _return_word(rs, root):
-    """The shortest nonempty word of degree-0 arrows that the automaton of
-    `rs` reads from root, a (vertex, state) pair, back to root; or ()."""
-    quiver = rs.ctx.quiver
-    words, layer = {root: ()}, [root]
-    while layer:
-        nxt = []
-        for v, state in layer:
-            for i in quiver.arrows_by_source[v]:
-                a = quiver.arrows[i]
-                st = None if a.degree else rs._step(state, i)
-                if st is None:
-                    continue
-                node, word = (a.target, st), words[v, state] + (i,)
-                if node == root:
-                    return word
-                if node not in words:
-                    words[node] = word
-                    nxt.append(node)
-        layer = nxt
-    return ()
-
-
 class CountContext:
     """The rewriting system of one presentation and its graded-piece
     counts; normalwords.RewriteContext adds listings and products."""
@@ -321,7 +273,8 @@ class CountContext:
                 self._probe = truncated_rewriting(self.pres, probe_cap)
             again = _pair_counts(self._probe, degree)
             if got != again:
-                cycle = _degree_zero_cycle(self.rs)
+                from .zerocycle import degree_zero_cycle
+                cycle = degree_zero_cycle(self.rs)
                 named = "" if cycle is None else \
                     f" ({self.pres.ctx.format_path(cycle)}: all its " \
                     f"powers are normal at --cap {self.cap})"

@@ -152,7 +152,7 @@ def test_reduce_random_spans(seed):
             c = rand_entry(rng) if rng.random() < 0.4 else 0
             for j, x in B[t].items():
                 vec[j] = vec.get(j, 0) + c * x
-        assert el.add({j: x for j, x in vec.items() if x}) is not None
+        assert el.add({j: x for j, x in vec.items() if x}) is True
     assert el.rank == len(B)
     for _ in range(5):
         vec = {j: rand_entry(rng) for j in range(n) if rng.random() < 0.6}
@@ -249,13 +249,14 @@ def _random_sparse(rng, width):
 
 
 def _row_fault(fast, slow, p):
-    """None if the rows at pivot p agree, entry types and order included;
-    a unit pivot stores no entry, so there only the value is compared."""
+    """True unless the rows at pivot p agree, entry types and order
+    included; a unit pivot stores no entry, so there only the value is
+    compared."""
     if p not in fast.pivots:
-        return p
+        return True
     if fast.pivots[p] is None:
-        return None if slow.row(p) == {p: 1} else p
-    return None if _typed(fast.row(p)) == _typed(slow.row(p)) else p
+        return slow.row(p) != {p: 1}
+    return _typed(fast.row(p)) != _typed(slow.row(p))
 
 
 def _oracle_faults(rng):

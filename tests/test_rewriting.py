@@ -494,3 +494,72 @@ def test_duality_and_slices_list_without_the_walk(monkeypatch):
     assert verdict.passed, verdict.summary()
     _, _, B = build_AUB(pres, 2)
     assert B.dim > 0
+
+
+def _degree_zero_presentation(rng):
+    """One to three vertices, two to four arrows of degree 0 or -1, and one
+    or two relations, each two parallel paths of length 1..2 and equal
+    degree."""
+    from gradedcy.quiver import Arrow, GradedQuiverPresentation, Quiver
+
+    verts = [str(i) for i in range(rng.randrange(1, 4))]
+    arrows = [Arrow(f"a{i}", rng.choice(verts), rng.choice(verts),
+                    -rng.randrange(2)) for i in range(rng.randrange(2, 5))]
+    probe = GradedQuiverPresentation(Quiver(verts, arrows), [])
+    ctx = probe.ctx
+    buckets = {}
+    for p in (q for q in _paths(probe, 2) if q.arrows):
+        key = (p.source, ctx.target(p), ctx.degree(p))
+        buckets.setdefault(key, []).append(p)
+    cand = [b for b in buckets.values() if len(b) >= 2]
+    rels = [NCPoly(dict(zip(rng.sample(b, 2), (1, rng.choice([-1, 1])))))
+            for b in rng.sample(cand, min(len(cand), rng.randrange(1, 3)))]
+    return GradedQuiverPresentation(probe.quiver, rels)
+
+
+def _paths(pres, max_len):
+    from helpers import all_paths
+    return all_paths(pres, max_len)
+
+
+def _normal(rs, path):
+    return rs.reduce_path(path).terms == {path: 1}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_degree_zero_cycle_against_short_words(seed):
+    """The cycle named in a NonStabilizing message is a closed word of
+    degree-0 arrows whose powers are normal; on these small presentations
+    a cycle is named exactly when some closed word of length <= 3 has its
+    first four powers normal (27 of the 60 have none)."""
+    from gradedcy.zerocycle import degree_zero_cycle
+
+    pres = _degree_zero_presentation(random.Random(1700 + seed))
+    rs = truncated_rewriting(pres, 6)
+    ctx = pres.ctx
+    got = degree_zero_cycle(rs)
+    if got is not None:
+        assert got.arrows and ctx.target(got) == got.source
+        assert all(pres.quiver.arrows[i].degree == 0 for i in got.arrows)
+        assert all(_normal(rs, Path(got.source, got.arrows * k))
+                   for k in range(1, 5))
+    short = [p for p in _paths(pres, 3) if p.arrows and ctx.degree(p) == 0
+             and ctx.target(p) == p.source
+             and all(_normal(rs, Path(p.source, p.arrows * k))
+                     for k in range(1, 5))]
+    assert (got is None) == (not short)
+
+
+def test_degree_zero_cycle_through_three_vertices():
+    """The cycle of degree-0 arrows through P, Q and R is named as one
+    word, from the first node the search meets twice (after it has
+    backed out of the dead end d into S): the tip a*b*c*x
+    makes the state after a*b*c differ from the start, so that node is Q
+    after a, and the word is b*c*a."""
+    from gradedcy.zerocycle import degree_zero_cycle
+
+    pres = parse_presentation("[vertices]\nP\nQ\nR\nS\n[arrows]\n"
+                              "x P P -1\nd P S 0\na P Q 0\nb Q R 0\n"
+                              "c R P 0\n[relations]\nx*a*b*c - a*b*c*x\n")
+    got = degree_zero_cycle(truncated_rewriting(pres, 6))
+    assert pres.ctx.format_path(got) == "b*c*a"
