@@ -80,7 +80,7 @@ class KnitComponent(namedtuple("KnitComponent",
         return "\n".join(lines) + "\n"
 
 
-def knit_component(Q: Quiver, steps, labels=None):
+def knit_component(Q: Quiver, steps):
     """Knit the translation component of the hereditary algebra kQ.
 
     Nodes (k, i) carry the dimension vector of the k-th inverse translate
@@ -100,8 +100,7 @@ def knit_component(Q: Quiver, steps, labels=None):
     closed = False
     for k in range(steps + 1):
         for v, d in current.items():
-            label = labels(k, v) if labels else f"tau^-{k}P_{v}"
-            nodes[(k, v)] = KnitNode(k, v, d, label)
+            nodes[(k, v)] = KnitNode(k, v, d, f"tau^-{k}P_{v}")
         if k == steps or closed:
             break
         nxt = {}

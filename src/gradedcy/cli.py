@@ -325,25 +325,28 @@ def _window(text):
     return (int(lo), int(hi))
 
 
-def _cap(text):
-    """A --cap value: a path length, so an integer >= 0."""
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 0, not {text!r}")
-    return cap
+def _at_least(low):
+    """The argparse type of an integer flag that must be >= low."""
+    def check(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, not {text!r}")
+        return value
+    return check
 
 
 def _glue_window(argv):
-    """argparse takes a value such as -9..0 for an option of its own, so
-    `--window -9..0` becomes `--window=-9..0` before parsing."""
+    """argparse takes a value such as -9..0 or -1,-2 for an option of its
+    own, so `--window -9..0` becomes `--window=-9..0` and `--coeffs -1,-2`
+    becomes `--coeffs=-1,-2` before parsing."""
     out = []
     for tok in argv:
-        if out and out[-1] == "--window":
-            out[-1] = f"--window={tok}"
+        if out and out[-1] in ("--window", "--coeffs"):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
@@ -360,32 +363,32 @@ def build_parser():
 
     s = sub.add_parser("dims", help="graded dimension table")
     s.add_argument("file")
-    s.add_argument("--max-degree", type=int, default=4)
-    s.add_argument("--cap", type=_cap)
+    s.add_argument("--max-degree", type=_at_least(0), default=4)
+    s.add_argument("--cap", type=_at_least(0))
     s.set_defaults(func=cmd_dims)
 
     s = sub.add_parser("build-abc", help="slice algebras A, U, B")
     s.add_argument("file")
-    s.add_argument("--a", type=int, required=True)
-    s.add_argument("--cap", type=_cap)
+    s.add_argument("--a", type=_at_least(1), required=True)
+    s.add_argument("--cap", type=_at_least(0))
     s.set_defaults(func=cmd_build_abc)
 
     s = sub.add_parser("tilde", help="n-fold block algebras")
     s.add_argument("file")
-    s.add_argument("--a", type=int, required=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--cap", type=_cap)
+    s.add_argument("--a", type=_at_least(1), required=True)
+    s.add_argument("--n", type=_at_least(1), required=True)
+    s.add_argument("--cap", type=_at_least(0))
     s.set_defaults(func=cmd_tilde)
 
     s = sub.add_parser("qhat", help="layered presentation of a quiver")
     s.add_argument("file")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--cap", type=_cap)
+    s.add_argument("--n", type=_at_least(1), required=True)
+    s.add_argument("--cap", type=_at_least(0))
     s.set_defaults(func=cmd_qhat)
 
     s = sub.add_parser("corpi", help="block trivial extension of a quiver")
     s.add_argument("file")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_at_least(1), required=True)
     s.set_defaults(func=cmd_corpi)
 
     s = sub.add_parser("dimer", help="dimer model computations")
@@ -404,29 +407,29 @@ def build_parser():
     s.add_argument("--window", type=_window,
                    help="internal degree range LO..HI; default 0 down to "
                         "-(a+4)")
-    s.add_argument("--cap", type=_cap)
+    s.add_argument("--cap", type=_at_least(0))
     s.add_argument("--resolution", help="complex file overriding the "
                                         "built-in resolution")
     s.set_defaults(func=cmd_cy_check)
 
     s = sub.add_parser("ig-check", help="Iwanaga-Gorenstein check on B")
     s.add_argument("file")
-    s.add_argument("--a", type=int, required=True)
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--cap", type=_cap)
+    s.add_argument("--a", type=_at_least(1), required=True)
+    s.add_argument("--d", type=_at_least(0), required=True)
+    s.add_argument("--cap", type=_at_least(0))
     s.set_defaults(func=cmd_ig_check)
 
     s = sub.add_parser("knit", help="knit the translation component")
     s.add_argument("file")
-    s.add_argument("--steps", type=int, default=6)
+    s.add_argument("--steps", type=_at_least(0), default=6)
     s.set_defaults(func=cmd_knit)
 
     s = sub.add_parser("verify-root", help="degree shift as a root of the "
                                            "translation")
     s.add_argument("file")
-    s.add_argument("--a", type=int, required=True)
-    s.add_argument("--steps", type=int, default=20)
-    s.add_argument("--cap", type=_cap)
+    s.add_argument("--a", type=_at_least(1), required=True)
+    s.add_argument("--steps", type=_at_least(0), default=20)
+    s.add_argument("--cap", type=_at_least(0))
     s.set_defaults(func=cmd_verify_root)
     return p
 

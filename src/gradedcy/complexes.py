@@ -25,7 +25,8 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import CapTooSmall, Inhomogeneous, NotComplex, ParseError
-from .normalwords import RewriteContext, _add_into, as_exact
+from .normalwords import RewriteContext, as_exact
+from .quiver import _add_into
 
 
 class FreeSummand(namedtuple("FreeSummand",
@@ -199,6 +200,8 @@ class BimoduleComplex:
                 for tslots, c, rows, row in plan:
                     if rows is None or (img := rows[i]) < 0:
                         img = row(i)
+                    # _add_into inline: each term's slot is mapped and
+                    # maybe dropped, on the verdict's hottest loop
                     for j, cm in ((img, 1),) if type(img) is int \
                             else img.items():
                         t = tslots[j]

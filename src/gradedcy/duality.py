@@ -37,6 +37,7 @@ from .complexes import BimoduleComplex, FreeSummand
 from .errors import CapTooSmall, NotFree, WindowTooSmall
 from .linalg import SparseEliminator
 from .normalwords import RewriteContext
+from .quiver import _add_into
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +456,6 @@ def _twist_action_check(pres, dual, rc, twist, a):
         # suspension sign, so the comparison scalar absorbs it
         eps = twist.scalar(arrow.name) \
             * Fraction((-1) ** ((twist.shift * xdeg) % 2))
-        diff = dict(zx)
-        for i, c in xz.items():
-            val = diff.get(i, 0) - eps * c
-            if val:
-                diff[i] = val
-            else:
-                diff.pop(i, None)
-        results[arrow.name] = el.contains(diff)
+        # z0.x - eps x.z0 lies in the image
+        results[arrow.name] = el.contains(_add_into(zx, xz.items(), -eps))
     return results

@@ -11,24 +11,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .quiver import _add_into
+
 
 def _bilinear(table, u, v):
     """The sum of u_i v_j table[(i, j)] over sparse vectors u and v, for a
-    structure table (i, j) -> sparse vector, added up in place with zeros
-    dropped as they arise."""
+    structure table (i, j) -> sparse vector."""
     out = {}
     for i, a in u.items():
         for j, b in v.items():
             w = table.get((i, j))
             if w:
-                c = a * b
-                for k, x in w.items():
-                    y = out.get(k, 0) + c * x
-                    if y:
-                        out[k] = y
-                    else:
-                        out.pop(k, None)
+                _add_into(out, w.items(), a * b)
     return out
+
+
+def _exact(table):
+    """A structure table with Fraction coefficients, zero entries and
+    zero vectors dropped."""
+    return {k: {i: Fraction(c) for i, c in v.items() if c}
+            for k, v in table.items() if v}
 
 
 class FDAlgebra:
@@ -37,8 +39,7 @@ class FDAlgebra:
         """mult: dict (i, j) -> sparse vec for basis_i * basis_j."""
         self.labels = list(labels)
         self.dim = len(self.labels)
-        self.mult = {k: {i: Fraction(c) for i, c in v.items() if c}
-                     for k, v in mult.items() if v}
+        self.mult = _exact(mult)
         self.idempotents = list(idempotent_indices)
         self.grading = grading
         self.name = name
@@ -124,10 +125,8 @@ class FDBimodule:
         self.algebra = algebra
         self.labels = list(labels)
         self.dim = len(self.labels)
-        self.left = {k: {i: Fraction(c) for i, c in v.items() if c}
-                     for k, v in left.items() if v}
-        self.right = {k: {i: Fraction(c) for i, c in v.items() if c}
-                      for k, v in right.items() if v}
+        self.left = _exact(left)
+        self.right = _exact(right)
         self.name = name
 
     def act_left(self, avec, uvec):

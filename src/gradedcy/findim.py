@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import Inconclusive, NotBasic, NotSplitBasic
 from .fdalgebra import FDAlgebra
 from .linalg import SparseEliminator
-from .quiver import Arrow, Quiver
+from .quiver import Arrow, Quiver, _add_into
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +151,8 @@ class RightModule:
         rows = self.action[b]
         out = {}
         for i, c in vec.items():
-            for j, x in rows.get(i, {}).items():
-                out[j] = out.get(j, 0) + c * x
-        return {j: x for j, x in out.items() if x}
+            _add_into(out, rows.get(i, {}).items(), c)
+        return out
 
     def check_module(self):
         for i in range(self.alg.dim):
@@ -162,10 +161,9 @@ class RightModule:
                 for r in range(self.dim):
                     rhs = {}
                     for k, c in prod.items():
-                        for t, x in self.action[k].get(r, {}).items():
-                            rhs[t] = rhs.get(t, 0) + c * x
+                        _add_into(rhs, self.action[k].get(r, {}).items(), c)
                     lhs = self.act(self.act({r: Fraction(1)}, i), j)
-                    if lhs != {t: x for t, x in rhs.items() if x}:
+                    if lhs != rhs:
                         raise ValueError("module axiom fails")
         return True
 
@@ -235,11 +233,9 @@ def syzygy(M: RightModule, jbasis):
             w = {}
             for i, c in v.items():
                 r, pb = pbasis[i]
-                for k2, c2 in alg.mult.get((pb, b), {}).items():
-                    row = coord.get((r, k2))
-                    if row is not None:
-                        w[row] = w.get(row, 0) + c * c2
-            w = {row: x for row, x in w.items() if x}
+                _add_into(w, ((coord[r, k2], c2) for k2, c2 in
+                              alg.mult.get((pb, b), {}).items()
+                              if (r, k2) in coord), c)
             if w:
                 action[b][col] = w
     return slots, RightModule(alg, len(kern), action, name=M.name + ".syz")

@@ -1,21 +1,23 @@
 """Small exact linear algebra kit over the rationals.
 
 Sparse vectors are dicts index -> exact number (int or Fraction) with
-zero entries absent.  All elimination goes through one kernel,
-`SparseEliminator`; where the package needs a kernel it reads it off
-tag coordinates in one eliminator (`findim.syzygy`,
-`slice_algebras.relations_from_structure`).  Most vectors the duality
-verdict ranks have one entry, so a pivot whose row is a unit vector is
-kept as its index alone, with no row dict stored and none walked (the
-simplest case of the unit-entry cancellation of algebraic Morse
-theory).  `add` answers whether the vector enlarged the span.  The
-dense helpers (`nullspace_with_free`, `solve`, `mat_inv`, `mat_det`)
-take matrices as lists of rows (entries Fractions or ints), hand their
-nonzero entries to it as Fractions and read the answer off its reduced
-row echelon form, so their answers are Fractions.  `mat_inv`,
-`mat_det`, `mat_mul` and `mat_vec` serve the Cartan and Coxeter
-matrices; `nullspace_with_free` and `solve` serve the dense reference
-oracles of the test suite.
+zero entries absent.  `quiver._add_into` is the one routine that adds
+them; only the two hot loops that also map or queue indices
+(`BimoduleComplex.images`, `SparseEliminator.reduce`) add inline.  All
+elimination goes through one kernel, `SparseEliminator`; where the
+package needs a kernel it reads it off tag coordinates in one eliminator
+(`findim.syzygy`, `slice_algebras.relations_from_structure`).  Most
+vectors the duality verdict ranks have one entry, so a pivot whose row
+is a unit vector is kept as its index alone, with no row dict stored and
+none walked (the simplest case of the unit-entry cancellation of
+algebraic Morse theory).  `add` answers whether the vector enlarged the
+span.  The dense helpers (`nullspace_with_free`, `solve`, `mat_inv`,
+`mat_det`) take matrices as lists of rows (entries Fractions or ints),
+hand their nonzero entries to it as Fractions and read the answer off
+its reduced row echelon form, so their answers are Fractions.
+`mat_inv`, `mat_det`, `mat_mul` and `mat_vec` serve the Cartan and
+Coxeter matrices; `nullspace_with_free` and `solve` serve the dense
+reference oracles of the test suite.
 """
 
 from fractions import Fraction
@@ -65,6 +67,8 @@ class SparseEliminator:
             if row is None:
                 del vec[k]
                 continue
+            # _add_into inline: a new entry at a pivot index is pushed on
+            # the heap, on the verdict's hottest loop
             for j, x in row.items():
                 y = vec.get(j, 0) - c * x
                 if y:

@@ -28,7 +28,7 @@ from array import array
 from bisect import bisect_right
 
 from .errors import CapTooSmall
-from .quiver import Path
+from .quiver import Path, _add_into
 from .rewriting import CountContext
 
 
@@ -70,17 +70,6 @@ def as_exact(c):
     """c as an int when it is an integer, else unchanged (a Fraction): the
     arrow maps carry integer coefficients as ints."""
     return c.numerator if c.denominator == 1 else c
-
-
-def _add_into(out, terms, c):
-    """out += c * (sum of x * k over the (k, x) in terms), for a sparse
-    dict out, dropping the entries that cancel."""
-    for k, x in terms:
-        y = out.get(k, 0) + c * x
-        if y:
-            out[k] = y
-        else:
-            out.pop(k, None)
 
 
 class RewriteContext(CountContext):

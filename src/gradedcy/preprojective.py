@@ -111,7 +111,7 @@ def block_trivial_extension(Q: Quiver, n, cap=8):
     return Bt
 
 
-def block_arrow_images(Q: Quiver, n, B: FDAlgebra, cap=8):
+def block_arrow_images(Q: Quiver, n, B: FDAlgebra):
     """Images in `B` of the layered-quiver arrows, for reconstruction.
 
     Returns (quiver, images dict, vertex_idempotents) where quiver is

@@ -165,6 +165,19 @@ class PathAlgebraContext:
         return "*".join(self.quiver.arrows[i].name for i in p.arrows)
 
 
+def _add_into(out, terms, c):
+    """out += c * (sum of x * k over the (k, x) in terms), for a sparse
+    dict out, dropping the entries that cancel; returns out.  The one
+    accumulator of the package's sparse vectors (see linalg)."""
+    for k, x in terms:
+        y = out.get(k, 0) + c * x
+        if y:
+            out[k] = y
+        else:
+            out.pop(k, None)
+    return out
+
+
 class NCPoly:
     """Finite Q-linear combination of paths; zero coefficients dropped."""
 
@@ -187,17 +200,10 @@ class NCPoly:
         return bool(self.terms)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            s = out.get(p, 0) + c
-            if s:
-                out[p] = s
-            else:
-                out.pop(p, None)
-        return NCPoly(out)
+        return NCPoly(_add_into(dict(self.terms), other.terms.items(), 1))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return NCPoly(_add_into(dict(self.terms), other.terms.items(), -1))
 
     def scale(self, c):
         c = Fraction(c)
@@ -316,9 +322,6 @@ class GradedQuiverPresentation:
 # ---------------------------------------------------------------------------
 # presentation file format
 # ---------------------------------------------------------------------------
-
-_TERM_RE = re.compile(r"^\s*([+-])?\s*(?:(\d+(?:/\d+)?)\s*\*?\s*)?([A-Za-z0-9_*\s]+?)\s*$")
-
 
 def _parse_relation(text, ctx, filename, lineno):
     """Grammar: term (('+'|'-') term)*; term: [coeff '*'] name ('*' name)*."""

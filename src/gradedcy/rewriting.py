@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CapTooSmall, NonStabilizing
-from .quiver import NCPoly, Path, PathAlgebraContext
+from .quiver import NCPoly, Path, PathAlgebraContext, _add_into
 
 
 class RewritingSystem:
@@ -88,12 +88,7 @@ class RewritingSystem:
         gives them."""
         out = {}
         for p, c in terms:
-            for q, x in self.reduce_path(p).terms.items():
-                s = out.get(q, 0) + c * x
-                if s:
-                    out[q] = s
-                else:
-                    out.pop(q, None)
+            _add_into(out, self.reduce_path(p).terms.items(), c)
         return NCPoly(out)
 
     # -- normal words -------------------------------------------------------
@@ -262,12 +257,13 @@ class CountContext:
         self._checked_degrees = set()
         self._probe = None
 
-    def counts(self, degree, check_stability=True):
+    def counts(self, degree):
         """(source, target) -> dimension of the graded piece, counted
-        without listing it; pairs of dimension 0 are absent.  The check
-        compares with the counts of a system completed at cap+2."""
+        without listing it; pairs of dimension 0 are absent.  Each degree
+        is checked once against the counts of a system completed at
+        cap+2."""
         got = _pair_counts(self.rs, degree)
-        if check_stability and degree not in self._checked_degrees:
+        if degree not in self._checked_degrees:
             probe_cap = self.cap + 2
             if self._probe is None:
                 self._probe = truncated_rewriting(self.pres, probe_cap)

@@ -101,6 +101,58 @@ def test_dimer_jacobian_input_errors_exit_2():
         assert all(w in err for w in wanted), err
 
 
+@pytest.mark.parametrize("coeffs", [["--coeffs", "-1,-2"],
+                                    ["--coeffs=-1,-2"]])
+def test_dimer_jacobian_negative_coeffs_spellings(coeffs):
+    """Negative coefficients, the usual case, may follow --coeffs as their
+    own argument, as --window values may."""
+    code, out, err = run("--format", "json", "dimer", "jacobian",
+                         DATA / "hexagonal.dimer", "--matchings", "0,1",
+                         *coeffs)
+    assert code == 0, err
+    assert json.loads(out) == {"a_invariant": 3, "relations": 3,
+                               "degrees": {"e1": -1, "e2": -2, "e3": 0}}
+
+
+@pytest.mark.parametrize("old,new,line,message", [
+    ("[rotation]", "[rotations]", 9, "unknown section [rotations]"),
+    ("w white", "w grey", 4, "vertex line must be: id black|white"),
+    ("w white", "w white\nb white", 5, "duplicate vertex b"),
+    ("e3 b w", "e3 b", 8, "edge line must be: id black-end white-end"),
+    ("e3 b w", "e3 b u", 8, "unknown vertex u"),
+    ("w: e1 e2 e3", "w e1 e2 e3", 11,
+     "rotation line must be: vertex: edges..."),
+    ("w: e1 e2 e3", "u: e1 e2 e3", 11, "unknown vertex u"),
+    ("[vertices]", "b black\n[vertices]", 2,
+     "content before any section header"),
+])
+def test_dimer_file_faults_name_the_line(tmp_path, old, new, line, message):
+    """Each malformed line of a .dimer file is refused with the file and
+    the line, exit 2."""
+    text = (DATA / "hexagonal.dimer").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = tmp_path / "bad.dimer"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    code, out, err = run("dimer", "validate", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:{line}: {message}\n"
+
+
+def test_cy_check_twist_file(tmp_path):
+    """--twist file reads the presentation's [twist] section: k[x, y] with
+    x, y -> -x, -y is the sign twist, and without the section the check
+    is refused, exit 2."""
+    code, out, err = run("cy-check", DATA / "k_xy.pres", "--twist", "file")
+    assert (code, out) == (2, "")
+    assert err == "error: presentation has no [twist] section\n"
+    path = tmp_path / "k_xy_twist.pres"
+    path.write_text((DATA / "k_xy.pres").read_text(encoding="utf-8")
+                    + "[twist]\nx -1\ny -1\n", encoding="utf-8")
+    code, out, err = run("cy-check", path, "--twist", "file")
+    assert code == 0, err
+    assert out == run("cy-check", DATA / "k_xy.pres", "--twist", "sigma")[1]
+
+
 def test_cy_check_exit_codes():
     code, _, _ = run("cy-check", DATA / "k_xy.pres", "--twist", "sigma")
     assert code == 0
@@ -162,6 +214,50 @@ def test_negative_cap_rejected_at_parse_time():
     with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
         main(["dims", str(DATA / "k_x.pres"), "--cap", "-1"])
     assert exc.value.code == 2
+
+
+BOUNDED_FLAGS = [
+    (["build-abc", "k_xy.pres", "--a", "0"], "--a", 1),
+    (["tilde", "k_xy.pres", "--a", "0", "--n", "2"], "--a", 1),
+    (["ig-check", "k_xy.pres", "--a", "0", "--d", "1"], "--a", 1),
+    (["verify-root", "k_xy.pres", "--a", "0"], "--a", 1),
+    (["tilde", "k_xy.pres", "--a", "1", "--n", "0"], "--n", 1),
+    (["qhat", "a2.quiver", "--n", "0"], "--n", 1),
+    (["corpi", "a2.quiver", "--n", "0"], "--n", 1),
+    (["knit", "a2.quiver", "--steps", "-1"], "--steps", 0),
+    (["verify-root", "k_xy.pres", "--a", "2", "--steps", "-1"], "--steps",
+     0),
+    (["dims", "k_xy.pres", "--max-degree", "-2"], "--max-degree", 0),
+    (["ig-check", "k_xy.pres", "--a", "2", "--d", "-1"], "--d", 0),
+    (["cy-check", "k_xy.pres", "--twist", "sigma", "--cap", "-1"], "--cap",
+     0),
+]
+
+
+@pytest.mark.parametrize("argv,flag,low", BOUNDED_FLAGS,
+                         ids=[f"{a[0]} {f}" for a, f, _ in BOUNDED_FLAGS])
+def test_integer_flags_are_bounded_at_parse_time(argv, flag, low):
+    """Counts (--a, --n) start at 1, lengths and degrees (--steps,
+    --max-degree, --d, --cap) at 0; a value below is refused before any
+    work with exit 2 and a message naming the flag (it used to end in a
+    traceback, an empty report or a vacuous PASS)."""
+    argv = [str(DATA / a) if a.endswith((".pres", ".quiver")) else a
+            for a in argv]
+    value = argv[argv.index(flag) + 1]
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stderr(err), \
+            redirect_stdout(io.StringIO()) as out:
+        main(argv)
+    assert exc.value.code == 2 and out.getvalue() == ""
+    assert f"argument {flag}: expected an integer >= {low}, not " \
+        f"'{value}'" in err.getvalue(), err.getvalue()
+
+
+def test_integer_flag_bounds_are_allowed():
+    code, out, _ = run("dims", DATA / "k_x.pres", "--max-degree", "0")
+    assert code == 0 and "degree 0: total 1" in out
+    code, out, _ = run("knit", DATA / "a2.quiver", "--steps", "0")
+    assert code == 0 and "knitted component, 0 steps" in out
 
 
 def test_ig_check():
@@ -549,6 +645,39 @@ def test_dimer_commands_leave_the_algebra_stack_unloaded():
     assert "'gradedcy.dimer'" in out
     assert "gradedcy.rewriting" not in out and \
         "gradedcy.complexes" not in out, out
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (["dims", "skew_4.pres", "--max-degree", "6"], ["rewriting"]),
+    (["ig-check", "k_xy.pres", "--a", "2", "--d", "1"],
+     ["fdalgebra", "findim", "linalg", "normalwords", "rewriting",
+      "slice_algebras"]),
+    (["cy-check", "k_xyz.pres", "--twist", "id", "--window=-6..0"],
+     ["complexes", "duality", "linalg", "normalwords", "rewriting"]),
+    (["dimer", "consistency", "hexagonal.dimer"], ["dimer", "simplex"]),
+    (["dimer", "matchings", "hexagonal.dimer"], ["dimer", "simplex"]),
+], ids=["dims", "ig-check", "cy-check", "dimer consistency",
+        "dimer matchings"])
+def test_benchmark_commands_import_only_their_modules(argv, extra):
+    """Each command of bench/workloads.py (at its smoke size) loads
+    exactly these gradedcy modules besides cli, errors and quiver.  The
+    benchmark runs with PYTHONDONTWRITEBYTECODE=1, so each child compiles
+    every module it imports and one more module shows in peak_rss_mb."""
+    src = str(Path(gradedcy.__file__).resolve().parent.parent)
+    argv = ["--format", "json"] + [
+        str(DATA / a) if a.endswith((".pres", ".dimer")) else a
+        for a in argv]
+    probe = (
+        "import io, sys, contextlib\n"
+        "from gradedcy import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "print(sorted(m[9:] for m in sys.modules\n"
+        "             if m.startswith('gradedcy.')))\n")
+    out = subprocess.run([sys.executable, "-S", "-c", probe],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == f"{sorted(['cli', 'errors', 'quiver'] + extra)}\n"
 
 
 def test_no_command_imports_dataclasses_or_inspect():
