@@ -64,7 +64,7 @@ def cmd_dims(args):
 
 
 def cmd_build_abc(args):
-    from .findim import arrow_multiplicities, gabriel_quiver
+    from .findim import gabriel_quiver
     from .slice_algebras import build_AUB
 
     pres = load_presentation(args.file)
@@ -76,10 +76,8 @@ def cmd_build_abc(args):
         return 0
     data = {
         "dim_A": A.dim, "dim_U": U.dim, "dim_B": B.dim,
-        "quiver_A": {f"{s}->{t}": m for (s, t), m in
-                     arrow_multiplicities(qa).items()},
-        "quiver_B": {f"{s}->{t}": m for (s, t), m in
-                     arrow_multiplicities(qb).items()},
+        "quiver_A": _multiplicities(qa),
+        "quiver_B": _multiplicities(qb),
     }
     lines = [f"slice algebras of {args.file} at a = {args.a}",
              f"  dim A = {A.dim}, dim U = {U.dim}, dim B = {B.dim}",
@@ -129,15 +127,14 @@ def cmd_qhat(args):
 
 
 def cmd_corpi(args):
-    from .findim import arrow_multiplicities, gabriel_quiver
+    from .findim import gabriel_quiver
     from .preprojective import block_trivial_extension
 
     pres = load_presentation(args.file)
     B = block_trivial_extension(pres.quiver, args.n)
     gq = gabriel_quiver(B)
     data = {"dim_B": B.dim,
-            "quiver_B": {f"{s}->{t}": m for (s, t), m in
-                         arrow_multiplicities(gq).items()}}
+            "quiver_B": _multiplicities(gq)}
     if args.format == "dot":
         print(gq.to_dot("B"))
         return 0
@@ -163,10 +160,7 @@ def cmd_dimer(args):
         if args.format == "dot":
             print(qp.quiver.to_dot("Q"))
             return 0
-        mult = {}
-        for a in qp.quiver.arrows:
-            key = f"{a.source}->{a.target}"
-            mult[key] = mult.get(key, 0) + 1
+        mult = _multiplicities(qp.quiver)
         data = {"vertices": list(qp.quiver.vertices),
                 "arrow_multiplicities": mult,
                 "potential": [{"sign": s, "cycle": list(c), "at": str(v)}
@@ -337,6 +331,16 @@ def _at_least(low):
                 f"expected an integer >= {low}, not {text!r}")
         return value
     return check
+
+
+def _multiplicities(quiver):
+    """The "s->t": m table of a quiver's arrows, in order of first
+    appearance."""
+    mult = {}
+    for a in quiver.arrows:
+        key = f"{a.source}->{a.target}"
+        mult[key] = mult.get(key, 0) + 1
+    return mult
 
 
 def _glue_window(argv):

@@ -273,7 +273,7 @@ def parse_complex(text, pres, filename="<string>") -> BimoduleComplex:
     section = None
     term_idx = map_idx = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        # '#' is the tensor separator, so comments are whole-line (';')
+        # not quiver._sections: '#' is the tensor sign, ';' starts comments
         line = raw.strip()
         if not line or line.startswith(";"):
             continue

@@ -24,8 +24,8 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .errors import Inhomogeneous, NotBipartite, NotTorus, ParseError
-from .quiver import Arrow, CYData, GradedQuiverPresentation, NCPoly, Path, \
-    Quiver
+from .quiver import Arrow, CYData, GradedQuiverPresentation, NCPoly, \
+    PathAlgebraContext, Quiver, _once, _sections
 from .simplex import _check, solve_lp
 
 
@@ -124,13 +124,6 @@ class QuiverWithPotential(namedtuple("QuiverWithPotential",
 
     __slots__ = ()
 
-    def cycles_through(self, arrow_name):
-        out = []
-        for sign, cyc, v in self.potential:
-            if arrow_name in cyc:
-                out.append((sign, cyc, v))
-        return out
-
 
 def dual_qp(dimer: DimerModel) -> QuiverWithPotential:
     """Dual quiver with potential; one arrow per edge, one cycle per dimer
@@ -200,9 +193,8 @@ def consistency_check(dimer: DimerModel) -> Consistency:
     returned charge satisfies both constraint families exactly.
     """
     faces, _ = dimer.validate()
-    edges = [e.name for e in dimer.edges]
-    eidx = {e: i for i, e in enumerate(edges)}
-    nE = len(edges)
+    eidx = dimer.edge_index
+    nE = len(eidx)
     # variables: s_e (nE), tp, tm
     rows, rhs = [], []
     for v, rot in dimer.rotation.items():
@@ -226,7 +218,7 @@ def consistency_check(dimer: DimerModel) -> Consistency:
         return Consistency(False, None, None, res.farkas)
     _check(res.status == "optimal", f"consistency LP status {res.status}")
     t = res.x[nE] - res.x[nE + 1]
-    charge = {e: t + res.x[eidx[e]] for e in edges}
+    charge = {e: t + res.x[i] for e, i in eidx.items()}
     if t <= 0:
         return Consistency(False, None, t, res.dual)
     _verify_charge(dimer, faces, charge)
@@ -340,10 +332,14 @@ def grading_from_matchings(dimer: DimerModel, matchings, coefficients) \
 # graded Jacobian presentation and its free bimodule resolution
 # ---------------------------------------------------------------------------
 
-def _cycle_derivative(cyc, pos):
-    """Arrow word after position pos, cyclically, excluding the arrow."""
-    n = len(cyc)
-    return tuple(cyc[(pos + 1 + k) % n] for k in range(n - 1))
+def _derivative(qp, name):
+    """Yield (sign, word) for each occurrence of the arrow `name` in a
+    cycle of the potential: the cycle's sign and the rest of the cycle,
+    read cyclically from just after that occurrence."""
+    for sign, cyc, _ in qp.potential:
+        for pos, nm in enumerate(cyc):
+            if nm == name:
+                yield sign, cyc[pos + 1:] + cyc[:pos]
 
 
 def jacobian_presentation(qp: QuiverWithPotential, deg: DegreeFunction) \
@@ -354,18 +350,13 @@ def jacobian_presentation(qp: QuiverWithPotential, deg: DegreeFunction) \
     graded = Quiver(base.vertices,
                     [Arrow(a.name, a.source, a.target,
                            deg.degrees[a.name]) for a in base.arrows])
-    probe = GradedQuiverPresentation(graded, [])
-    ctx = probe.ctx
+    ctx = PathAlgebraContext(graded)
     rels = []
-    for a in base.arrows:
+    for a in graded.arrows:
         poly = NCPoly()
-        for sign, cyc, v in qp.cycles_through(a.name):
-            for pos, nm in enumerate(cyc):
-                if nm == a.name:
-                    word = _cycle_derivative(cyc, pos)
-                    path = ctx.path_from_names(list(word)) if word else \
-                        ctx.lazy(graded.arrow(a.name).target)
-                    poly = poly + NCPoly.monomial(path, sign)
+        for sign, word in _derivative(qp, a.name):
+            path = ctx.path_from_names(word) if word else ctx.lazy(a.target)
+            poly = poly + NCPoly.monomial(path, sign)
         if poly:
             rels.append(poly)
     return GradedQuiverPresentation(
@@ -387,9 +378,7 @@ def cy3_complex(qp: QuiverWithPotential, deg: DegreeFunction,
     ctx = pres.ctx
     quiver = pres.quiver
     l = deg.level
-
-    def lazy(v):
-        return Path(v, ())
+    lazy = ctx.lazy
 
     terms = []
     # position 0: one summand per quiver vertex, generator degree 0
@@ -404,7 +393,6 @@ def cy3_complex(qp: QuiverWithPotential, deg: DegreeFunction,
     terms.append([FreeSummand(v, v, l, f"P3[{v}]") for v in quiver.vertices])
 
     vidx = {v: i for i, v in enumerate(quiver.vertices)}
-    aidx = {a.name: i for i, a in enumerate(quiver.arrows)}
 
     # d1: P1 -> P0: g_a -> a g_{t(a)}  -  g_{s(a)} a
     d1 = {}
@@ -418,20 +406,13 @@ def cy3_complex(qp: QuiverWithPotential, deg: DegreeFunction,
     # d2: P2 -> P1: g'_a -> sum over cycles through a of the splittings
     d2 = {}
     for j, a in enumerate(quiver.arrows):
-        for sign, cyc, v in qp.cycles_through(a.name):
-            for pos, nm in enumerate(cyc):
-                if nm != a.name:
-                    continue
-                word = _cycle_derivative(cyc, pos)
-                for k, mid in enumerate(word):
-                    left = word[:k]
-                    right = word[k + 1:]
-                    lpath = ctx.path_from_names(list(left)) if left else \
-                        lazy(a.target)
-                    rpath = ctx.path_from_names(list(right)) if right else \
-                        lazy(quiver.arrow(a.name).source)
-                    d2.setdefault((aidx[mid], j), []).append(
-                        (Fraction(sign), lpath, rpath))
+        for sign, word in _derivative(qp, a.name):
+            for k, mid in enumerate(word):
+                left, right = word[:k], word[k + 1:]
+                lpath = ctx.path_from_names(left) if left else lazy(a.target)
+                rpath = ctx.path_from_names(right) if right else lazy(a.source)
+                d2.setdefault((quiver.arrow_index[mid], j), []).append(
+                    (Fraction(sign), lpath, rpath))
 
     # d3: P3 -> P2: g''_i -> sum_{s(a)=i} a g'_a  -  sum_{t(a)=i} g'_a a
     d3 = {}
@@ -456,19 +437,11 @@ def parse_dimer(text, filename="<string>") -> DimerModel:
     """Sections: [vertices] (id color), [edges] (id black-end white-end),
     [rotation] (vertex: cyclic edge list).  '#' starts a comment."""
     colors, edges, rotation = {}, [], {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
-            if section not in ("vertices", "edges", "rotation"):
-                raise ParseError(f"unknown section [{section}]", filename,
-                                 lineno)
-            continue
+    lines = {}      # edge or rotation entry -> its line
+    for section, line, lineno in _sections(
+            text, filename, ("vertices", "edges", "rotation")):
+        bits = line.split()
         if section == "vertices":
-            bits = line.split()
             if len(bits) != 2 or bits[1] not in ("black", "white"):
                 raise ParseError("vertex line must be: id black|white",
                                  filename, lineno)
@@ -477,7 +450,6 @@ def parse_dimer(text, filename="<string>") -> DimerModel:
                                  lineno)
             colors[bits[0]] = bits[1]
         elif section == "edges":
-            bits = line.split()
             if len(bits) != 3:
                 raise ParseError("edge line must be: id black-end white-end",
                                  filename, lineno)
@@ -488,8 +460,10 @@ def parse_dimer(text, filename="<string>") -> DimerModel:
                 raise ParseError(
                     f"edge {bits[0]} must run black to white", filename,
                     lineno)
+            _once(lines, ("edge", bits[0]), f"[edges] gives edge {bits[0]}",
+                  filename, lineno)
             edges.append(DimerEdge(*bits))
-        elif section == "rotation":
+        else:
             if ":" not in line:
                 raise ParseError("rotation line must be: vertex: edges...",
                                  filename, lineno)
@@ -497,10 +471,8 @@ def parse_dimer(text, filename="<string>") -> DimerModel:
             v = v.strip()
             if v not in colors:
                 raise ParseError(f"unknown vertex {v}", filename, lineno)
+            _once(lines, v, f"[rotation] gives vertex {v}", filename, lineno)
             rotation[v] = rest.split()
-        else:
-            raise ParseError("content before any section header", filename,
-                             lineno)
     try:
         return DimerModel(colors, edges, rotation)
     except (ValueError, NotBipartite) as e:

@@ -285,12 +285,17 @@ def exactness_probe(cplx, window, rc):
     lo = min(window)
     degrees = range(0, lo - 1, -1)
     dims = one_sided_complex(cplx, rc, degrees)
-    nverts = len(cplx.pres.quiver.vertices)
+    return _violations(dims, (0, 0), len(cplx.pres.quiver.vertices))
+
+
+def _violations(dims, at, value):
+    """(position, degree) -> (got, expected) at each key of dims whose
+    dimension is not `value` at the key `at` and 0 elsewhere."""
     bad = {}
-    for (pos, w), d in sorted(dims.items()):
-        expected = nverts if (pos == 0 and w == 0) else 0
+    for key, d in sorted(dims.items()):
+        expected = value if key == at else 0
         if d != expected:
-            bad[(pos, w)] = (d, expected)
+            bad[key] = (d, expected)
     return bad
 
 
@@ -377,11 +382,7 @@ def check_twisted_cy(pres, cplx, twist: TwistSpec, window=None, cap=None):
     # certificate: generator complex of the dual, degrees a+hi .. a+lo
     degrees = [v + a for v in range(hi, lo - 1, -1)]
     gen_dims = one_sided_complex(dual, rc, degrees)
-    certificate = {}
-    for (pos, w), d in sorted(gen_dims.items()):
-        expected = 1 if (pos == claimed_pos and w == a) else 0
-        if d != expected:
-            certificate[(pos, w)] = (d, expected)
+    certificate = _violations(gen_dims, (claimed_pos, a), 1)
     certified = not certificate
 
     # direct slice computation in the shallow part of the window

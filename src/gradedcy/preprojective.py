@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .errors import Cyclic
 from .fdalgebra import FDAlgebra, FDBimodule
-from .quiver import Arrow, GradedQuiverPresentation, NCPoly, Path, Quiver
+from .quiver import Arrow, GradedQuiverPresentation, NCPoly, Path, \
+    PathAlgebraContext, Quiver
 from .normalwords import RewriteContext
 from .slice_algebras import (_by_pair_name, _products, _slice_elements,
                              build_tilde)
@@ -39,8 +40,7 @@ def preprojective_presentation(Q: Quiver) -> GradedQuiverPresentation:
     if not Q.is_acyclic():
         raise Cyclic("preprojective construction needs an acyclic quiver")
     dq = double_quiver(Q)
-    ctx_pres = GradedQuiverPresentation(dq, [])
-    ctx = ctx_pres.ctx
+    ctx = PathAlgebraContext(dq)
     relations = []
     for v in Q.vertices:
         poly = NCPoly()
@@ -61,7 +61,7 @@ def path_algebra(Q: Quiver) -> FDAlgebra:
     """kQ as an FDAlgebra (finite dimensional since Q is acyclic)."""
     if not Q.is_acyclic():
         raise Cyclic("path algebra is infinite dimensional for cyclic Q")
-    ctx = GradedQuiverPresentation(Q, []).ctx
+    ctx = PathAlgebraContext(Q)
     paths = _plain_paths(Q)
     index = {p: i for i, p in enumerate(paths)}
     mult = {}
@@ -178,8 +178,7 @@ def layered_presentation(Q: Quiver, n) -> GradedQuiverPresentation:
         arrows.append(Arrow(f"{a.name}*", f"({a.target},1)",
                             f"({a.source},{n})", -1))
     lq = Quiver(verts, arrows)
-    probe = GradedQuiverPresentation(lq, [])
-    ctx = probe.ctx
+    ctx = PathAlgebraContext(lq)
     rels = []
     # (i) layer copies commute with the downward arrows:
     #     first v then the lower copy = first the upper copy then v
@@ -235,8 +234,7 @@ def layered_presentation(Q: Quiver, n) -> GradedQuiverPresentation:
 
 
 def _plain_paths(Q: Quiver):
-    pres = GradedQuiverPresentation(Q, [])
-    ctx = pres.ctx
+    ctx = PathAlgebraContext(Q)
     out = []
     frontier = [Path(v, ()) for v in Q.vertices]
     while frontier:

@@ -214,15 +214,7 @@ class NCPoly:
 
     def is_homogeneous(self, ctx: PathAlgebraContext):
         """Terms parallel (same source and target) and of equal degree."""
-        it = iter(self.terms)
-        try:
-            first = next(it)
-        except StopIteration:
-            return True
-        sig = (first.source, ctx.target(first), ctx.degree(first))
-        return all(
-            (p.source, ctx.target(p), ctx.degree(p)) == sig for p in it
-        )
+        return _offending_term(self, ctx) is None
 
     def format(self, ctx):
         if not self.terms:
@@ -241,6 +233,17 @@ class NCPoly:
                 bits.append(f"- {-c}*{s}")
         text = " ".join(bits)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+def _offending_term(r, ctx):
+    """The first term of r, in monomial order, whose (source, target,
+    degree) differs from the least term's, formatted; None when r is
+    homogeneous.  The one homogeneity rule of the package."""
+    paths = sorted(r.terms, key=ctx.key)
+    sigs = [(p.source, ctx.target(p), ctx.degree(p)) for p in paths]
+    for p, sig in zip(paths, sigs):
+        if sig != sigs[0]:
+            return ctx.format_path(p)
 
 
 class TwistData(namedtuple("TwistData", "scalars")):
@@ -269,8 +272,8 @@ class GradedQuiverPresentation:
         for r in relations:
             if not r:
                 continue
-            if not r.is_homogeneous(self.ctx):
-                bad = self._offending_term(r)
+            bad = _offending_term(r, self.ctx)
+            if bad:
                 raise Inhomogeneous(
                     f"relation {r.format(self.ctx)} is not homogeneous; "
                     f"offending term {bad}")
@@ -283,15 +286,6 @@ class GradedQuiverPresentation:
                     raise ValueError(f"twist scalar for {nm} is zero")
         self.twist = twist
         self.cy = cy
-
-    def _offending_term(self, r):
-        ctx = self.ctx
-        paths = sorted(r.terms, key=ctx.key)
-        sig = (paths[0].source, ctx.target(paths[0]), ctx.degree(paths[0]))
-        for p in paths[1:]:
-            if (p.source, ctx.target(p), ctx.degree(p)) != sig:
-                return ctx.format_path(p)
-        return ctx.format_path(paths[0])
 
     @property
     def max_relation_length(self):
@@ -368,6 +362,37 @@ def _parse_relation(text, ctx, filename, lineno):
     return poly
 
 
+def _sections(text, filename, names):
+    """Yield (section, line, lineno) for the content lines of a .pres or
+    .dimer file: '#' starts a comment, a [name] header is read in lower
+    case and must be one of `names`, and content before any header is
+    refused."""
+    section = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip().lower()
+            if section not in names:
+                raise ParseError(f"unknown section [{section}]", filename,
+                                 lineno)
+        elif section is None:
+            raise ParseError("content before any section header", filename,
+                             lineno)
+        else:
+            yield section, line, lineno
+
+
+def _once(lines, key, what, filename, lineno):
+    """Record the line of an entry that a file may give only once; a
+    second one is a ParseError naming both lines."""
+    if key in lines:
+        raise ParseError(f"{what} again, first on line {lines[key]}",
+                         filename, lineno)
+    lines[key] = lineno
+
+
 def parse_presentation(text, filename="<string>"):
     """Parse the quiver presentation file format.
 
@@ -377,28 +402,19 @@ def parse_presentation(text, filename="<string>"):
     offending term named.
     """
     vertices, arrows, rel_lines, twist_scalars = [], [], [], {}
-    lines = {}      # arrow or twist entry -> its line
+    lines = {}      # arrow, twist or cy entry -> its line
     cy = None
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
-            if section not in ("vertices", "arrows", "relations", "twist",
-                               "cy"):
-                raise ParseError(f"unknown section [{section}]", filename,
-                                 lineno)
-            continue
+    for section, line, lineno in _sections(
+            text, filename, ("vertices", "arrows", "relations", "twist",
+                             "cy")):
+        bits = line.split()
         if section == "vertices":
-            for v in line.split():
+            for v in bits:
                 if v in vertices:
                     raise ParseError(f"vertex {v} declared twice", filename,
                                      lineno)
                 vertices.append(v)
         elif section == "arrows":
-            bits = line.split()
             if len(bits) != 4:
                 raise ParseError(
                     "arrow line must be: name source target degree",
@@ -416,7 +432,6 @@ def parse_presentation(text, filename="<string>"):
         elif section == "relations":
             rel_lines.append((line, lineno))
         elif section == "twist":
-            bits = line.split()
             if len(bits) != 2:
                 raise ParseError("twist line must be: arrow scalar",
                                  filename, lineno)
@@ -428,10 +443,10 @@ def parse_presentation(text, filename="<string>"):
             if not scalar:
                 raise ParseError(f"twist scalar for {bits[0]} is zero",
                                  filename, lineno)
-            lines["twist", bits[0]] = lineno
+            _once(lines, ("twist", bits[0]), f"[twist] gives arrow {bits[0]}",
+                  filename, lineno)
             twist_scalars[bits[0]] = scalar
-        elif section == "cy":
-            bits = line.split()
+        else:
             if len(bits) != 2:
                 raise ParseError("cy line must be: dimension a_invariant",
                                  filename, lineno)
@@ -440,9 +455,7 @@ def parse_presentation(text, filename="<string>"):
             except ValueError:
                 raise ParseError("cy values must be integers", filename,
                                  lineno)
-        else:
-            raise ParseError("content before any section header", filename,
-                             lineno)
+            _once(lines, "cy", "[cy] gives the CY data", filename, lineno)
     if not vertices:
         raise ParseError("no [vertices] section", filename, None)
     for a in arrows:
@@ -459,19 +472,15 @@ def parse_presentation(text, filename="<string>"):
     relations = []
     for line, lineno in rel_lines:
         r = _parse_relation(line, ctx, filename, lineno)
-        if not r.is_homogeneous(ctx):
-            pres_probe = GradedQuiverPresentation(quiver, [])
-            bad = pres_probe._offending_term(r)
+        bad = _offending_term(r, ctx)
+        if bad:
             raise ParseError(
                 f"relation is not homogeneous; offending term {bad}",
                 filename, lineno)
         relations.append(r)
     twist = TwistData(twist_scalars) if twist_scalars else None
-    try:
-        return GradedQuiverPresentation(quiver, relations, twist=twist,
-                                        cy=cy, name=filename)
-    except Inhomogeneous as e:
-        raise ParseError(str(e), filename, None)
+    return GradedQuiverPresentation(quiver, relations, twist=twist, cy=cy,
+                                    name=filename)
 
 
 def load_presentation(path):

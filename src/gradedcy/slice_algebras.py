@@ -20,7 +20,8 @@ from fractions import Fraction
 from .errors import NotSurjective, PositiveDegree, WindowViolation
 from .fdalgebra import FDAlgebra, FDBimodule, trivial_extension
 from .linalg import SparseEliminator
-from .quiver import GradedQuiverPresentation, NCPoly, Path, Quiver
+from .quiver import GradedQuiverPresentation, NCPoly, Path, \
+    PathAlgebraContext, Quiver
 from .normalwords import RewriteContext
 from .rewriting import truncated_rewriting
 
@@ -215,7 +216,7 @@ def relations_from_structure(alg: FDAlgebra, guess: Quiver, arrow_images,
     maps quiver vertices to positions in alg.idempotents (defaults to
     declaration order).
     """
-    ctx = GradedQuiverPresentation(guess, []).ctx
+    ctx = PathAlgebraContext(guess)
     if vertex_idempotents is None:
         if len(guess.vertices) != len(alg.idempotents):
             raise ValueError("vertex count differs from idempotent count; "

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -125,10 +126,15 @@ def test_dimer_jacobian_negative_coeffs_spellings(coeffs):
     ("w: e1 e2 e3", "u: e1 e2 e3", 11, "unknown vertex u"),
     ("[vertices]", "b black\n[vertices]", 2,
      "content before any section header"),
+    ("w: e1 e2 e3", "w: e1 e2 e3\nw: e3 e2 e1", 12,
+     "[rotation] gives vertex w again, first on line 11"),
+    ("e3 b w", "e3 b w\ne1 b w", 9,
+     "[edges] gives edge e1 again, first on line 6"),
 ])
 def test_dimer_file_faults_name_the_line(tmp_path, old, new, line, message):
     """Each malformed line of a .dimer file is refused with the file and
-    the line, exit 2."""
+    the line, exit 2; a second rotation of one vertex (which used to give
+    NotTorus, exit 1) and a repeated edge name name the first line too."""
     text = (DATA / "hexagonal.dimer").read_text(encoding="utf-8")
     assert text.count(old) == 1
     path = tmp_path / "bad.dimer"
@@ -421,11 +427,17 @@ def test_complex_file_entries_are_checked(tmp_path, old, new, line, message):
     ("y P P -1", "y P P -1\nx P P -1", 7, "arrow x declared twice"),
     ("y P P -1", "y P P -1\nz P Q -1", 7, "arrow z names unknown vertex Q"),
     ("x*y - y*x", "1/0*x*y - y*x", 8, "coefficient 1/0 divides by zero"),
+    ("2 2", "2 2\n[twist]\nx -1\ny -1\nx 1", 14,
+     "[twist] gives arrow x again, first on line 12"),
+    ("2 2", "2 2\n[cy]\n3 2", 12,
+     "[cy] gives the CY data again, first on line 10"),
 ])
 def test_presentation_file_faults_name_the_line(tmp_path, old, new, line,
                                                 message):
     """Malformed presentation entries that used to end in a traceback
-    (exit 1) are refused with the file and line, exit 2."""
+    (exit 1), or that silently replaced an earlier line (a twist scalar
+    or [cy] line given twice), are refused with the file and line, exit
+    2."""
     text = (DATA / "k_xy.pres").read_text(encoding="utf-8")
     assert text.count(old) == 1
     path = tmp_path / "bad.pres"
@@ -433,6 +445,16 @@ def test_presentation_file_faults_name_the_line(tmp_path, old, new, line,
     code, out, err = run("build-abc", path, "--a", "1")
     assert (code, out) == (2, "")
     assert err == f"error: {path}:{line}: {message}\n"
+
+
+def test_cy_check_twist_file_on_skew_2_is_the_sign_twist():
+    """skew_2.pres declares x1, x2 -> -x1, -x2, which --twist file reads as
+    the dual's twist itself: the same bytes as --twist sigma, exit 1 (the
+    identity twist passes)."""
+    file_run = run("cy-check", DATA / "skew_2.pres", "--twist", "file")
+    assert file_run[0] == 1
+    assert file_run == run("cy-check", DATA / "skew_2.pres", "--twist",
+                           "sigma")
 
 
 def test_complex_file_entries_meet_the_summands_vertices(tmp_path):
@@ -647,7 +669,9 @@ def test_dimer_commands_leave_the_algebra_stack_unloaded():
         "gradedcy.complexes" not in out, out
 
 
-@pytest.mark.parametrize("argv,extra", [
+# the commands of bench/workloads.py at their smoke size, and the gradedcy
+# modules each loads besides cli, errors and quiver
+BENCHMARK_IMPORTS = [
     (["dims", "skew_4.pres", "--max-degree", "6"], ["rewriting"]),
     (["ig-check", "k_xy.pres", "--a", "2", "--d", "1"],
      ["fdalgebra", "findim", "linalg", "normalwords", "rewriting",
@@ -656,8 +680,12 @@ def test_dimer_commands_leave_the_algebra_stack_unloaded():
      ["complexes", "duality", "linalg", "normalwords", "rewriting"]),
     (["dimer", "consistency", "hexagonal.dimer"], ["dimer", "simplex"]),
     (["dimer", "matchings", "hexagonal.dimer"], ["dimer", "simplex"]),
-], ids=["dims", "ig-check", "cy-check", "dimer consistency",
-        "dimer matchings"])
+]
+
+
+@pytest.mark.parametrize("argv,extra", BENCHMARK_IMPORTS,
+                         ids=["dims", "ig-check", "cy-check",
+                              "dimer consistency", "dimer matchings"])
 def test_benchmark_commands_import_only_their_modules(argv, extra):
     """Each command of bench/workloads.py (at its smoke size) loads
     exactly these gradedcy modules besides cli, errors and quiver.  The
@@ -678,6 +706,23 @@ def test_benchmark_commands_import_only_their_modules(argv, extra):
                          capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out == f"{sorted(['cli', 'errors', 'quiver'] + extra)}\n"
+
+
+def test_benchmark_modules_fit_the_parsers_first_token_buffer():
+    """Every module a benchmark command imports (the package __init__
+    included) is at most 4 096 tokens as `tokenize` counts them, comments
+    and the encoding token included.  CPython's parser grows its token
+    buffer past 4 096 tokens, and with PYTHONDONTWRITEBYTECODE=1, as the
+    benchmark runs, every child compiles every module it imports, so a
+    longer module raises each child's peak memory."""
+    names = {"__init__", "cli", "errors", "quiver"}.union(
+        *(extra for _, extra in BENCHMARK_IMPORTS))
+    package = Path(gradedcy.__file__).resolve().parent
+    sizes = {}
+    for name in sorted(names):
+        with open(package / f"{name}.py", "rb") as fh:
+            sizes[name] = sum(1 for _ in tokenize.tokenize(fh.readline))
+    assert {n: k for n, k in sizes.items() if k > 4096} == {}
 
 
 def test_no_command_imports_dataclasses_or_inspect():

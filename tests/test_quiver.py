@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from gradedcy.errors import ParseError
-from gradedcy.quiver import (Arrow, NCPoly, Path, Quiver, parse_presentation)
+from gradedcy.dimer import parse_dimer
+from gradedcy.errors import Inhomogeneous, ParseError
+from gradedcy.quiver import (Arrow, GradedQuiverPresentation, NCPoly, Path,
+                             PathAlgebraContext, Quiver, parse_presentation)
 
 from helpers import load
 
@@ -92,6 +95,86 @@ def test_ncpoly_homogeneous_flag():
     x = ctx.arrow_path("x")
     assert NCPoly({xy: 1}).is_homogeneous(ctx)
     assert not NCPoly({xy: 1, x: 1}).is_homogeneous(ctx)
+
+
+def test_one_homogeneity_rule_on_random_relations():
+    """On a two-vertex quiver with arrows of degrees -1 and -2, 200 seeded
+    random relations: `is_homogeneous` holds exactly when all terms share
+    source, target and degree (computed here from the arrows), exactly
+    then GradedQuiverPresentation accepts the relation, and a refused
+    relation names the first term in monomial order that is not parallel
+    to the least one."""
+    arrows = [("a", "1", "1", -1), ("b", "1", "2", -1), ("c", "2", "1", -2),
+              ("d", "2", "2", -1), ("e", "1", "2", -2)]
+    q = Quiver(["1", "2"], [Arrow(*a) for a in arrows])
+    ctx = PathAlgebraContext(q)
+    paths = [Path(v, ()) for v in q.vertices]
+    for path in paths:      # every path of length <= 3, lazy ones included
+        if len(path) < 3:
+            end = q.arrows[path.arrows[-1]].target if path.arrows \
+                else path.source
+            paths += [Path(path.source, path.arrows + (i,))
+                      for i in q.arrows_by_source[end]]
+
+    def signature(p):
+        names = [arrows[i] for i in p.arrows]
+        return (p.source, names[-1][2] if names else p.source,
+                sum(n[3] for n in names))
+
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(200):
+        terms = rng.sample(paths, rng.randint(1, 4))
+        r = NCPoly({p: rng.choice([-2, -1, 1, Fraction(1, 3)])
+                    for p in terms})
+        least = min(terms, key=lambda p: (len(p), p.arrows))
+        odd = sorted((p for p in terms if signature(p) != signature(least)),
+                     key=lambda p: (len(p), p.arrows))
+        equal_degrees = len({signature(p)[2] for p in terms}) == 1
+        kinds.add((bool(odd), equal_degrees))
+        assert r.is_homogeneous(ctx) == (not odd)
+        if not odd:
+            assert GradedQuiverPresentation(q, [r]).relations == [r]
+            continue
+        with pytest.raises(Inhomogeneous) as err:
+            GradedQuiverPresentation(q, [r])
+        assert str(err.value).endswith(
+            f"offending term {ctx.format_path(odd[0])}")
+    # the sample has every kind, among them relations whose terms share a
+    # degree but not their ends, which a rule of degrees alone would pass
+    assert kinds == {(False, True), (True, True), (True, False)}
+
+
+def _vertices_section(suffix):
+    """One vertex in the syntax of .pres or .dimer."""
+    return "P" if suffix == "pres" else "b black"
+
+
+@pytest.mark.parametrize("text,error", [
+    ("[VERTICES]\n{v}\n", None),
+    ("[vertices]  # one vertex\n{v}  # it\n# done\n", None),
+    ("[vertices]\n{v}\n[ Faces ]  # no such section\n",
+     (3, "unknown section [faces]")),
+    ("# a file\n{v}\n[vertices]\n",
+     (2, "content before any section header")),
+], ids=["upper-case header", "trailing comment", "unknown section",
+        "content before a header"])
+def test_pres_and_dimer_share_one_section_reader(text, error):
+    """.pres and .dimer files are read by the same rules: headers in any
+    case, '#' comments to the end of the line, an unknown section and
+    content before the first header refused with the same message and
+    line."""
+    outcomes = []
+    for suffix, parse in (("pres", parse_presentation),
+                          ("dimer", parse_dimer)):
+        try:
+            parse(text.format(v=_vertices_section(suffix)), filename="f")
+            outcomes.append(None)
+        except ParseError as e:
+            outcomes.append((e.line, str(e)))
+    want = None if error is None else \
+        (error[0], f"f:{error[0]}: {error[1]}")
+    assert outcomes == [want, want]
 
 
 def test_rational_coefficients_in_relations():
