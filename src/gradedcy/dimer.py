@@ -473,6 +473,8 @@ def parse_dimer(text, filename="<string>") -> DimerModel:
                 raise ParseError(f"unknown vertex {v}", filename, lineno)
             _once(lines, v, f"[rotation] gives vertex {v}", filename, lineno)
             rotation[v] = rest.split()
+    if not colors:
+        raise ParseError("no [vertices] section", filename, None)
     try:
         return DimerModel(colors, edges, rotation)
     except (ValueError, NotBipartite) as e:

@@ -24,7 +24,8 @@ graded slices, numbered by positions in the context's listings
 through the one-sided reductions (free-module generator complexes: the
 same evaluation with the left factor lazy), which stay small.  The
 verdict first checks that its input squares to zero, in its own
-RewriteContext.
+RewriteContext: the ranks read off leading indices (_homology_dims) are
+exact only on a complex.
 """
 
 from __future__ import annotations
@@ -266,16 +267,31 @@ def _cohomology(cplx, rc, degrees, lazy_left):
 
 def _homology_dims(cplx, w, dims, images, out):
     """out[(position k, w)] = dims[k] - rank in - rank out, where images(k)
-    gives the images of the differential from term k + 1 to term k."""
-    ranks = [0]
+    gives the images of the differential from term k + 1 to term k, on a
+    complex (d o d = 0, which check_complex certifies).
+
+    Images with distinct least indices are independent, so low[k + 1],
+    the number of least indices of map k, bounds its rank from below; and
+    d o d = 0 bounds the two ranks at position j by dims[j] together.
+    Where the lower bounds already add up to dims[j], both ranks at j are
+    exact.  Only a map pinned at neither end is ranked by elimination."""
+    low = [0]
     for k in range(len(dims) - 1):
-        el = SparseEliminator()
+        lead = bytearray(dims[k])
         for vec in images(k):
-            el.add(vec)
-        ranks.append(el.rank)
-    ranks.append(0)
+            if vec:
+                lead[min(vec)] = 1
+        low.append(lead.count(1))
+    low.append(0)
+    for k in range(len(dims) - 1):
+        if low[k] + low[k + 1] < dims[k] and \
+                low[k + 1] + low[k + 2] < dims[k + 1]:
+            el = SparseEliminator()
+            for vec in images(k):
+                el.add(vec)
+            low[k + 1] = el.rank
     for k, dim in enumerate(dims):
-        out[(cplx.positions[k], w)] = dim - ranks[k + 1] - ranks[k]
+        out[(cplx.positions[k], w)] = dim - low[k + 1] - low[k]
 
 
 def exactness_probe(cplx, window, rc):

@@ -6,18 +6,20 @@ them; only the two hot loops that also map or queue indices
 (`BimoduleComplex.images`, `SparseEliminator.reduce`) add inline.  All
 elimination goes through one kernel, `SparseEliminator`; where the
 package needs a kernel it reads it off tag coordinates in one eliminator
-(`findim.syzygy`, `slice_algebras.relations_from_structure`).  Most
-vectors the duality verdict ranks have one entry, so a pivot whose row
-is a unit vector is kept as its index alone, with no row dict stored and
+(`findim.syzygy`, `slice_algebras.relations_from_structure`).  The
+duality verdict reads most of its ranks off distinct leading indices
+(`duality._homology_dims`) and eliminates only the maps those cannot
+pin.  Many vectors ranked here have one entry, so a pivot whose row is
+a unit vector is kept as its index alone, with no row dict stored and
 none walked (the simplest case of the unit-entry cancellation of
 algebraic Morse theory).  `add` answers whether the vector enlarged the
-span.  The dense helpers (`nullspace_with_free`, `solve`, `mat_inv`,
-`mat_det`) take matrices as lists of rows (entries Fractions or ints),
-hand their nonzero entries to it as Fractions and read the answer off
-its reduced row echelon form, so their answers are Fractions.
-`mat_inv`, `mat_det`, `mat_mul` and `mat_vec` serve the Cartan and
-Coxeter matrices; `nullspace_with_free` and `solve` serve the dense
-reference oracles of the test suite.
+span.  The dense helpers (`nullspace_with_free`, `mat_inv`, `mat_det`)
+take matrices as lists of rows (entries Fractions or ints), hand their
+nonzero entries to it as Fractions and read the answer off its reduced
+row echelon form, so their answers are Fractions.  `mat_inv`,
+`mat_det`, `mat_mul` and `mat_vec` serve the Cartan and Coxeter
+matrices; `nullspace_with_free` serves the dense reference oracles of
+the test suite.
 """
 
 from fractions import Fraction
@@ -150,23 +152,6 @@ def nullspace_with_free(matrix, ncols=None):
                 v[p] = -row[f]
         basis.append(v)
     return basis, free
-
-
-def solve(matrix, rhs):
-    """One solution x of matrix @ x = rhs (0 at every free column), or
-    None if inconsistent."""
-    nc = len(matrix[0]) if matrix else 0
-    el = SparseEliminator()
-    for row, b in zip(_sparse_rows(matrix), rhs):
-        if b:
-            row[nc] = Fraction(b)
-        el.add(row)
-    if nc in el.pivots:
-        return None
-    x = [Fraction(0)] * nc
-    for p, row in el.rref().items():
-        x[p] = row.get(nc, Fraction(0))
-    return x
 
 
 def mat_mul(a, b):

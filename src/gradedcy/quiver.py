@@ -156,8 +156,10 @@ class PathAlgebraContext:
         return Path(p.source, p.arrows + q.arrows)
 
     def key(self, p: Path):
-        """Length-lex sort key; larger key = larger monomial."""
-        return (len(p.arrows), tuple(self.order_key[i] for i in p.arrows))
+        """Length-lex sort key; larger key = larger monomial.  Lazy paths
+        are ordered by their vertex ids."""
+        return (len(p.arrows), tuple(self.order_key[i] for i in p.arrows)
+                or (p.source,))
 
     def format_path(self, p: Path):
         if p.is_lazy:

@@ -7,8 +7,10 @@ backtracker.  Minimal resolutions are recomputed with a dense kernel
 solve for each syzygy; one-sided generator complexes, slice matrices and
 the d o d check by reducing every product from scratch instead of multiplying
 through arrow maps, with the sign rules as the package wrote them before
-its one entry evaluator; the slice algebras A and U and the first
-preprojective layer the same way, with Path-keyed bases; the block
+its one entry evaluator, and homology dims by ranking every map with an
+eliminator instead of certifying ranks by leading indices; the slice
+algebras A and U and the first preprojective layer the same way, with
+Path-keyed bases; the block
 algebras A~ and U~ by scanning every (block, A element, U~ element)
 triple; relations recovered from structure constants by a dense solve
 for each dependent word; Gabriel quivers with a fresh copy of the J^2
@@ -21,10 +23,12 @@ faces by taking the least unused dart for every face, rotation checks by
 scanning every edge for every vertex, and the `dimer matchings` answer
 by `json.dumps`.  The other JSON
 emitters at the end are kept here for the tests that read them,
-`slice_matrix` for the tests that look at whole slice matrices, and
-`vec_add` for the tests that add sparse vectors; the package itself does
-not use them.  `random_presentation` draws the seeded random
-presentations that the rewriting and resolution differentials share.
+`slice_matrix` for the tests that look at whole slice matrices,
+`vec_add` for the tests that add sparse vectors, and `solve` (a dense
+solve through the one eliminator) for the oracles and the linalg tests;
+the package itself does not use them.  `random_presentation` draws the
+seeded random presentations that the rewriting and resolution
+differentials share.
 """
 
 from __future__ import annotations
@@ -35,14 +39,13 @@ from fractions import Fraction
 from pathlib import Path as FsPath
 
 from gradedcy.dimer import DimerEdge, DimerModel
-from gradedcy.duality import _homology_dims
 from gradedcy.errors import (NonStabilizing, NotBasic, NotComplex,
                              NotSurjective, PositiveDegree)
 from gradedcy.fdalgebra import FDAlgebra, FDBimodule, trivial_extension
 from gradedcy.findim import radical
 from gradedcy.errors import NotSplitBasic
-from gradedcy.linalg import SparseEliminator, nullspace_with_free
-from gradedcy.linalg import solve as _solve
+from gradedcy.linalg import (SparseEliminator, _sparse_rows,
+                             nullspace_with_free)
 from gradedcy.preprojective import (_plain_paths, path_algebra,
                                     preprojective_presentation)
 from gradedcy.quiver import (Arrow, GradedQuiverPresentation, NCPoly, Path,
@@ -68,6 +71,39 @@ def vec_add(u, v, c=1):
         else:
             out.pop(k, None)
     return out
+
+
+def solve(matrix, rhs):
+    """One solution x of matrix @ x = rhs (0 at every free column), or
+    None if inconsistent."""
+    nc = len(matrix[0]) if matrix else 0
+    el = SparseEliminator()
+    for row, b in zip(_sparse_rows(matrix), rhs):
+        if b:
+            row[nc] = Fraction(b)
+        el.add(row)
+    if nc in el.pivots:
+        return None
+    x = [Fraction(0)] * nc
+    for p, row in el.rref().items():
+        x[p] = row.get(nc, Fraction(0))
+    return x
+
+
+def homology_dims_by_elimination(cplx, w, dims, images, out):
+    """duality._homology_dims as the package wrote it before it certified
+    ranks by leading indices: every map is ranked by one eliminator.
+    out[(position k, w)] = dims[k] - rank in - rank out, where images(k)
+    gives the images of the differential from term k + 1 to term k."""
+    ranks = [0]
+    for k in range(len(dims) - 1):
+        el = SparseEliminator()
+        for vec in images(k):
+            el.add(vec)
+        ranks.append(el.rank)
+    ranks.append(0)
+    for k, dim in enumerate(dims):
+        out[(cplx.positions[k], w)] = dim - ranks[k + 1] - ranks[k]
 
 
 def random_presentation(rng):
@@ -517,7 +553,8 @@ def one_sided_complex_by_reduction(cplx, rc, degrees):
                 if vec:
                     yield vec
 
-        _homology_dims(cplx, w, [len(b) for b in bases], images, dims)
+        homology_dims_by_elimination(cplx, w, [len(b) for b in bases],
+                                     images, dims)
     return dims
 
 
@@ -1045,7 +1082,7 @@ def _dependence_relation(alg, ctx, q, vec, basis_paths, image):
     rhs = [Fraction(0)] * alg.dim
     for i, c in vec.items():
         rhs[i] = Fraction(c)
-    x = _solve(m, rhs)
+    x = solve(m, rhs)
     assert x is not None
     terms = {q: Fraction(1)}
     for j, c in enumerate(x):
@@ -1164,7 +1201,7 @@ def solve_lp_by_fractions(A, b, c):
             for j in cols] for i in range(m)]
     cb = [c[j] if j < n else Fraction(0) for j in cols]
     mat_t = [[mat[i][r] for i in range(m)] for r in range(m)]
-    y = _solve(mat_t, cb)
+    y = solve(mat_t, cb)
     assert y is not None, "degenerate final basis"
     return LPResult("optimal", x, value, y, None)
 

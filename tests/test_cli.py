@@ -130,18 +130,25 @@ def test_dimer_jacobian_negative_coeffs_spellings(coeffs):
      "[rotation] gives vertex w again, first on line 11"),
     ("e3 b w", "e3 b w\ne1 b w", 9,
      "[edges] gives edge e1 again, first on line 6"),
+    (None, "", None, "no [vertices] section"),
+    (None, "# no vertices\n[vertices]\n", None, "no [vertices] section"),
 ])
 def test_dimer_file_faults_name_the_line(tmp_path, old, new, line, message):
     """Each malformed line of a .dimer file is refused with the file and
     the line, exit 2; a second rotation of one vertex (which used to give
-    NotTorus, exit 1) and a repeated edge name name the first line too."""
+    NotTorus, exit 1) and a repeated edge name name the first line too.
+    A file with no vertex (`old` None: the file is `new`), which used to
+    validate as an empty torus, is refused as an empty .pres file is."""
     text = (DATA / "hexagonal.dimer").read_text(encoding="utf-8")
-    assert text.count(old) == 1
+    if old is not None:
+        assert text.count(old) == 1
     path = tmp_path / "bad.dimer"
-    path.write_text(text.replace(old, new), encoding="utf-8")
+    path.write_text(new if old is None else text.replace(old, new),
+                    encoding="utf-8")
     code, out, err = run("dimer", "validate", path)
     assert (code, out) == (2, "")
-    assert err == f"error: {path}:{line}: {message}\n"
+    where = f"{path}:{line}: " if line else f"{path}: "
+    assert err == f"error: {where}{message}\n"
 
 
 def test_cy_check_twist_file(tmp_path):

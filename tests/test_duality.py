@@ -10,7 +10,8 @@ from gradedcy.errors import (CapTooSmall, Inhomogeneous, NotComplex, NotFree,
 from gradedcy.normalwords import RewriteContext
 from gradedcy.quiver import parse_presentation
 
-from helpers import (DATA, check_complex_by_reduction, load,
+from helpers import (DATA, check_complex_by_reduction,
+                     homology_dims_by_elimination, load,
                      one_sided_complex_by_reduction, slice_matrix,
                      slice_matrix_by_reduction)
 
@@ -297,6 +298,48 @@ def test_one_sided_complex_matches_reduction_oracle():
                 (cpx.name, c.kind)
 
 
+def test_certified_ranks_match_elimination(monkeypatch):
+    """duality._homology_dims reads a rank off the distinct least indices
+    of a map's images wherever they pin it (their count and the one at
+    the map's other end add up to the dimension between them), and
+    eliminates the rest.  On every corpus presentation with its built-in
+    resolution, both complex files, the hexagonal and both four_face
+    Jacobian gradings, and the dual of each, its homology dims equal those
+    of ranking every map by elimination, at every (position, degree) of
+    the one-sided complex and of the first three slices.  The least
+    index pins every map of the built-in resolutions and files, so no
+    eliminator runs there; four_face's one-sided complexes need it."""
+    from gradedcy import duality
+
+    eliminated = []
+
+    class Counted(duality.SparseEliminator):
+        def __init__(self):
+            super().__init__()
+            eliminated.append(name)
+
+    monkeypatch.setattr(duality, "SparseEliminator", Counted)
+    corpus = list(_corpus_complexes())
+    corpus += [(load(n), builtin_resolution(load(n)), 8, 6)
+               for n in ("k_xy_23.pres", "skew_4.pres")]
+    for pres, cpx, cap, depth in corpus:
+        rc = RewriteContext(pres, cap)
+        for c in (cpx, dualize(cpx)):
+            top = max(s.degree for t in c.terms for s in t)
+            for lazy_left, n in ((True, depth + 1), (False, 3)):
+                name = (cpx.name, lazy_left)
+                degrees = range(top, top - n, -1)
+                got = duality._cohomology(c, rc, degrees, lazy_left)
+                with monkeypatch.context() as m:
+                    m.setattr(duality, "_homology_dims",
+                              homology_dims_by_elimination)
+                    want = duality._cohomology(c, rc, degrees, lazy_left)
+                assert got == want, (cpx.name, c.kind, lazy_left)
+    assert ("cy3", True) in eliminated
+    assert not any(n in ("koszul", "skew", "koszul_xy.cpx", "skew2.cpx")
+                   for n, _ in eliminated), eliminated
+
+
 def test_one_sided_oracle_catches_a_block_offset_mutant(monkeypatch):
     """Numbering each summand's generators after the first from one
     before its offset makes two summands share a generator (the count
@@ -518,12 +561,14 @@ def test_wide_window_skew_three():
 
 
 def test_verdict_peak_memory_stays_small():
-    """The skew_3 verdict down to degree -9 peaks at 1.95 MB of traced
+    """The skew_3 verdict down to degree -9 peaks at 1.37 MB of traced
     allocations (Python 3.11) with its words stored as trie arrays and
-    its unit pivots kept without rows, against 3.4 MB with a row dict per
-    pivot and 7.1 MB when each listed word was a Path with an arrow tuple
-    and a tuple-keyed index: per-word objects or per-pivot rows that come
-    back fail here, not only in the benchmark's max-RSS."""
+    its ranks read off leading indices, with no pivot stored, against
+    1.95 MB with every map eliminated and its unit pivots kept without
+    rows, 3.4 MB with a row dict per pivot and 7.1 MB when each listed
+    word was a Path with an arrow tuple and a tuple-keyed index:
+    per-word objects or stored pivots that come back fail here, not only
+    in the benchmark's max-RSS."""
     import tracemalloc
 
     pres = load("skew_3.pres")
@@ -536,4 +581,4 @@ def test_verdict_peak_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert verdict.passed, verdict.summary()
-    assert peak < 2_600_000, peak
+    assert peak < 1_800_000, peak

@@ -97,6 +97,26 @@ def test_ncpoly_homogeneous_flag():
     assert not NCPoly({xy: 1, x: 1}).is_homogeneous(ctx)
 
 
+def test_lazy_paths_are_ordered_by_vertex():
+    """The monomial order is total: lazy paths at two vertices, which used
+    to share one key and fall back to insertion order, are ordered by
+    their vertex ids, so the leading term, the text and the term an
+    inhomogeneity error names do not depend on the order the terms were
+    added."""
+    q = Quiver(["Q", "P"], [Arrow("x", "Q", "P", -1)])
+    ctx = PathAlgebraContext(q)
+    eq, ep, x = ctx.lazy("Q"), ctx.lazy("P"), ctx.arrow_path("x")
+    coeff = {eq: 2, ep: 3, x: 4}
+    for terms in ([eq, ep], [ep, eq], [x, ep, eq], [eq, ep, x]):
+        r = NCPoly({p: coeff[p] for p in terms})
+        assert r.leading(ctx) == (x if x in terms else eq)
+        assert r.format(ctx) == ("4*x + 2*e_Q + 3*e_P" if x in terms
+                                 else "2*e_Q + 3*e_P")
+        lazy = NCPoly({p: 1 for p in terms if p.is_lazy})
+        with pytest.raises(Inhomogeneous, match="offending term e_Q$"):
+            GradedQuiverPresentation(q, [lazy])
+
+
 def test_one_homogeneity_rule_on_random_relations():
     """On a two-vertex quiver with arrows of degrees -1 and -2, 200 seeded
     random relations: `is_homogeneous` holds exactly when all terms share
