@@ -188,19 +188,13 @@ class BimoduleComplex:
         """The image under diffs[k] of each element of the slice src =
         slots(rc, k + 1, w, ...), in slot order, as a sparse dict over the
         slots of tgt = slots(rc, k, w, ...); terms outside tgt are
-        dropped.  One slot look-up per term of a product; a one-term plan
-        whose arrow map hits gives a unit column with no sum."""
+        dropped.  One slot look-up per term of a product."""
         for (si, pdeg, ip), qslots in src.items():
             plan = self.entry_plan(rc, k, si, pdeg, ip,
                                    w - self.terms[k + 1][si].degree - pdeg,
                                    tgt.get)
-            uslots, uc, urows, _ = plan[0] if len(plan) == 1 else (None,) * 4
             for i, g in enumerate(qslots):
                 if g < 0:
-                    continue
-                if urows is not None and (img := urows[i]) >= 0:
-                    t = uslots[img]
-                    yield {t: uc} if t >= 0 and uc else {}
                     continue
                 vec = {}
                 for tslots, c, rows, row in plan:

@@ -231,7 +231,8 @@ def dualize(cplx: BimoduleComplex) -> BimoduleComplex:
 
 def slice_cohomology(cplx, rc, degrees):
     """dims of ker/im per (term position, internal degree) by direct exact
-    linear algebra on the slices; suitable for small windows."""
+    linear algebra on the slices; suitable for small windows.  `cplx`
+    must be a complex (check_complex), see _homology_dims."""
     return _cohomology(cplx, rc, degrees, lazy_left=False)
 
 
@@ -245,7 +246,8 @@ def one_sided_complex(cplx, rc, degrees):
     The complex of free graded one-sided modules splits as a minimal part
     plus trivial pairs, so these homology dims are exactly the generator
     multiplicities of the minimal part; nonzero entries away from the
-    expected spot falsify the duality claim.
+    expected spot falsify the duality claim.  `cplx` must be a complex
+    (check_complex), see _homology_dims.
 
     This is the slice evaluation with p the lazy word at each summand's
     left vertex (BimoduleComplex.slots with lazy_left): an entry whose
@@ -267,14 +269,16 @@ def _cohomology(cplx, rc, degrees, lazy_left):
 
 def _homology_dims(cplx, w, dims, images, out):
     """out[(position k, w)] = dims[k] - rank in - rank out, where images(k)
-    gives the images of the differential from term k + 1 to term k, on a
-    complex (d o d = 0, which check_complex certifies).
+    gives the images of the differential from term k + 1 to term k.
 
     Images with distinct least indices are independent, so low[k + 1],
     the number of least indices of map k, bounds its rank from below; and
     d o d = 0 bounds the two ranks at position j by dims[j] together.
     Where the lower bounds already add up to dims[j], both ranks at j are
-    exact.  Only a map pinned at neither end is ranked by elimination."""
+    exact.  Only a map pinned at neither end is ranked by elimination.
+    So the maps must form a complex (check_complex): otherwise a position
+    can read 0 although its true ranks overfill it (it reads negative
+    only where even the bounds do)."""
     low = [0]
     for k in range(len(dims) - 1):
         lead = bytearray(dims[k])
@@ -297,7 +301,8 @@ def _homology_dims(cplx, w, dims, images, out):
 def exactness_probe(cplx, window, rc):
     """The augmented resolution is exact in the window: its one-sided
     generator complex has homology only at position 0, degree 0, of
-    dimension = number of vertices."""
+    dimension = number of vertices.  `cplx` must be a complex (the
+    verdict runs check_complex first), see _homology_dims."""
     lo = min(window)
     degrees = range(0, lo - 1, -1)
     dims = one_sided_complex(cplx, rc, degrees)

@@ -576,8 +576,9 @@ def test_cy3_complexes_are_resolutions():
     ms, _ = perfect_matchings(hexagonal())
     deg = grading_from_matchings(hexagonal(), ms, [-1] * 3)
     pres = jacobian_presentation(qp, deg)
-    assert exactness_probe(cy3_complex(qp, deg, pres), (0, -5),
-                           RewriteContext(pres, 8)) == {}
+    cpx, rc = cy3_complex(qp, deg, pres), RewriteContext(pres, 8)
+    assert cpx.check_complex(rc)  # the probe's ranks need d o d = 0
+    assert exactness_probe(cpx, (0, -5), rc) == {}
 
     di = four_face()
     qp = dual_qp(di)
@@ -586,8 +587,9 @@ def test_cy3_complexes_are_resolutions():
             ([("d1", "d2", "om"), ("d1", "d2", "h2")], [-1, -1], (0, -3))):
         g = grading_from_matchings(di, matchings, coeffs)
         p = jacobian_presentation(qp, g)
-        assert exactness_probe(cy3_complex(qp, g, p), window,
-                               RewriteContext(p, 12)) == {}
+        cpx, rc = cy3_complex(qp, g, p), RewriteContext(p, 12)
+        assert cpx.check_complex(rc)
+        assert exactness_probe(cpx, window, rc) == {}
 
 
 def test_hexagonal_duality_via_dimer_resolution():
