@@ -22,7 +22,6 @@ import re
 from array import array
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial
 
 from .errors import CapTooSmall, Inhomogeneous, NotComplex, ParseError
 from .normalwords import RewriteContext, as_exact
@@ -150,10 +149,11 @@ class BimoduleComplex:
         terms[k+1] with p at position ip of rc.listing(pdeg) and |q| =
         qdeg: a list of (target((ti, |p'|, position of p')), c, rows, row),
         one for each term c * (ti, p', q') of the image, where q' is row(i)
-        for q at position i of rc.listing(qdeg) (an index or a sparse dict
-        over rc.listing(qdeg + |v|)); rows is the arrow map (-1 for a row
-        that row computes) when v is one arrow, else None.  Terms whose
-        target(...) is None are left out.
+        for q at position i of rc.listing(qdeg) (a position, or the
+        (position, coefficient) terms of a vector over rc.listing(qdeg +
+        |v|)); rows is the arrow map (-1 for a row that row computes) when v
+        is one arrow, else None.  Terms whose target(...) is None are left
+        out.
 
         The sign rule, for an entry (c, u, v) from summand s to summand t:
         p (x) q goes to (-1)^e c p.u (x) v.q, or to (-1)^e c u.p (x) q.v
@@ -173,13 +173,15 @@ class BimoduleComplex:
                     key = target((ti, pdeg + udeg, jp))
                     if key is None:
                         continue
+                    # lambdas, not partials: a keyword argument takes
+                    # functools.partial off its fast call path
                     if len(v) == 1:
                         rows = rc.arrow_map(qdeg, v.arrows[0], not dg_left)
-                        row = partial(rc.arrow_row, qdeg, v.arrows[0],
-                                      left=not dg_left)
+                        row = lambda i, x=v.arrows[0]: rc.arrow_row(
+                            qdeg, x, i, not dg_left)
                     else:
-                        rows, row = None, partial(rc.times, degree=qdeg,
-                                                  path=v, left=not dg_left)
+                        rows, row = None, lambda i, v=v: rc.times(
+                            i, qdeg, v, not dg_left).items()
                     plan.append((key, as_exact(-c * cp if e % 2 else c * cp),
                                  rows, row))
         return plan
@@ -202,8 +204,7 @@ class BimoduleComplex:
                         img = row(i)
                     # _add_into inline: each term's slot is mapped and
                     # maybe dropped, on the verdict's hottest loop
-                    for j, cm in ((img, 1),) if type(img) is int \
-                            else img.items():
+                    for j, cm in ((img, 1),) if type(img) is int else img:
                         t = tslots[j]
                         if t < 0:
                             continue
@@ -247,8 +248,8 @@ class BimoduleComplex:
                                 rc, j, ti, pdeg, ip, qdeg, lambda key: key):
                             img = row(iq)
                             _add_into(image, ((key + (jq,), cq) for jq, cq in (
-                                ((img, 1),) if type(img) is int
-                                else img.items())), c0 * c)
+                                ((img, 1),) if type(img) is int else img)),
+                                c0 * c)
                     vec = image
                 if vec:
                     raise NotComplex(

@@ -23,9 +23,9 @@ graded slices, numbered by positions in the context's listings
 (BimoduleComplex.slots).  For wide windows the dimensions are certified
 through the one-sided reductions (free-module generator complexes: the
 same evaluation with the left factor lazy), which stay small.  The
-verdict first checks that its input squares to zero, in its own
-RewriteContext: the ranks read off leading indices (_homology_dims) are
-exact only on a complex.
+exactness probe, the verdict's first step, checks that its input squares
+to zero: the ranks read off leading indices (_homology_dims) are exact
+only on a complex.
 """
 
 from __future__ import annotations
@@ -301,8 +301,10 @@ def _homology_dims(cplx, w, dims, images, out):
 def exactness_probe(cplx, window, rc):
     """The augmented resolution is exact in the window: its one-sided
     generator complex has homology only at position 0, degree 0, of
-    dimension = number of vertices.  `cplx` must be a complex (the
-    verdict runs check_complex first), see _homology_dims."""
+    dimension = number of vertices.  Raises NotComplex first when `cplx`
+    is not a complex (check_complex): its ranks would not be exact, see
+    _homology_dims."""
+    cplx.check_complex(rc)
     lo = min(window)
     degrees = range(0, lo - 1, -1)
     dims = one_sided_complex(cplx, rc, degrees)
@@ -394,7 +396,6 @@ def check_twisted_cy(pres, cplx, twist: TwistSpec, window=None, cap=None):
             f"{lo}, {lo // shallowest}; use --cap {lo // shallowest} or more")
     rc = RewriteContext(pres, cap)
 
-    cplx.check_complex(rc)
     probe_failures = exactness_probe(cplx, window, rc)
 
     dual = dualize(cplx)

@@ -17,9 +17,10 @@ The right map of x is read off the trie (w * x is a child of w); the left
 map of x follows x * (q * y) = (x * q) * y along those child links.  Only
 misses, products q * x where a tip fires, go through the rules (a miss
 of x * q is a right product of a shorter one), and a product that is a
-normal word longer than the cap raises CapTooSmall.  Paths are rebuilt
-from the parent chain only at the API: `basis` and `word`, which the
-slice algebras use for their labels and products.
+normal word longer than the cap raises CapTooSmall; misses are kept in
+one flat store of compressed sparse rows, not as a dict each.  Paths are
+rebuilt from the parent chain only at the API: `basis` and `word`, which
+the slice algebras use for their labels and products.
 """
 
 from __future__ import annotations
@@ -84,7 +85,9 @@ class RewriteContext(CountContext):
         self._states, self._state_ids = [()], {(): 0}
         self._rows = {}     # (degree, arrow, left) -> array, < 0 = a miss
         self._filling = {}  # (degree, arrow, True) -> (rows, length filled)
-        self._products = []  # computed misses; row -2 - k is product k
+        # computed misses: row -2 - k has the terms from _ends[k] to
+        # _ends[k + 1] of _keys (positions) and _coeffs (exact numbers)
+        self._ends, self._keys, self._coeffs = array("i", [0]), array("i"), []
         self._out = {}      # degree -> vertex -> arrows out of it, in order
         for x in sorted(pres.ctx.order_key, key=pres.ctx.order_key.get):
             a = pres.quiver.arrows[x]
@@ -233,18 +236,18 @@ class RewriteContext(CountContext):
             return {i: 1} if (s if left else t) == path.source else {}
         vec = {i: 1}
         for x in arrows:
-            vec = self._times_arrow(vec, degree, x, left)
+            vec = self._times_arrow(vec.items(), degree, x, left)
             degree += self.pres.quiver.arrows[x].degree
         return vec
 
-    def _times_arrow(self, vec, degree, x, left=False):
-        """vec * x, or x * vec when `left`, for a sparse dict vec over
-        listing(degree), through the arrow maps."""
+    def _times_arrow(self, terms, degree, x, left=False):
+        """v * x, or x * v when `left`, as a sparse dict, for v the sum of
+        the (position, coefficient) terms over listing(degree), through
+        the arrow maps."""
         out = {}
-        for j, c in vec.items():
+        for j, c in terms:
             row = self.arrow_row(degree, x, j, left)
-            _add_into(out, ((row, 1),) if type(row) is int else row.items(),
-                      c)
+            _add_into(out, ((row, 1),) if type(row) is int else row, c)
         return out
 
     def arrow_map(self, degree, x, left=False):
@@ -314,23 +317,34 @@ class RewriteContext(CountContext):
         return rows
 
     def arrow_row(self, degree, x, i, left=False):
-        """Row i of arrow_map(degree, x, left): a position, or the sparse
-        dict of a miss, computed on first use and kept in the row as
-        -2 - its number.  A miss needs rows of strictly smaller products
-        only (in the monomial order), so a map may be asked for its own
-        rows while its misses are computed."""
+        """Row i of arrow_map(degree, x, left): a position, or the
+        (position, coefficient) terms of a miss (see _row), read from copies
+        of the store's slices, so the store may grow while they are read."""
+        rows = self._rows.get((degree, x, left))
+        if rows is None or (row := rows[i]) == -1:
+            row = self._row(degree, x, i, left)
+        if row >= 0:
+            return row
+        a, b = self._ends[-2 - row], self._ends[-1 - row]
+        return zip(self._keys[a:b], self._coeffs[a:b])
+
+    def _row(self, degree, x, i, left=False):
+        """The code of row i of arrow_map(degree, x, left): a position, or
+        -2 - k for product k of the store, computed on first use.  A miss
+        needs rows of strictly smaller products only (in the monomial
+        order), so a map may be asked for its own rows while its misses
+        are computed."""
         rows = self._rows.get((degree, x, left))
         if rows is None:
             rows = self.arrow_map(degree, x, left)
         if (row := rows[i]) == -1:
-            product = self._arrow_product(degree, x, i, left)
-            row = rows[i] = -2 - len(self._products)
-            self._products.append(product)
-        return row if row >= 0 else self._products[-2 - row]
+            row = rows[i] = self._arrow_product(degree, x, i, left)
+        return row
 
     def _arrow_product(self, degree, x, i, left):
-        """x * q (left) or q * x for the normal word q at position i of
-        listing(degree), when it is not a listed normal word.
+        """The code of x * q (left) or q * x for the normal word q at
+        position i of listing(degree), when it is not a listed normal word:
+        a new product is added to the store once all its terms are known.
 
         q * x is normal exactly when the automaton steps from q's state;
         otherwise the longest tip that ends the word fires, as in
@@ -340,21 +354,22 @@ class RewriteContext(CountContext):
         normal product that is not listed is longer than the cap, and
         raises CapTooSmall rather than being dropped.  x * q is (x * q')
         * y for q = q' * y, and x * e_v is e_u * x for x from u to v: so a
-        left row is the right row of y on the left row of q', and no tip is
-        sought on the left."""
+        left row is the right row of y on the left row of q' (the same code
+        when x * q' is listed), and no tip is sought on the left."""
         (s, t), block, j = self._at(degree, i)
         arrows, y = self.pres.quiver.arrows, block[1][j]
         if (arrows[x].target != s) if left else (t != arrows[x].source):
-            return {}
+            return self._store({})
         if left and y < 0:
-            return self.arrow_row(0, x, self.position(arrows[x].source))
+            return self._row(0, x, self.position(arrows[x].source))
         if left:
             d = degree - arrows[y].degree
             prod = self.arrow_row(d, x, self.listing(d).starts[
                 s, arrows[y].source] + block[0][j], True)
             if type(prod) is int:   # a miss of the right map, shared
-                return self.arrow_row(d + arrows[x].degree, y, prod)
-            return self._times_arrow(prod, d + arrows[x].degree, y)
+                return self._row(d + arrows[x].degree, y, prod)
+            return self._store(self._times_arrow(prod, d + arrows[x].degree,
+                                                 y))
         state, tip = self._states[block[2][j]], None
         if self.rs._step(state, x) is None:
             end = state + (x,)
@@ -373,4 +388,11 @@ class RewriteContext(CountContext):
         start, out = self.listing(rest_degree).starts[pair] + k, {}
         for r, c in rhs:
             _add_into(out, self.times(start, rest_degree, r).items(), c)
-        return out
+        return self._store(out)
+
+    def _store(self, vec):
+        """Append the sparse dict vec to the store; its new row code."""
+        self._keys.extend(vec)
+        self._coeffs.extend(vec.values())
+        self._ends.append(len(self._keys))
+        return -len(self._ends)

@@ -107,14 +107,15 @@ def test_broken_complex_detected():
 
 def test_probe_catches_wrong_relation():
     from gradedcy.quiver import parse_presentation
-    # the Koszul-shaped complex over the skew-commuting relation is not a
-    # resolution of it
+    # the Koszul-shaped complex over the relation x*x is not even a
+    # complex: the probe refuses it rather than rank maps whose ranks
+    # d o d = 0 no longer pins
     wrong = parse_presentation(
         "[vertices]\nP\n[arrows]\nx P P -1\ny P P -1\n[relations]\n"
         "x*x\n", filename="wrong")
     cpx = koszul_complex(wrong)
-    bad = exactness_probe(cpx, (0, -4), RewriteContext(wrong, 6))
-    assert bad
+    with pytest.raises(NotComplex, match="from summand g.x,y. to g.."):
+        exactness_probe(cpx, (0, -4), RewriteContext(wrong, 6))
 
 
 CASES = [
@@ -529,13 +530,14 @@ def test_slice_oracle_catches_sign_rule_mutants(monkeypatch, kind, old, new):
 
 def test_verdict_checks_its_input_complex_first(monkeypatch):
     """A resolution file with one sign flipped in [map 2] is refused with
-    NotComplex before the exactness probe runs."""
+    NotComplex by the exactness probe, before any homology is computed."""
     from gradedcy import duality
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the probe ran on a complex that is not one")
+        raise AssertionError("homology ran on a complex that is not one")
 
-    monkeypatch.setattr(duality, "exactness_probe", refuse)
+    monkeypatch.setattr(duality, "one_sided_complex", refuse)
+    monkeypatch.setattr(duality, "slice_cohomology", refuse)
     pres = load("k_xy.pres")
     text = (DATA / "koszul_xy.cpx").read_text(encoding="utf-8")
     assert text.count("0 0 -y#1 + 1#y") == 1
@@ -561,14 +563,15 @@ def test_wide_window_skew_three():
 
 
 def test_verdict_peak_memory_stays_small():
-    """The skew_3 verdict down to degree -9 peaks at 1.37 MB of traced
-    allocations (Python 3.11) with its words stored as trie arrays and
-    its ranks read off leading indices, with no pivot stored, against
-    1.95 MB with every map eliminated and its unit pivots kept without
-    rows, 3.4 MB with a row dict per pivot and 7.1 MB when each listed
-    word was a Path with an arrow tuple and a tuple-keyed index:
-    per-word objects or stored pivots that come back fail here, not only
-    in the benchmark's max-RSS."""
+    """The skew_3 verdict down to degree -9 peaks at 0.50 MB of traced
+    allocations (Python 3.11) with its words stored as trie arrays, its
+    ranks read off leading indices with no pivot stored, and its miss
+    products in one flat store, against 1.37 MB with a dict per miss
+    product, 1.95 MB with every map eliminated and its unit pivots kept
+    without rows, 3.4 MB with a row dict per pivot and 7.1 MB when each
+    listed word was a Path with an arrow tuple and a tuple-keyed index:
+    per-word or per-product objects or stored pivots that come back fail
+    here, not only in the benchmark's max-RSS."""
     import tracemalloc
 
     pres = load("skew_3.pres")
@@ -581,4 +584,4 @@ def test_verdict_peak_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert verdict.passed, verdict.summary()
-    assert peak < 1_800_000, peak
+    assert peak < 800_000, peak

@@ -332,24 +332,32 @@ def test_arrow_maps_match_reduce_path_on_corpus(name):
     assert _arrow_map_faults(pres, cap, degrees, rng) == []
 
 
-@pytest.mark.parametrize("old,new", [
+@pytest.mark.parametrize("method,old,new", [
     # a tip never fires at the end of q * x: the automaton is not asked
-    ("if self.rs._step(state, x) is None:", "if False:"),
+    ("_arrow_product", "if self.rs._step(state, x) is None:", "if False:"),
     # a rule's right-hand side applied with the wrong sign
-    ("_add_into(out, self.times(start, rest_degree, r).items(), c)",
+    ("_arrow_product",
+     "_add_into(out, self.times(start, rest_degree, r).items(), c)",
      "_add_into(out, self.times(start, rest_degree, r).items(), -c)"),
     # x * (q' * y) taken as (x * q') * x: the wrong last arrow
-    ("self.arrow_row(d + arrows[x].degree, y, prod)",
-     "self.arrow_row(d + arrows[x].degree, x, prod)"),
-], ids=["no-tip", "rhs-sign", "left-step"])
-def test_arrow_map_differential_catches_mutants(monkeypatch, old, new):
+    ("_arrow_product", "self._row(d + arrows[x].degree, y, prod)",
+     "self._row(d + arrows[x].degree, x, prod)"),
+    # a stored product read from one past its start: its first term lost
+    ("arrow_row", "a, b = self._ends[-2 - row], self._ends[-1 - row]",
+     "a, b = self._ends[-2 - row] + 1, self._ends[-1 - row]"),
+    # x * (q' * y) taken as x * q', the left map's own row, not the right
+    # row of y on it
+    ("_arrow_product", "return self._row(d + arrows[x].degree, y, prod)",
+     "return prod"),
+], ids=["no-tip", "rhs-sign", "left-step", "ends-slice", "left-reuse"])
+def test_arrow_map_differential_catches_mutants(monkeypatch, method, old,
+                                                new):
     source = textwrap.dedent(
-        inspect.getsource(RewriteContext._arrow_product))
+        inspect.getsource(getattr(RewriteContext, method)))
     assert source.count(old) == 1
     namespace = dict(vars(normalwords))
     exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(RewriteContext, "_arrow_product",
-                        namespace["_arrow_product"])
+    monkeypatch.setattr(RewriteContext, method, namespace[method])
     # a typed refusal catches the mutant as well as a wrong product: the
     # first mutant takes a product that is not normal for a normal word
     # the listing misses, and refuses it as a normal word beyond the cap
