@@ -99,7 +99,8 @@ class RewriteContext(CountContext):
 
     def basis(self, degree, check_stability=True):
         """Normal-form basis of the graded piece, checked like counts():
-        the words of listing(degree) as Paths, with their states."""
+        the words of listing(degree) as Paths, with their states, the
+        pairs sorted by str(pair)."""
         if check_stability and degree not in self._checked_degrees:
             self.counts(degree)
         blocks = self.listing(degree).blocks
@@ -182,21 +183,16 @@ class RewriteContext(CountContext):
 
     def listing(self, degree):
         """The normal words of the degree as a Listing, in the order of
-        basis(degree): the pairs in the order the depth-first walk of
-        normal_paths from each vertex in turn first meets them, each
-        pair's words in the monomial order.  The multiplication maps are
-        indexed by its positions."""
+        basis(degree): the pairs sorted by str(pair), each pair's words in
+        the monomial order.  The multiplication maps are indexed by its
+        positions."""
         got = self._listings.get(degree)
         if got is None:
             self._grow(degree, self.cap)
-            blocks = [(pair, block) for pair, block in
-                      self._blocks[degree].items() if block[1]]
-            vertices = self.pres.quiver.vertices
-            if len(blocks) > 1:
-                blocks.sort(key=lambda b: (vertices.index(b[0][0]), min(
-                    self._arrows(degree, b[0], j)
-                    for j in range(len(b[1][1])))))
-            got = self._listings[degree] = Listing(blocks)
+            got = self._listings[degree] = Listing(sorted(
+                ((pair, block) for pair, block in
+                 self._blocks[degree].items() if block[1]),
+                key=lambda b: str(b[0])))
         return got
 
     def _at(self, degree, i):

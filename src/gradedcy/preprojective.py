@@ -17,8 +17,7 @@ from .fdalgebra import FDAlgebra, FDBimodule
 from .quiver import Arrow, GradedQuiverPresentation, NCPoly, Path, \
     PathAlgebraContext, Quiver
 from .normalwords import RewriteContext
-from .slice_algebras import (_by_pair_name, _products, _slice_elements,
-                             build_tilde)
+from .slice_algebras import _products, _slice_elements, build_tilde
 
 
 STAR_SUFFIX = "_s"
@@ -87,8 +86,8 @@ def ext_bimodule(Q: Quiver, cap=8) -> FDBimodule:
     A = path_algebra(Q)
     pp = preprojective_presentation(Q)
     rc = RewriteContext(pp, cap)
-    u_elements, u_index = _slice_elements({-1: _by_pair_name(rc.basis(-1))},
-                                          1, 1)
+    rc.counts(-1)
+    u_elements, u_base = _slice_elements(rc, 1, 1)
     # a path of Q (whose arrows keep their numbers in the double quiver) is
     # a normal word of degree 0: e_v * p is its position in the listing, or
     # raises CapTooSmall when it is longer than the cap
@@ -96,8 +95,8 @@ def ext_bimodule(Q: Quiver, cap=8) -> FDBimodule:
                   for p in _plain_paths(Q)]
     return FDBimodule(A, [pp.ctx.format_path(rc.word(-1, i))
                           for _, _, _, i in u_elements],
-                      _products(rc, a_elements, u_elements, u_index),
-                      _products(rc, u_elements, a_elements, u_index),
+                      _products(rc, a_elements, u_elements, u_base),
+                      _products(rc, u_elements, a_elements, u_base),
                       name="ext_bimodule")
 
 
@@ -209,10 +208,9 @@ def layered_presentation(Q: Quiver, n) -> GradedQuiverPresentation:
         for a in Q.arrows:
             rels.append(NCPoly.monomial(
                 ctx.path_from_names([f"v_{a.target}^1", f"{a.name}*"]), 1))
-            if n >= 2:
-                rels.append(NCPoly.monomial(
-                    ctx.path_from_names([f"{a.name}*",
-                                         f"v_{a.source}^{n-1}"]), 1))
+            rels.append(NCPoly.monomial(
+                ctx.path_from_names([f"{a.name}*", f"v_{a.source}^{n-1}"]),
+                1))
     else:
         # all composable words  c* w a*  with w a plain path (lazy allowed)
         plain_paths = _plain_paths(Q)

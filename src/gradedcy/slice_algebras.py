@@ -7,8 +7,9 @@ entry is the degree s - t piece of R, `build_U` the companion bimodule
 shifted one step further down, and `build_B` their trivial extension;
 `build_AUB` reads A and U off one RewriteContext of depth a.  Basis
 elements are (slot s, slot t, degree, position of a normal word in
-the RewriteContext's listing of that degree); every structure constant
-is a product of two such words through the context's arrow maps
+the RewriteContext's listing of that degree), each slot numbered straight
+off the listing (vertex pairs sorted by str(pair)); every structure
+constant is a product of two such words through the context's arrow maps
 (`RewriteContext.times`, in `_products`), and a product that would need a
 normal word longer than the cap raises CapTooSmall.
 """
@@ -32,39 +33,28 @@ def default_cap(a):
 
 def _slice_context(pres, depth, cap):
     """RewriteContext for the graded pieces 0..-depth, each checked for
-    stability in that order, and their orders (see _by_pair_name)."""
+    stability in that order before any of them is listed."""
     if not pres.is_negatively_graded():
         bad = [a.name for a in pres.quiver.arrows if a.degree > 0]
         raise PositiveDegree(f"arrows of positive degree: {bad}")
     rc = RewriteContext(pres, cap if cap is not None else default_cap(depth))
-    return rc, {-w: _by_pair_name(rc.basis(-w)) for w in range(depth + 1)}
+    for w in range(depth + 1):
+        rc.counts(-w)
+    return rc
 
 
-def _by_pair_name(basis):
-    """Positions of the context's listing of the basis's degree, each
-    vertex pair's words together and the pairs sorted by name."""
-    blocks, pos = [], 0
-    for pair, words in basis.by_pair.items():
-        blocks.append((str(pair), range(pos, pos + len(words))))
-        pos += len(words)
-    return [i for _, block in sorted(blocks, key=lambda b: b[0])
-            for i in block]
-
-
-def _slice_elements(orders, a, offset):
-    """Basis (s, t, degree, position in the listing of the degree) of the
-    slots with degree s - t - offset <= 0, each in orders[degree], and
-    index: (s, t) -> element number of each position of that listing."""
-    elements, index = [], {}
+def _slice_elements(rc, a, offset):
+    """Basis (s, t, degree, position in rc.listing(degree)) of the slots
+    with degree s - t - offset <= 0, each slot in listing order, and
+    base: (s, t) -> element number of position 0 of that slot."""
+    elements, base = [], {}
     for s in range(a):
         for t in range(a):
             w = s - t - offset
             if w <= 0:
-                slots = index[s, t] = [None] * len(orders[w])
-                for i in orders[w]:
-                    slots[i] = len(elements)
-                    elements.append((s, t, w, i))
-    return elements, index
+                base[s, t] = len(elements)
+                elements += [(s, t, w, i) for i in range(len(rc.listing(w)))]
+    return elements, base
 
 
 def _slice_labels(rc, elements, sep):
@@ -72,31 +62,32 @@ def _slice_labels(rc, elements, sep):
             for s, t, w, i in elements]
 
 
-def _products(rc, lefts, rights, index):
-    """(i, j) -> lefts[i] * rights[j] over the basis numbered by index, for
+def _products(rc, lefts, rights, base):
+    """(i, j) -> lefts[i] * rights[j] over the basis numbered by base, for
     the nonzero products with equal inner slots.  An element is (s, t,
     degree, position in rc.listing(degree)); the product of (s, t, ...)
-    and (t, u, ...) lies in slot (s, u), whose index maps each position of
-    the product's listing to its element number."""
+    and (t, u, ...) lies in slot (s, u), where position k of the product's
+    listing is element base[s, u] + k."""
     out, words = {}, [rc.word(dq, iq) for _, _, dq, iq in rights]
     for i, (s, t, dp, ip) in enumerate(lefts):
         for j, (t2, u, _, _) in enumerate(rights):
             if t == t2:
                 vec = rc.times(ip, dp, words[j])
                 if vec:
-                    slots = index[s, u]
-                    out[i, j] = {slots[k]: Fraction(c) for k, c in vec.items()}
+                    b = base[s, u]
+                    out[i, j] = {b + k: Fraction(c) for k, c in vec.items()}
     return out
 
 
-def _slice_algebra(pres, a, rc, orders):
+def _slice_algebra(pres, a, rc):
     """The slice algebra A read off a context of depth a - 1 or more, and
-    its elements."""
-    elements, index = _slice_elements(orders, a, 0)
-    lazy = [i for i in orders[0] if rc.word(0, i).is_lazy]
-    idems = [index[s, s][i] for s in range(a) for i in lazy]
+    its elements; e_v heads the (v, v) block of the degree-0 listing."""
+    elements, base = _slice_elements(rc, a, 0)
+    starts = rc.listing(0).starts
+    idems = [base[s, s] + starts[u, v] for s in range(a)
+             for u, v in starts if u == v]
     return FDAlgebra(_slice_labels(rc, elements, "->"),
-                     _products(rc, elements, elements, index), idems,
+                     _products(rc, elements, elements, base), idems,
                      grading=[s - t for s, t, _, _ in elements],
                      name=f"A({pres.name or 'R'},a={a})"), elements
 
@@ -105,7 +96,7 @@ def build_A(pres, a, cap=None) -> FDAlgebra:
     """Lower triangular a x a slice algebra of the presentation."""
     if a < 1:
         raise ValueError("a must be >= 1")
-    return _slice_algebra(pres, a, *_slice_context(pres, a - 1, cap))[0]
+    return _slice_algebra(pres, a, _slice_context(pres, a - 1, cap))[0]
 
 
 def build_U(pres, a, cap=None) -> FDBimodule:
@@ -123,12 +114,12 @@ def build_AUB(pres, a, cap=None):
     (so one completion, and one more for its stability probe)."""
     if a < 1:
         raise ValueError("a must be >= 1")
-    rc, orders = _slice_context(pres, a, cap)
-    A, a_elements = _slice_algebra(pres, a, rc, orders)
-    u_elements, u_index = _slice_elements(orders, a, 1)
+    rc = _slice_context(pres, a, cap)
+    A, a_elements = _slice_algebra(pres, a, rc)
+    u_elements, u_base = _slice_elements(rc, a, 1)
     U = FDBimodule(A, _slice_labels(rc, u_elements, "=>"),
-                   _products(rc, a_elements, u_elements, u_index),
-                   _products(rc, u_elements, a_elements, u_index),
+                   _products(rc, a_elements, u_elements, u_base),
+                   _products(rc, u_elements, a_elements, u_base),
                    name=f"U({pres.name or 'R'},a={a})")
     return A, U, build_B(A, U)
 

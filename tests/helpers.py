@@ -1209,7 +1209,8 @@ def solve_lp_by_fractions(A, b, c):
 def basis_by_walk(rc, degree):
     """The graded basis as RewriteContext.basis built it before the layered
     listings: one depth-first walk (normal_paths) per vertex and degree,
-    then each pair's words sorted by the monomial order."""
+    then each pair's words sorted by the monomial order and the pairs by
+    str(pair)."""
     ctx, found = rc.pres.ctx, {}
     for v in rc.pres.quiver.vertices:
         states = []
@@ -1218,6 +1219,7 @@ def basis_by_walk(rc, degree):
             found.setdefault((v, ctx.target(p)), []).append((p, state))
     for words in found.values():
         words.sort(key=lambda ps: ctx.key(ps[0]))
+    found = dict(sorted(found.items(), key=lambda kv: str(kv[0])))
     return GradedPieceBasis(
         degree, {pair: [p for p, _ in words]
                  for pair, words in found.items()},
@@ -1229,7 +1231,7 @@ class PathListings:
     before the trie: each (degree, length) layer as Paths with their
     automaton states, w * x for w one arrow shorter, sorted by the monomial
     order when there are several vertices or arrow degrees; each degree's
-    pairs ordered by vertex and least word; a (source, arrows) -> position
+    pairs ordered by str(pair); a (source, arrows) -> position
     index; and arrow maps filled by index look-ups, None for a miss (a lazy
     word times an arrow on the left is looked up too)."""
 
@@ -1275,10 +1277,7 @@ class PathListings:
             for length in range(self.rc.cap + 1):
                 for pair, part in self.layer(degree, length).items():
                     found.setdefault(pair, []).append(part)
-            vertices = self.rc.pres.quiver.vertices
-            pairs = sorted(found, key=lambda pair: (
-                vertices.index(pair[0]),
-                min(w.arrows for words, _ in found[pair] for w in words)))
+            pairs = sorted(found, key=str)
             words = [w for pair in pairs for ws, _ in found[pair] for w in ws]
             self.listings[degree] = (
                 words, {(p.source, p.arrows): i for i, p in enumerate(words)},

@@ -10,8 +10,10 @@ from gradedcy.dimer import (dual_qp, grading_from_matchings,
                             jacobian_presentation, load_dimer,
                             perfect_matchings)
 from gradedcy.errors import CapTooSmall, NonStabilizing
-from gradedcy.quiver import NCPoly, Path, parse_presentation
+from gradedcy.quiver import NCPoly, Path, load_presentation, \
+    parse_presentation
 from gradedcy.normalwords import RewriteContext
+from gradedcy.preprojective import layered_presentation
 from gradedcy.rewriting import (RewritingSystem, dimension_table,
                                 graded_dimension, length_table,
                                 truncated_rewriting)
@@ -446,6 +448,26 @@ def test_layered_listings_match_the_walk_on_random_presentations():
     for trial in range(60):
         pres = random_presentation(rng)
         assert _listing_faults(pres, 6, range(1, -14, -1)) == [], trial
+
+
+@pytest.mark.parametrize("name", ["four_face", "layered a2"])
+def test_listings_order_pairs_by_name(name):
+    """Listings and bases order their vertex pairs by str(pair), the order
+    of dimension_table and of the slice algebras' bases, on two inputs
+    where a depth-first walk from each vertex in turn meets the pairs in
+    another order."""
+    if name == "four_face":
+        pres = _jacobian("four_face.dimer", [("d1", "d2", "om")])
+        cap, degrees = 10, range(0, -3, -1)
+    else:
+        pres = layered_presentation(
+            load_presentation(DATA / "a2.quiver").quiver, 2)
+        cap, degrees = 6, (0, -1)
+    rc = RewriteContext(pres, cap)
+    for d in degrees:
+        pairs = [pair for pair, _, _ in rc.listing(d).blocks]
+        assert pairs == sorted(pairs, key=str), d
+        assert list(rc.basis(d, check_stability=False).by_pair) == pairs, d
 
 
 @pytest.mark.parametrize("method,old,new", [

@@ -7,8 +7,10 @@ import pytest
 from gradedcy import preprojective, rewriting, slice_algebras
 from gradedcy.dimer import (dual_qp, grading_from_matchings,
                             jacobian_presentation, load_dimer)
-from gradedcy.errors import NotSurjective, PositiveDegree, WindowViolation
+from gradedcy.errors import (NonStabilizing, NotSurjective, PositiveDegree,
+                             WindowViolation)
 from gradedcy.findim import arrow_multiplicities, gabriel_quiver, radical
+from gradedcy.normalwords import RewriteContext
 from gradedcy.preprojective import (block_arrow_images,
                                     block_trivial_extension, ext_bimodule,
                                     path_algebra)
@@ -119,7 +121,6 @@ def test_radical_block_decomposition():
 def test_multiply_grading():
     pres = load("k_x.pres")
     tripled = multiply_grading(pres, 3)
-    from gradedcy.normalwords import RewriteContext
     rc = RewriteContext(tripled, 8)
     assert rc.basis(-3).dim() == 1
     assert rc.basis(-1).dim() == 0
@@ -385,11 +386,14 @@ def test_products_match_the_reduction_oracle(name, a):
 
 
 def test_products_oracle_catches_an_index_mutant(monkeypatch):
-    """An off-by-one in the element numbers of _products is caught by the
-    comparison, in the slice algebras and in the preprojective layer."""
+    """An off-by-one in the base offset of _products (the element number
+    of a product's position) is caught in the slice algebras, where A's
+    own check refuses e_P * e_P as not idempotent before the comparison,
+    and by the comparison in the preprojective layer."""
     _mutant(monkeypatch, slice_algebras._products,
-            "{slots[k]: Fraction(c)", "{slots[k - 1]: Fraction(c)")
-    assert _slice_faults(load("skew_3.pres"), 2)
+            "{b + k: Fraction(c)", "{b + k - 1: Fraction(c)")
+    with pytest.raises(ValueError, match="is not idempotent"):
+        _slice_faults(load("skew_3.pres"), 2)
     assert _layer_faults(load_presentation(DATA / "kronecker.quiver").quiver)
 
 
@@ -410,6 +414,22 @@ def test_one_completion_serves_A_and_U(monkeypatch):
     monkeypatch.setattr(rewriting, "truncated_rewriting", counting)
     build_AUB(load("skew_3.pres"), 2)
     assert caps == [8, 10]
+
+
+def test_stability_is_checked_before_any_listing(monkeypatch):
+    """build_AUB checks every degree 0..-a for stability before it lists
+    any of them: k_xy at cap 2 does not stabilize at degree -3, and no
+    listing has been built when that is refused."""
+    listed, listing = [], RewriteContext.listing
+
+    def spy(self, degree):
+        listed.append(degree)
+        return listing(self, degree)
+
+    monkeypatch.setattr(RewriteContext, "listing", spy)
+    with pytest.raises(NonStabilizing, match="degree -3 "):
+        build_AUB(load("k_xy.pres"), 3, cap=2)
+    assert listed == []
 
 
 def _fields(x):
