@@ -13,34 +13,21 @@ from fractions import Fraction
 
 from .errors import NotHereditary, NotUnimodular
 from .linalg import mat_det, mat_inv, mat_mul, mat_vec
-from .quiver import Quiver
-from .rewriting import CountContext
+from .quiver import GradedQuiverPresentation, Quiver
+from .rewriting import CountContext, length_table
 
 
 def cartan_matrix(Q: Quiver):
     """C[i][j] = number of paths j -> i in the acyclic quiver Q (columns
-    are dimension vectors of the indecomposable projectives)."""
+    are dimension vectors of the indecomposable projectives); no path has
+    as many arrows as Q has vertices."""
     if not Q.is_acyclic():
         raise NotHereditary("Cartan matrix needs an acyclic quiver")
-    n = len(Q.vertices)
     vidx = {v: i for i, v in enumerate(Q.vertices)}
-    counts = [[0] * n for _ in range(n)]
-    # path counts by dynamic programming along a topological order
-    for j, v in enumerate(Q.vertices):
-        # count paths from v to every vertex
-        reach = {v: 1}
-        frontier = {v: 1}
-        while frontier:
-            nxt = {}
-            for src, mult in frontier.items():
-                for ai in Q.arrows_by_source[src]:
-                    t = Q.arrows[ai].target
-                    nxt[t] = nxt.get(t, 0) + mult
-            for t, m in nxt.items():
-                reach[t] = reach.get(t, 0) + m
-            frontier = nxt
-        for t, m in reach.items():
-            counts[vidx[t]][j] = m
+    counts = [[0] * len(vidx) for _ in vidx]
+    for (s, t), lengths in length_table(GradedQuiverPresentation(Q, []),
+                                        len(vidx)).items():
+        counts[vidx[t]][vidx[s]] = sum(lengths)
     return counts
 
 

@@ -395,13 +395,14 @@ def cy3_complex(qp: QuiverWithPotential, deg: DegreeFunction,
     vidx = {v: i for i, v in enumerate(quiver.vertices)}
 
     # d1: P1 -> P0: g_a -> a g_{t(a)}  -  g_{s(a)} a
-    d1 = {}
+    # d3: P3 -> P2: g''_i -> sum_{s(a)=i} a g'_a  -  sum_{t(a)=i} g'_a a
+    d1, d3 = {}, {}
     for j, a in enumerate(quiver.arrows):
-        ap = ctx.arrow_path(a.name)
-        d1.setdefault((vidx[a.target], j), []).append(
-            (Fraction(1), ap, lazy(a.target)))
-        d1.setdefault((vidx[a.source], j), []).append(
-            (Fraction(-1), lazy(a.source), ap))
+        ap, s, t = ctx.arrow_path(a.name), vidx[a.source], vidx[a.target]
+        d1.setdefault((t, j), []).append((Fraction(1), ap, lazy(a.target)))
+        d1.setdefault((s, j), []).append((Fraction(-1), lazy(a.source), ap))
+        d3.setdefault((j, s), []).append((Fraction(1), ap, lazy(a.source)))
+        d3.setdefault((j, t), []).append((Fraction(-1), lazy(a.target), ap))
 
     # d2: P2 -> P1: g'_a -> sum over cycles through a of the splittings
     d2 = {}
@@ -413,18 +414,6 @@ def cy3_complex(qp: QuiverWithPotential, deg: DegreeFunction,
                 rpath = ctx.path_from_names(right) if right else lazy(a.source)
                 d2.setdefault((quiver.arrow_index[mid], j), []).append(
                     (Fraction(sign), lpath, rpath))
-
-    # d3: P3 -> P2: g''_i -> sum_{s(a)=i} a g'_a  -  sum_{t(a)=i} g'_a a
-    d3 = {}
-    for i, v in enumerate(quiver.vertices):
-        for j, a in enumerate(quiver.arrows):
-            ap = ctx.arrow_path(a.name)
-            if a.source == v:
-                d3.setdefault((j, i), []).append(
-                    (Fraction(1), ap, lazy(a.source)))
-            if a.target == v:
-                d3.setdefault((j, i), []).append(
-                    (Fraction(-1), lazy(a.target), ap))
 
     return BimoduleComplex(pres, terms, [d1, d2, d3], name="cy3")
 

@@ -34,21 +34,16 @@ def _exact(table):
 
 
 class FDAlgebra:
-    def __init__(self, labels, mult, idempotent_indices, grading=None,
-                 name=""):
+    def __init__(self, labels, mult, idempotent_indices, name=""):
         """mult: dict (i, j) -> sparse vec for basis_i * basis_j."""
         self.labels = list(labels)
         self.dim = len(self.labels)
         self.mult = _exact(mult)
         self.idempotents = list(idempotent_indices)
-        self.grading = grading
         self.name = name
         self._validate_idempotents()
 
     # -- basics ---------------------------------------------------------
-
-    def unit(self):
-        return {i: Fraction(1) for i in self.idempotents}
 
     def basis_vec(self, i):
         return {i: Fraction(1)}
@@ -67,48 +62,11 @@ class FDAlgebra:
                 if i != j and self.mult.get((i, j)):
                     raise ValueError("declared idempotents not orthogonal")
 
-    def check_associative(self):
-        """Exhaustive associativity check on basis triples; returns True or
-        raises ValueError naming the first bad triple."""
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.mult.get((i, j), {})
-                for k in range(self.dim):
-                    if _bilinear(self.mult, ij, {k: 1}) != _bilinear(
-                            self.mult, {i: 1}, self.mult.get((j, k), {})):
-                        raise ValueError(
-                            f"associativity fails on "
-                            f"({self.labels[i]},{self.labels[j]},"
-                            f"{self.labels[k]})")
-        return True
-
-    def check_unit(self):
-        one = self.unit()
-        for i in range(self.dim):
-            b = self.basis_vec(i)
-            if self.product(one, b) != b or self.product(b, one) != b:
-                raise ValueError(f"unit fails on {self.labels[i]}")
-        return True
-
-    # -- idempotent slots -------------------------------------------------
-
-    def slot_of(self, i, side):
-        """Index of the idempotent with e*b = b (side='left') or
-        b*e = b (side='right'); None if b is not in a single slot."""
-        b = self.basis_vec(i)
-        for k, e in enumerate(self.idempotents):
-            ev = self.basis_vec(e)
-            p = self.product(ev, b) if side == "left" else self.product(b, ev)
-            if p == b:
-                return k
-        return None
-
     def opposite(self):
         mult = {}
         for (i, j), v in self.mult.items():
             mult[(j, i)] = v
         return FDAlgebra(self.labels, mult, self.idempotents,
-                         grading=self.grading,
                          name=self.name + "^op" if self.name else "")
 
     # -- emitters ---------------------------------------------------------
@@ -129,30 +87,6 @@ class FDBimodule:
         self.right = _exact(right)
         self.name = name
 
-    def act_left(self, avec, uvec):
-        return _bilinear(self.left, avec, uvec)
-
-    def act_right(self, uvec, avec):
-        return _bilinear(self.right, uvec, avec)
-
-    def check_bimodule(self):
-        """Actions commute: (a.u).b == a.(u.b) on all basis triples."""
-        A = self.algebra
-        for a in range(A.dim):
-            av = A.basis_vec(a)
-            for u in range(self.dim):
-                uv = {u: Fraction(1)}
-                au = self.act_left(av, uv)
-                for b in range(A.dim):
-                    bv = A.basis_vec(b)
-                    lhs = self.act_right(au, bv)
-                    rhs = self.act_left(av, self.act_right(uv, bv))
-                    if lhs != rhs:
-                        raise ValueError(
-                            f"bimodule axiom fails on ({A.labels[a]},"
-                            f"{self.labels[u]},{A.labels[b]})")
-        return True
-
 
 def trivial_extension(A: FDAlgebra, U: FDBimodule, name="") -> FDAlgebra:
     """A + U with U squaring to zero; basis = A-basis then U-basis."""
@@ -169,9 +103,6 @@ def trivial_extension(A: FDAlgebra, U: FDBimodule, name="") -> FDAlgebra:
             w = U.right.get((u, a))
             if w:
                 mult[(n + u, a)] = {n + k: c for k, c in w.items()}
-    grading = None
-    if A.grading is not None:
-        grading = list(A.grading) + [None] * U.dim
-    return FDAlgebra(labels, mult, list(A.idempotents), grading=grading,
+    return FDAlgebra(labels, mult, list(A.idempotents),
                      name=name or (f"triv_ext({A.name})" if A.name else ""))
 

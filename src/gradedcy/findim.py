@@ -134,17 +134,16 @@ class RightModule:
     @classmethod
     def dual_of_regular(cls, alg: FDAlgebra):
         """D(A), for A as a right module over itself, carried as a right
-        module over alg.opposite().
+        module over alg.opposite() (its .alg).
 
         The left A-action (a.f)(x) = f(x a) on the dual becomes a right
         A^op-action; on dual basis vectors f_q . b = sum_i mult[(i,b)][q] f_i.
         """
-        op = alg.opposite()
         action = [{} for _ in range(alg.dim)]
         for (i, b), prod in alg.mult.items():
             for q, c in prod.items():
                 action[b].setdefault(q, {})[i] = c
-        return cls(op, alg.dim, action, name="D(regular)"), op
+        return cls(alg.opposite(), alg.dim, action, name="D(regular)")
 
     def act(self, vec, b):
         """The sparse module vector vec times basis element b."""
@@ -153,19 +152,6 @@ class RightModule:
         for i, c in vec.items():
             _add_into(out, rows.get(i, {}).items(), c)
         return out
-
-    def check_module(self):
-        for i in range(self.alg.dim):
-            for j in range(self.alg.dim):
-                prod = self.alg.mult.get((i, j), {})
-                for r in range(self.dim):
-                    rhs = {}
-                    for k, c in prod.items():
-                        _add_into(rhs, self.action[k].get(r, {}).items(), c)
-                    lhs = self.act(self.act({r: Fraction(1)}, i), j)
-                    if lhs != rhs:
-                        raise ValueError("module axiom fails")
-        return True
 
 
 # betti: idempotent slot -> multiplicity
@@ -268,9 +254,9 @@ def injective_dimension(alg: FDAlgebra, side, cap):
     way.  Returns an int, or None when the bound `cap` was exceeded.
     """
     if side == "right":
-        dual, _ = RightModule.dual_of_regular(alg)
+        dual = RightModule.dual_of_regular(alg)
     elif side == "left":
-        dual, _ = RightModule.dual_of_regular(alg.opposite())
+        dual = RightModule.dual_of_regular(alg.opposite())
     else:
         raise ValueError("side must be 'left' or 'right'")
     res = projective_resolution(dual, cap)

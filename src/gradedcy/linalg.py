@@ -130,6 +130,15 @@ def _sparse_rows(matrix):
             for row in matrix]
 
 
+def _square(matrix):
+    """Refuse a matrix that is not square with a ValueError naming its
+    shape: the answers of mat_inv and mat_det would be wrong."""
+    widths = sorted({len(row) for row in matrix})
+    if widths not in ([], [len(matrix)]):
+        raise ValueError(f"not a square matrix: {len(matrix)} rows of "
+                         f"length {'/'.join(map(str, widths))}")
+
+
 def nullspace_with_free(matrix, ncols=None):
     """(kernel basis, free column list).
 
@@ -175,6 +184,7 @@ def mat_inv(matrix):
 
     [A | I] reduces to [I | A^-1]; A is singular exactly when some pivot
     falls in the identity block."""
+    _square(matrix)
     n = len(matrix)
     el = SparseEliminator()
     for i, row in enumerate(_sparse_rows(matrix)):
@@ -190,6 +200,7 @@ def mat_inv(matrix):
 def mat_det(matrix):
     """Product of the pivots, times the sign of the order in which the
     rows took their pivot columns."""
+    _square(matrix)
     el = SparseEliminator()
     det = Fraction(1)
     order = []

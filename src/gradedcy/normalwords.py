@@ -36,10 +36,9 @@ from .rewriting import CountContext
 class GradedPieceBasis:
     """Normal-form basis of one graded piece, split by vertex pair."""
 
-    def __init__(self, degree, by_pair, states):
+    def __init__(self, degree, by_pair):
         self.degree = degree
         self.by_pair = by_pair  # (source, target) -> list of Path
-        self.states = states    # (source, target) -> automaton state per path
 
     def dim(self, source=None, target=None):
         return sum(len(paths) for (s, t), paths in self.by_pair.items()
@@ -89,27 +88,23 @@ class RewriteContext(CountContext):
         # _ends[k + 1] of _keys (positions) and _coeffs (exact numbers)
         self._ends, self._keys, self._coeffs = array("i", [0]), array("i"), []
         self._out = {}      # degree -> vertex -> arrows out of it, in order
-        for x in sorted(pres.ctx.order_key, key=pres.ctx.order_key.get):
-            a = pres.quiver.arrows[x]
+        for x, a in enumerate(pres.quiver.arrows):
             self._out.setdefault(a.degree, {}).setdefault(a.source, []) \
                 .append(x)
         self._rules = {lhs: (pres.ctx.degree(Path(src, lhs)),
                              [(q, as_exact(c)) for q, c in rhs.terms.items()])
                        for lhs, src, rhs in self.rs.rules}
 
-    def basis(self, degree, check_stability=True):
+    def basis(self, degree):
         """Normal-form basis of the graded piece, checked like counts():
-        the words of listing(degree) as Paths, with their states, the
-        pairs sorted by str(pair)."""
-        if check_stability and degree not in self._checked_degrees:
+        the words of listing(degree) as Paths, the pairs sorted by
+        str(pair)."""
+        if degree not in self._checked_degrees:
             self.counts(degree)
-        blocks = self.listing(degree).blocks
         return GradedPieceBasis(degree, {
             pair: [Path(pair[0], self._arrows(degree, pair, j))
                    for j in range(len(block[1]))]
-            for pair, _, block in blocks}, {
-            pair: [self._states[st] for st in block[2]]
-            for pair, _, block in blocks})
+            for pair, _, block in self.listing(degree).blocks})
 
     def _grow(self, degree, length):
         """List the normal words of the degree up to `length` into its
@@ -148,9 +143,8 @@ class RewriteContext(CountContext):
                 lo = ends[-1] if ends else 0
                 if len(last) - lo > 1 and (len(self._out) > 1 or len(
                         self.pres.quiver.vertices) > 1):
-                    order = sorted(range(lo, len(last)), key=lambda j: [
-                        self.pres.ctx.order_key[x]
-                        for x in self._arrows(degree, pair, j)])
+                    order = sorted(range(lo, len(last)), key=lambda j:
+                                   self._arrows(degree, pair, j))
                     for col in parent, last, states:
                         col[lo:] = array("i", [col[j] for j in order])
                 ends.append(len(last))

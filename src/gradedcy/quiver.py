@@ -3,8 +3,9 @@
 Composition convention (used everywhere in this package): paths compose
 left to right, so the product ``p * q`` means "first p, then q" and is
 nonzero exactly when ``p.target == q.source``.  Relation files are written
-in this convention.  The monomial order is length-lex with a user
-suppliable arrow order (default: declaration order).
+in this convention.  The monomial order is length-lex, with arrows
+compared in declaration order: declaring the arrows in another order
+picks another monomial order.
 """
 
 from __future__ import annotations
@@ -115,15 +116,8 @@ class Path:
 class PathAlgebraContext:
     """Path arithmetic bound to one quiver (target/degree lookups, order)."""
 
-    def __init__(self, quiver: Quiver, arrow_order=None):
+    def __init__(self, quiver: Quiver):
         self.quiver = quiver
-        if arrow_order is None:
-            order = list(range(len(quiver.arrows)))
-        else:
-            order = [quiver.arrow_index[n] for n in arrow_order]
-            if sorted(order) != list(range(len(quiver.arrows))):
-                raise ValueError("arrow_order must list every arrow once")
-        self.order_key = {idx: pos for pos, idx in enumerate(order)}
 
     def lazy(self, vertex):
         return Path(vertex, ())
@@ -156,10 +150,10 @@ class PathAlgebraContext:
         return Path(p.source, p.arrows + q.arrows)
 
     def key(self, p: Path):
-        """Length-lex sort key; larger key = larger monomial.  Lazy paths
-        are ordered by their vertex ids."""
-        return (len(p.arrows), tuple(self.order_key[i] for i in p.arrows)
-                or (p.source,))
+        """Length-lex sort key, arrows compared by their indices; larger
+        key = larger monomial.  Lazy paths are ordered by their vertex
+        ids."""
+        return (len(p.arrows), p.arrows or (p.source,))
 
     def format_path(self, p: Path):
         if p.is_lazy:
@@ -207,16 +201,8 @@ class NCPoly:
     def __sub__(self, other):
         return NCPoly(_add_into(dict(self.terms), other.terms.items(), -1))
 
-    def scale(self, c):
-        c = Fraction(c)
-        return NCPoly({p: c * x for p, x in self.terms.items()})
-
     def leading(self, ctx: PathAlgebraContext):
         return max(self.terms, key=ctx.key)
-
-    def is_homogeneous(self, ctx: PathAlgebraContext):
-        """Terms parallel (same source and target) and of equal degree."""
-        return _offending_term(self, ctx) is None
 
     def format(self, ctx):
         if not self.terms:
@@ -265,10 +251,9 @@ CYData = namedtuple("CYData", "dimension a_invariant")
 class GradedQuiverPresentation:
     """A quiver with integer arrow degrees and homogeneous relations."""
 
-    def __init__(self, quiver, relations, twist=None, cy=None,
-                 arrow_order=None, name=""):
+    def __init__(self, quiver, relations, twist=None, cy=None, name=""):
         self.quiver = quiver
-        self.ctx = PathAlgebraContext(quiver, arrow_order)
+        self.ctx = PathAlgebraContext(quiver)
         self.name = name
         self.relations = []
         for r in relations:

@@ -88,7 +88,6 @@ def _slice_algebra(pres, a, rc):
              for u, v in starts if u == v]
     return FDAlgebra(_slice_labels(rc, elements, "->"),
                      _products(rc, elements, elements, base), idems,
-                     grading=[s - t for s, t, _, _ in elements],
                      name=f"A({pres.name or 'R'},a={a})"), elements
 
 

@@ -24,8 +24,12 @@ scanning every edge for every vertex, and the `dimer matchings` answer
 by `json.dumps`.  The other JSON
 emitters at the end are kept here for the tests that read them,
 `slice_matrix` for the tests that look at whole slice matrices,
-`vec_add` for the tests that add sparse vectors, and `solve` (a dense
-solve through the one eliminator) for the oracles and the linalg tests;
+`vec_add` for the tests that add sparse vectors, `solve` (a dense
+solve through the one eliminator) for the oracles and the linalg tests,
+and the axiom checks of algebras, bimodules and modules with the
+accessors only they read (`check_associative`, `check_unit`, `slot_of`,
+`act_left`, `act_right`, `check_bimodule`, `check_module`) and the
+polynomial helpers `scale` and `is_homogeneous`;
 the package itself does not use them.  `random_presentation` draws the
 seeded random presentations that the rewriting and resolution
 differentials share.
@@ -41,7 +45,8 @@ from pathlib import Path as FsPath
 from gradedcy.dimer import DimerEdge, DimerModel
 from gradedcy.errors import (NonStabilizing, NotBasic, NotComplex,
                              NotSurjective, PositiveDegree)
-from gradedcy.fdalgebra import FDAlgebra, FDBimodule, trivial_extension
+from gradedcy.fdalgebra import (FDAlgebra, FDBimodule, _bilinear,
+                                trivial_extension)
 from gradedcy.findim import radical
 from gradedcy.errors import NotSplitBasic
 from gradedcy.linalg import (SparseEliminator, _sparse_rows,
@@ -49,8 +54,9 @@ from gradedcy.linalg import (SparseEliminator, _sparse_rows,
 from gradedcy.preprojective import (_plain_paths, path_algebra,
                                     preprojective_presentation)
 from gradedcy.quiver import (Arrow, GradedQuiverPresentation, NCPoly, Path,
-                             Quiver, load_presentation)
-from gradedcy.normalwords import GradedPieceBasis, RewriteContext
+                             Quiver, _add_into, _offending_term,
+                             load_presentation)
+from gradedcy.normalwords import RewriteContext
 from gradedcy.simplex import LPResult
 from gradedcy.slice_algebras import build_B, default_cap
 
@@ -811,8 +817,7 @@ def build_A_by_reduction(pres, a, cap=None) -> FDAlgebra:
                 mult[(i, j)] = v
     idems = [index_of[(s, s, p)] for s in range(a)
              for p in sb.paths(0) if p.is_lazy and (s, s, p) in index_of]
-    grading = [s - t for s, t, _ in elements]
-    return FDAlgebra(labels, mult, idems, grading=grading,
+    return FDAlgebra(labels, mult, idems,
                      name=f"A({pres.name or 'R'},a={a})")
 
 
@@ -1208,8 +1213,9 @@ def solve_lp_by_fractions(A, b, c):
 
 def basis_by_walk(rc, degree):
     """The graded basis as RewriteContext.basis built it before the layered
-    listings: one depth-first walk (normal_paths) per vertex and degree,
-    then each pair's words sorted by the monomial order and the pairs by
+    listings, as pair -> words and pair -> the automaton state of each
+    word: one depth-first walk (normal_paths) per vertex and degree, then
+    each pair's words sorted by the monomial order and the pairs by
     str(pair)."""
     ctx, found = rc.pres.ctx, {}
     for v in rc.pres.quiver.vertices:
@@ -1220,10 +1226,8 @@ def basis_by_walk(rc, degree):
     for words in found.values():
         words.sort(key=lambda ps: ctx.key(ps[0]))
     found = dict(sorted(found.items(), key=lambda kv: str(kv[0])))
-    return GradedPieceBasis(
-        degree, {pair: [p for p, _ in words]
-                 for pair, words in found.items()},
-        {pair: [st for _, st in words] for pair, words in found.items()})
+    return ({pair: [p for p, _ in words] for pair, words in found.items()},
+            {pair: [st for _, st in words] for pair, words in found.items()})
 
 
 class PathListings:
@@ -1237,9 +1241,7 @@ class PathListings:
 
     def __init__(self, rc):
         self.rc, self.layers, self.listings, self.out = rc, {}, {}, {}
-        ctx = rc.pres.ctx
-        for x in sorted(ctx.order_key, key=ctx.order_key.get):
-            a = rc.pres.quiver.arrows[x]
+        for x, a in enumerate(rc.pres.quiver.arrows):
             self.out.setdefault(a.degree, {}).setdefault(a.source, []) \
                 .append(x)
 
@@ -1353,13 +1355,111 @@ def structure_json(alg):
     return json.dumps(data, indent=2, sort_keys=True)
 
 
+def check_associative(alg):
+    """Exhaustive associativity check of an FDAlgebra on basis triples;
+    returns True or raises ValueError naming the first bad triple."""
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            ij = alg.mult.get((i, j), {})
+            for k in range(alg.dim):
+                if _bilinear(alg.mult, ij, {k: 1}) != _bilinear(
+                        alg.mult, {i: 1}, alg.mult.get((j, k), {})):
+                    raise ValueError(
+                        f"associativity fails on "
+                        f"({alg.labels[i]},{alg.labels[j]},"
+                        f"{alg.labels[k]})")
+    return True
+
+
+def check_unit(alg):
+    """The sum of the declared idempotents is a two-sided unit of the
+    FDAlgebra; returns True or raises ValueError naming a basis element."""
+    one = {i: Fraction(1) for i in alg.idempotents}
+    for i in range(alg.dim):
+        b = alg.basis_vec(i)
+        if alg.product(one, b) != b or alg.product(b, one) != b:
+            raise ValueError(f"unit fails on {alg.labels[i]}")
+    return True
+
+
+def slot_of(alg, i, side):
+    """Index of the idempotent e of the FDAlgebra with e*b = b
+    (side='left') or b*e = b (side='right') for basis element b = i;
+    None if b is not in a single slot."""
+    b = alg.basis_vec(i)
+    for k, e in enumerate(alg.idempotents):
+        ev = alg.basis_vec(e)
+        p = alg.product(ev, b) if side == "left" else alg.product(b, ev)
+        if p == b:
+            return k
+    return None
+
+
+def act_left(U, avec, uvec):
+    """a.u for sparse vectors over an FDBimodule's algebra and over U."""
+    return _bilinear(U.left, avec, uvec)
+
+
+def act_right(U, uvec, avec):
+    """u.a for sparse vectors over U and over its algebra."""
+    return _bilinear(U.right, uvec, avec)
+
+
+def check_bimodule(U):
+    """The actions of an FDBimodule commute: (a.u).b == a.(u.b) on all
+    basis triples; returns True or raises ValueError naming the triple."""
+    A = U.algebra
+    for a in range(A.dim):
+        av = A.basis_vec(a)
+        for u in range(U.dim):
+            uv = {u: Fraction(1)}
+            au = act_left(U, av, uv)
+            for b in range(A.dim):
+                bv = A.basis_vec(b)
+                lhs = act_right(U, au, bv)
+                rhs = act_left(U, av, act_right(U, uv, bv))
+                if lhs != rhs:
+                    raise ValueError(
+                        f"bimodule axiom fails on ({A.labels[a]},"
+                        f"{U.labels[u]},{A.labels[b]})")
+    return True
+
+
+def check_module(M):
+    """(m.i).j == m.(ij) for a RightModule on all basis triples; returns
+    True or raises ValueError."""
+    for i in range(M.alg.dim):
+        for j in range(M.alg.dim):
+            prod = M.alg.mult.get((i, j), {})
+            for r in range(M.dim):
+                rhs = {}
+                for k, c in prod.items():
+                    _add_into(rhs, M.action[k].get(r, {}).items(), c)
+                lhs = M.act(M.act({r: Fraction(1)}, i), j)
+                if lhs != rhs:
+                    raise ValueError("module axiom fails")
+    return True
+
+
+def scale(poly, c):
+    """The NCPoly c * poly."""
+    c = Fraction(c)
+    return NCPoly({p: c * x for p, x in poly.terms.items()})
+
+
+def is_homogeneous(poly, ctx):
+    """Terms of the NCPoly parallel (same source and target) and of equal
+    degree, by the package's one homogeneity rule."""
+    return _offending_term(poly, ctx) is None
+
+
 def direct_sum_decomposition_by_idempotents(alg):
     """(slot_left, slot_right) per basis element; raises NotSplitBasic when
     some basis element is not concentrated in a single slot pair."""
     out = []
     for i in range(alg.dim):
-        sl = alg.slot_of(i, "left")
-        sr = alg.slot_of(i, "right")
+        sl = slot_of(alg, i, "left")
+        sr = slot_of(alg, i, "right")
         if sl is None or sr is None:
             raise NotSplitBasic(
                 f"basis element {alg.labels[i]} not concentrated between a "

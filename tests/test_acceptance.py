@@ -29,8 +29,8 @@ from gradedcy.slice_algebras import (build_AUB, build_tilde,
                                      cluster_hom_shadow,
                                      relations_from_structure, reduce_mod)
 
-from helpers import (DATA, brute_force_graded_dimension, load,
-                     matchings_by_subsets)
+from helpers import (DATA, brute_force_graded_dimension, is_homogeneous,
+                     load, matchings_by_subsets)
 
 
 def report(n, text):
@@ -184,7 +184,7 @@ def test_criterion_5_dimer_suite():
     assert (g1.a_invariant, g2.a_invariant) == (1, 2)
     for g in (g1, g2):
         pres = jacobian_presentation(qp, g)
-        assert all(r.is_homogeneous(pres.ctx) for r in pres.relations)
+        assert all(is_homogeneous(r, pres.ctx) for r in pres.relations)
 
     hqp = dual_qp(hexd)
     hms, _ = perfect_matchings(hexd)

@@ -35,6 +35,10 @@ def test_coxeter_inverse():
     assert prod == [[1, 0], [0, 1]]
     with pytest.raises(NotUnimodular):
         coxeter_step([[2, 0], [0, 1]])
+    # not square: refused before the unimodularity check could pass it
+    with pytest.raises(ValueError, match="not a square matrix: 2 rows of "
+                       "length 3"):
+        coxeter_step([[1, 0, 5], [0, 1, 0]])
 
 
 def test_kronecker_preprojective_band():

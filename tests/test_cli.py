@@ -1,9 +1,11 @@
+import ast
 import io
 import json
 import os
 import subprocess
 import sys
 import tokenize
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -347,8 +349,10 @@ def test_verify_root_json_orbit():
 
 def test_verify_root_reads_its_table_off_the_checked_orbit(monkeypatch):
     """The orbit table comes from the orbit verify_root built: the orbit
-    and A complete their systems at cap 28 and probe at 30, and no second
-    orbit completes two more (the caps were 28, 28, 30, 30, 28, 30)."""
+    and A complete their systems at cap 28 and probe at 30, the Cartan
+    matrix counts the paths of A's two-vertex Gabriel quiver (no
+    relations) through one completion at cap 2, and no second orbit
+    completes two more (a second orbit added 28, 30)."""
     from gradedcy import rewriting
 
     caps, complete = [], rewriting.truncated_rewriting
@@ -361,7 +365,7 @@ def test_verify_root_reads_its_table_off_the_checked_orbit(monkeypatch):
     code, out, _ = run("--format", "json", "verify-root",
                        DATA / "k_xy.pres", "--a", "2")
     assert code == 0 and json.loads(out)["orbit"]["R(-7)"] == [8, 9]
-    assert caps == [28, 28, 30, 30]
+    assert caps == [28, 28, 30, 2, 30]
 
 
 def test_dot_outputs():
@@ -542,6 +546,47 @@ def test_tracer_wraps_every_name_it_names():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(root / "bench"), str(root / "src")])})
     assert out.returncode == 0, out.stderr
+
+
+def _references(node):
+    """The names, attribute names, imported names and identifier-like
+    string constants under an AST node (bench/tracer.py wraps package
+    functions by their names as strings)."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.rsplit(".", 1)[-1]
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and n.value.isidentifier():
+            yield n.value
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    """Every function, method and class defined in src/ (dunders aside)
+    is referenced in src/, demos/ or bench/ somewhere other than its own
+    body, so that the package holds no code that only the tests run;
+    checks and accessors that only tests call live in tests/helpers.py.
+    A reference is by name only, so a name shared with another
+    attribute passes."""
+    root = Path(__file__).resolve().parent.parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in ("src", "demos", "bench")
+             for path in sorted((root / folder).rglob("*.py"))}
+    seen = Counter(r for tree in trees.values() for r in _references(tree))
+    unused = [f"{path.name}:{node.name}"
+              for path, tree in trees.items()
+              if path.is_relative_to(root / "src")
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef))
+              and not (node.name.startswith("__")
+                       and node.name.endswith("__"))
+              and seen[node.name] == sum(r == node.name
+                                         for r in _references(node))]
+    assert not unused, f"only the tests call {unused}"
 
 
 def test_skew_resolution_file():

@@ -16,7 +16,7 @@ from gradedcy.linalg import SparseEliminator
 from gradedcy.preprojective import block_trivial_extension
 from gradedcy.slice_algebras import build_AUB, build_tilde
 
-from helpers import (dense_dual_of_regular, dense_resolution,
+from helpers import (check_module, dense_dual_of_regular, dense_resolution,
                      gabriel_quiver_by_pairs, load, random_presentation,
                      sparse_action, unit_pivot_mutant_add)
 
@@ -103,8 +103,8 @@ def test_sink_simple_is_projective():
 
 def test_dual_regular_resolution_short():
     _, _, B = build_AUB(load("k_xy.pres"), 2)
-    D, op = RightModule.dual_of_regular(B)
-    D.check_module()
+    D = RightModule.dual_of_regular(B)
+    check_module(D)
     res = projective_resolution(D, 4)
     assert res.finished_at <= 1
 
@@ -146,7 +146,7 @@ def test_betti_numbers_basis_independent():
     from gradedcy.linalg import mat_inv, mat_mul
 
     _, _, B = build_AUB(load("k_xy.pres"), 2)
-    D, op = RightModule.dual_of_regular(B)
+    D = RightModule.dual_of_regular(B)
     base = [s.betti for s in projective_resolution(D, 3).steps]
 
     rng = random.Random(7)
@@ -161,8 +161,8 @@ def test_betti_numbers_basis_independent():
             continue
     acts = [mat_mul(mat_mul(ginv, m), g) for m in dense_dual_of_regular(B)]
     # action in the new basis: row convention needs g on the other side
-    twisted = RightModule(op, n, sparse_action(acts), name="twisted")
-    twisted.check_module()
+    twisted = RightModule(D.alg, n, sparse_action(acts), name="twisted")
+    check_module(twisted)
     assert [s.betti for s in projective_resolution(twisted, 3).steps] == base
 
 
@@ -219,12 +219,12 @@ def test_resolutions_match_dense_oracle_on_corpus():
         _, _, B = build_AUB(pres, pres.cy.a_invariant)
         inj = {}
         for side, alg in (("right", B), ("left", B.opposite())):
-            D, op = RightModule.dual_of_regular(alg)
+            D = RightModule.dual_of_regular(alg)
             dense = sparse_action(dense_dual_of_regular(alg))
             assert D.action == dense, (name, side)
             res, modules = projective_resolution(D, d + 2), []
-            steps, finished = dense_resolution(op, alg.dim, dense, d + 2,
-                                               modules)
+            steps, finished = dense_resolution(D.alg, alg.dim, dense,
+                                               d + 2, modules)
             assert [s.betti for s in res.steps] == steps, (name, side)
             assert res.finished_at == finished, (name, side)
             assert [s.total_rank for s in res.steps] == \
@@ -282,11 +282,11 @@ def _resolution_faults(pres, a, cap=3):
     _, _, B = build_AUB(pres, a)
     faults = []
     for side, alg in (("right", B), ("left", B.opposite())):
-        D, op = RightModule.dual_of_regular(alg)
+        D = RightModule.dual_of_regular(alg)
         res = projective_resolution(D, cap)
         modules = []
         steps, finished = dense_resolution(
-            op, alg.dim, sparse_action(dense_dual_of_regular(alg)), cap,
+            D.alg, alg.dim, sparse_action(dense_dual_of_regular(alg)), cap,
             modules)
         if [s.betti for s in res.steps] != steps or \
                 res.finished_at != finished or \

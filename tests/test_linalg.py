@@ -94,6 +94,22 @@ def test_mat_inv(seed):
         mat_inv(S)
 
 
+@pytest.mark.parametrize("fn", [mat_inv, mat_det])
+@pytest.mark.parametrize("matrix,shape", [
+    ([[1, 0, 5], [0, 1, 0]], "2 rows of length 3"),
+    ([[1, 0], [0, 1], [0, 0]], "3 rows of length 2"),
+    ([[1, 0], [0]], "2 rows of length 1/2"),
+    ([[]], "1 rows of length 0")])
+def test_inverse_and_determinant_refuse_a_matrix_that_is_not_square(
+        fn, matrix, shape):
+    """A matrix that is not square is refused with its shape named, not
+    answered: the identity block of mat_inv overwrote the third column of
+    [[1, 0, 5], [0, 1, 0]] and returned the 2 x 2 identity, and mat_det
+    returned 1."""
+    with pytest.raises(ValueError, match=f"not a square matrix: {shape}$"):
+        fn(matrix)
+
+
 def leibniz(A):
     n = len(A)
     total = Fraction(0)
