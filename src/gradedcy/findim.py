@@ -7,8 +7,8 @@ the basis, verified to be a nilpotent ideal (NotSplitBasic otherwise);
 this matches computing the kernel of the projection onto the declared
 semisimple quotient.
 
-Modules are right modules given by sparse action rows; left-sided
-questions go through the opposite algebra.
+Modules are right modules given by sparse action rows; right-sided
+injective dimensions go through the opposite algebra.
 """
 
 from __future__ import annotations
@@ -125,25 +125,24 @@ class RightModule:
     maps a module basis index i to the sparse vector e_i . b, and zero
     rows are absent."""
 
-    def __init__(self, alg: FDAlgebra, dim, action, name=""):
+    def __init__(self, alg: FDAlgebra, dim, action):
         self.alg = alg
         self.dim = dim
         self.action = action  # per algebra basis element: {i: sparse row}
-        self.name = name
 
     @classmethod
     def dual_of_regular(cls, alg: FDAlgebra):
-        """D(A), for A as a right module over itself, carried as a right
-        module over alg.opposite() (its .alg).
+        """D(A), for A as a left module over itself, carried as a right
+        module over alg.
 
-        The left A-action (a.f)(x) = f(x a) on the dual becomes a right
-        A^op-action; on dual basis vectors f_q . b = sum_i mult[(i,b)][q] f_i.
+        The right A-action (f.b)(x) = f(b x) on the dual reads, on dual
+        basis vectors, f_q . b = sum_i mult[(b,i)][q] f_i.
         """
         action = [{} for _ in range(alg.dim)]
-        for (i, b), prod in alg.mult.items():
+        for (b, i), prod in alg.mult.items():
             for q, c in prod.items():
                 action[b].setdefault(q, {})[i] = c
-        return cls(alg.opposite(), alg.dim, action, name="D(regular)")
+        return cls(alg, alg.dim, action)
 
     def act(self, vec, b):
         """The sparse module vector vec times basis element b."""
@@ -224,7 +223,7 @@ def syzygy(M: RightModule, jbasis):
                               if (r, k2) in coord), c)
             if w:
                 action[b][col] = w
-    return slots, RightModule(alg, len(kern), action, name=M.name + ".syz")
+    return slots, RightModule(alg, len(kern), action)
 
 
 def projective_resolution(M: RightModule, cap) -> Resolution:
@@ -254,9 +253,9 @@ def injective_dimension(alg: FDAlgebra, side, cap):
     way.  Returns an int, or None when the bound `cap` was exceeded.
     """
     if side == "right":
-        dual = RightModule.dual_of_regular(alg)
-    elif side == "left":
         dual = RightModule.dual_of_regular(alg.opposite())
+    elif side == "left":
+        dual = RightModule.dual_of_regular(alg)
     else:
         raise ValueError("side must be 'left' or 'right'")
     res = projective_resolution(dual, cap)

@@ -16,8 +16,8 @@ from .errors import Cyclic
 from .fdalgebra import FDAlgebra, FDBimodule
 from .quiver import Arrow, GradedQuiverPresentation, NCPoly, Path, \
     PathAlgebraContext, Quiver
-from .normalwords import RewriteContext
-from .slice_algebras import _products, _slice_elements, build_tilde
+from .slice_algebras import _products, _slice_context, _slice_elements, \
+    build_tilde
 
 
 STAR_SUFFIX = "_s"
@@ -56,58 +56,55 @@ def preprojective_presentation(Q: Quiver) -> GradedQuiverPresentation:
                                     name=f"preprojective({len(Q.vertices)}v)")
 
 
-def path_algebra(Q: Quiver) -> FDAlgebra:
-    """kQ as an FDAlgebra (finite dimensional since Q is acyclic)."""
+def _layer_context(Q: Quiver):
+    """RewriteContext of the preprojective presentation, degrees 0 and -1
+    checked for stability, at a cap that Q sets: a degree-0 word is a path
+    of Q, of at most |Q0| - 1 arrows as Q is acyclic, and a degree -1 word
+    is p a* q with p and q such paths, so 2 |Q0| - 1 arrows list every
+    word that kQ, the first layer or their products pass through."""
     if not Q.is_acyclic():
         raise Cyclic("path algebra is infinite dimensional for cyclic Q")
-    ctx = PathAlgebraContext(Q)
-    paths = _plain_paths(Q)
-    index = {p: i for i, p in enumerate(paths)}
-    mult = {}
-    for i, p in enumerate(paths):
-        for j, q in enumerate(paths):
-            c = ctx.compose(p, q)
-            if c is not None:
-                mult[(i, j)] = {index[c]: Fraction(1)}
-    idems = [index[Path(v, ())] for v in Q.vertices]
-    return FDAlgebra([ctx.format_path(p) for p in paths], mult, idems,
-                     name="kQ")
+    return _slice_context(preprojective_presentation(Q), 1,
+                          2 * len(Q.vertices) - 1)
 
 
-def ext_bimodule(Q: Quiver, cap=8) -> FDBimodule:
-    """The first preprojective layer as a bimodule over kQ.
+def _path_algebra(rc, Q: Quiver):
+    """kQ and its elements off the degree-0 listing of the context (pairs
+    sorted by str(pair)), e_v in the order of Q.vertices."""
+    elements, base = _slice_elements(rc, 1, 0)
+    starts = rc.listing(0).starts
+    return FDAlgebra([rc.pres.ctx.format_path(rc.word(0, i))
+                      for _, _, _, i in elements],
+                     _products(rc, elements, elements, base),
+                     [starts[v, v] for v in Q.vertices], name="kQ"), elements
 
-    Basis: normal-form words of star degree 1 in the preprojective
-    presentation, vertex pairs sorted by name; the kQ actions multiply on
-    either side through the arrow maps (one slot of slice_algebras'
-    _products, with the kQ paths at their positions among the degree-0
-    words).
-    """
-    A = path_algebra(Q)
-    pp = preprojective_presentation(Q)
-    rc = RewriteContext(pp, cap)
-    rc.counts(-1)
+
+def path_algebra(Q: Quiver) -> FDAlgebra:
+    """kQ as an FDAlgebra (finite dimensional since Q is acyclic)."""
+    return _path_algebra(_layer_context(Q), Q)[0]
+
+
+def ext_bimodule(Q: Quiver) -> FDBimodule:
+    """The first preprojective layer as a bimodule over kQ: the normal
+    words of star degree 1, pairs sorted by str(pair), read off one context
+    with kQ (see _layer_context for its cap); both actions multiply through
+    its arrow maps (slice_algebras' _products)."""
+    rc = _layer_context(Q)
+    A, a_elements = _path_algebra(rc, Q)
     u_elements, u_base = _slice_elements(rc, 1, 1)
-    # a path of Q (whose arrows keep their numbers in the double quiver) is
-    # a normal word of degree 0: e_v * p is its position in the listing, or
-    # raises CapTooSmall when it is longer than the cap
-    a_elements = [(0, 0, 0, next(iter(rc.times(rc.position(p.source), 0, p))))
-                  for p in _plain_paths(Q)]
-    return FDBimodule(A, [pp.ctx.format_path(rc.word(-1, i))
+    return FDBimodule(A, [rc.pres.ctx.format_path(rc.word(-1, i))
                           for _, _, _, i in u_elements],
                       _products(rc, a_elements, u_elements, u_base),
                       _products(rc, u_elements, a_elements, u_base),
                       name="ext_bimodule")
 
 
-def block_trivial_extension(Q: Quiver, n, cap=8):
+def block_trivial_extension(Q: Quiver, n):
     """The n x n block algebra: n copies of kQ on the diagonal, the cyclic
     bimodule carrying kQ between consecutive blocks and the first
     preprojective layer wrapping around, trivially extended."""
-    A = path_algebra(Q)
-    U = ext_bimodule(Q, cap=cap)
-    At, Ut, Bt = build_tilde(A, U, n)
-    return Bt
+    U = ext_bimodule(Q)
+    return build_tilde(U.algebra, U, n)[2]
 
 
 def block_arrow_images(Q: Quiver, n, B: FDAlgebra):

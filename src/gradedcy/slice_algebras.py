@@ -229,12 +229,10 @@ def relations_from_structure(alg: FDAlgebra, guess: Quiver, arrow_images,
     lead_words = []      # their leading words, used to prune enumeration
 
     def reducible(arrows):
-        for lhs in lead_words:
-            L = len(lhs)
-            for pos in range(len(arrows) - L + 1):
-                if arrows[pos:pos + L] == lhs:
-                    return True
-        return False
+        # the word is a frontier word, which holds no lead word, times one
+        # arrow, and no lead word is as long as it: only a suffix of the
+        # word can be a lead word
+        return any(arrows[-len(lhs):] == lhs for lhs in lead_words)
 
     # every word tried gets a tag coordinate alg.dim + n next to its
     # image, so a word whose image reduces to 0 leaves its dependence on

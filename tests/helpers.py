@@ -10,7 +10,7 @@ through arrow maps, with the sign rules as the package wrote them before
 its one entry evaluator, and homology dims by ranking every map with an
 eliminator instead of certifying ranks by leading indices; the slice
 algebras A and U and the first preprojective layer the same way, with
-Path-keyed bases; the block
+Path-keyed bases; kQ by a compose table over every pair of paths; the block
 algebras A~ and U~ by scanning every (block, A element, U~ element)
 triple; relations recovered from structure constants by a dense solve
 for each dependent word; Gabriel quivers with a fresh copy of the J^2
@@ -54,8 +54,8 @@ from gradedcy.linalg import (SparseEliminator, _sparse_rows,
 from gradedcy.preprojective import (_plain_paths, path_algebra,
                                     preprojective_presentation)
 from gradedcy.quiver import (Arrow, GradedQuiverPresentation, NCPoly, Path,
-                             Quiver, _add_into, _offending_term,
-                             load_presentation)
+                             PathAlgebraContext, Quiver, _add_into,
+                             _offending_term, load_presentation)
 from gradedcy.normalwords import RewriteContext
 from gradedcy.simplex import LPResult
 from gradedcy.slice_algebras import build_B, default_cap
@@ -387,13 +387,13 @@ def sparse_action(mats):
 
 
 def dense_dual_of_regular(alg):
-    """Action matrices of D(A) over A^op:
-    f_q . b = sum_i mult[(i,b)][q] f_i."""
+    """Action matrices of D(A), A a left module over itself, over A:
+    f_q . b = sum_i mult[(b,i)][q] f_i."""
     mats = []
     for b in range(alg.dim):
         m = [[Fraction(0)] * alg.dim for _ in range(alg.dim)]
         for i in range(alg.dim):
-            for q, c in alg.mult.get((i, b), {}).items():
+            for q, c in alg.mult.get((b, i), {}).items():
                 m[q][i] += Fraction(c)
         mats.append(m)
     return mats
@@ -854,9 +854,36 @@ def build_U_by_reduction(pres, a, cap=None, A: FDAlgebra = None) \
                       name=f"U({pres.name or 'R'},a={a})")
 
 
+def path_algebra_by_composition(Q) -> FDAlgebra:
+    """preprojective.path_algebra as the package built it before kQ was
+    read off the listing of the preprojective presentation: the paths of
+    Q in frontier order and a compose table over every pair of them."""
+    ctx = PathAlgebraContext(Q)
+    paths = _plain_paths(Q)
+    index = {p: i for i, p in enumerate(paths)}
+    mult = {}
+    for i, p in enumerate(paths):
+        for j, q in enumerate(paths):
+            c = ctx.compose(p, q)
+            if c is not None:
+                mult[(i, j)] = {index[c]: Fraction(1)}
+    idems = [index[Path(v, ())] for v in Q.vertices]
+    return FDAlgebra([ctx.format_path(p) for p in paths], mult, idems,
+                     name="kQ")
+
+
+def linear_quiver(n):
+    """The linear quiver 0 -> 1 -> ... -> n - 1, arrows a0, a1, ..."""
+    return Quiver([str(v) for v in range(n)],
+                  [Arrow(f"a{v}", str(v), str(v + 1), 0)
+                   for v in range(n - 1)])
+
+
 def ext_bimodule_by_reduction(Q, cap=8) -> FDBimodule:
-    """preprojective.ext_bimodule the same way as build_A_by_reduction."""
+    """preprojective.ext_bimodule the same way as build_A_by_reduction,
+    with kQ's basis looked up by label."""
     A = path_algebra(Q)
+    a_index = {label: i for i, label in enumerate(A.labels)}
     pp = preprojective_presentation(Q)
     rc = RewriteContext(pp, cap)
     basis1 = rc.basis(-1)
@@ -880,8 +907,9 @@ def ext_bimodule_by_reduction(Q, cap=8) -> FDBimodule:
         return {u_index[mono]: c for mono, c in nf.terms.items()}
 
     left, right = {}, {}
-    for ai, ap in enumerate(_plain_paths(Q)):
+    for ap in _plain_paths(Q):
         ep = embed(ap)
+        ai = a_index[ctx.format_path(ep)]
         for ui, up in enumerate(u_paths):
             vec = to_vec(ctx.compose(ep, up))
             if vec:

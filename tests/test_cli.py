@@ -26,6 +26,22 @@ def run(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("n,dims", [(9, (81, 171)), (12, (144, 300))])
+def test_corpi_works_past_eight_vertices(tmp_path, n, dims):
+    """corpi on the linear quiver A_n: its first preprojective layer has
+    words of 2n - 1 arrows, which the cap of 8 that corpi used to fix
+    refused (CapTooSmall on A9, NonStabilizing on A12)."""
+    path = tmp_path / f"a{n}.quiver"
+    path.write_text("[vertices]\n" + "".join(f"{v}\n" for v in range(n))
+                    + "[arrows]\n" + "".join(f"a{v} {v} {v + 1} 0\n"
+                                              for v in range(n - 1)))
+    for layers, dim in zip((1, 2), dims):
+        code, out, err = run("--format", "json", "corpi", path,
+                             "--n", layers)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["dim_B"] == dim
+
+
 def test_dims_table():
     code, out, _ = run("dims", DATA / "k_xy.pres", "--max-degree", "4")
     assert code == 0

@@ -81,8 +81,7 @@ def test_gabriel_quiver_refuses_a_repeated_idempotent():
 
 def test_simple_module_periodic_betti():
     B = dual_numbers()
-    S = RightModule(B, 1, sparse_action([[[Fraction(1)]], [[Fraction(0)]]]),
-                    name="S")
+    S = RightModule(B, 1, sparse_action([[[Fraction(1)]], [[Fraction(0)]]]))
     res = projective_resolution(S, 6)
     assert res.finished_at == -1
     assert [s.total_rank for s in res.steps] == [1] * 7
@@ -96,7 +95,7 @@ def test_sink_simple_is_projective():
     e1 = A.idempotents[1]
     for b in range(A.dim):
         acts.append([[Fraction(1 if b == e1 else 0)]])
-    S = RightModule(A, dim, sparse_action(acts), name="S_sink")
+    S = RightModule(A, dim, sparse_action(acts))
     res = projective_resolution(S, 4)
     assert res.finished_at == 0
 
@@ -118,6 +117,24 @@ def test_injective_dimensions():
     assert injective_dimension(B, "right", 4) == 1
     assert injective_dimension(A, "left", 4) == 1
     assert injective_dimension(A, "right", 4) == 1
+
+
+def test_one_opposite_per_gorenstein_check(monkeypatch):
+    """Only the right side builds an opposite: D(A) of the left side is a
+    module over the algebra itself.  The left side used to pass
+    alg.opposite() to dual_of_regular, which took the opposite again (3
+    opposites per check)."""
+    built, opposite = [], FDAlgebra.opposite
+
+    def spy(self):
+        built.append(self.dim)
+        return opposite(self)
+
+    monkeypatch.setattr(FDAlgebra, "opposite", spy)
+    _, _, B = build_AUB(load("skew_3.pres"), 2)
+    assert B.dim == 20
+    assert is_iwanaga_gorenstein(B, 1, 3).holds
+    assert built == [20]
 
 
 def test_ig_battery():
@@ -161,7 +178,7 @@ def test_betti_numbers_basis_independent():
             continue
     acts = [mat_mul(mat_mul(ginv, m), g) for m in dense_dual_of_regular(B)]
     # action in the new basis: row convention needs g on the other side
-    twisted = RightModule(D.alg, n, sparse_action(acts), name="twisted")
+    twisted = RightModule(D.alg, n, sparse_action(acts))
     check_module(twisted)
     assert [s.betti for s in projective_resolution(twisted, 3).steps] == base
 
@@ -180,8 +197,7 @@ def test_json_reports():
     from helpers import betti_table_json, ig_report_json
 
     B = dual_numbers()
-    S = RightModule(B, 1, sparse_action([[[Fraction(1)]], [[Fraction(0)]]]),
-                    name="S")
+    S = RightModule(B, 1, sparse_action([[[Fraction(1)]], [[Fraction(0)]]]))
     res = projective_resolution(S, 3)
     data = json.loads(betti_table_json(res))
     assert [s["total"] for s in data["steps"]] == [1, 1, 1, 1]
@@ -218,7 +234,7 @@ def test_resolutions_match_dense_oracle_on_corpus():
         d = pres.cy.dimension - 1
         _, _, B = build_AUB(pres, pres.cy.a_invariant)
         inj = {}
-        for side, alg in (("right", B), ("left", B.opposite())):
+        for side, alg in (("right", B.opposite()), ("left", B)):
             D = RightModule.dual_of_regular(alg)
             dense = sparse_action(dense_dual_of_regular(alg))
             assert D.action == dense, (name, side)
@@ -281,7 +297,7 @@ def _resolution_faults(pres, a, cap=3):
     both kernel bases are echelon over the same free columns."""
     _, _, B = build_AUB(pres, a)
     faults = []
-    for side, alg in (("right", B), ("left", B.opposite())):
+    for side, alg in (("right", B.opposite()), ("left", B)):
         D = RightModule.dual_of_regular(alg)
         res = projective_resolution(D, cap)
         modules = []

@@ -30,8 +30,11 @@ def test_cyclic_rejected():
     loop = Quiver(["0"], [Arrow("x", "0", "0", 0)])
     with pytest.raises(Cyclic):
         preprojective_presentation(loop)
-    with pytest.raises(Cyclic):
-        path_algebra(loop)
+    for build in (path_algebra, ext_bimodule,
+                  lambda Q: block_trivial_extension(Q, 2)):
+        with pytest.raises(Cyclic, match="^path algebra is infinite "
+                           "dimensional for cyclic Q$"):
+            build(loop)
 
 
 def test_single_vertex_no_arrows():

@@ -25,7 +25,8 @@ from helpers import (DATA, act_left, act_right, build_A_by_reduction,
                      build_tilde_by_scan, build_U_by_reduction,
                      check_associative, check_bimodule, check_unit,
                      direct_sum_decomposition_by_idempotents,
-                     ext_bimodule_by_reduction, load,
+                     ext_bimodule_by_reduction, linear_quiver, load,
+                     path_algebra_by_composition,
                      relations_from_structure_by_solving, structure_json)
 
 
@@ -357,6 +358,32 @@ def _layer_faults(Q):
     return faults
 
 
+@pytest.mark.parametrize("name", QUIVERS + ["A9"])
+def test_path_algebra_matches_the_compose_table(name):
+    """kQ read off the degree-0 listing of the preprojective presentation
+    equals the compose table over every pair of paths, once the two bases
+    are matched by label: the same labels, idempotents and structure
+    constants."""
+    Q = linear_quiver(9) if name == "A9" else \
+        load_presentation(DATA / f"{name}.quiver").quiver
+    A, want = path_algebra(Q), path_algebra_by_composition(Q)
+    assert sorted(A.labels) == sorted(set(want.labels))
+    to = [A.labels.index(label) for label in want.labels]
+    assert A.idempotents == [to[e] for e in want.idempotents]
+    assert A.mult == {(to[i], to[j]): {to[k]: c for k, c in v.items()}
+                      for (i, j), v in want.mult.items()}
+
+
+def test_layer_past_eight_vertices_matches_the_reduction_oracle():
+    """The first layer of the linear quiver A9 has words of 17 arrows, past
+    the cap of 8 that ext_bimodule used to fix; read off a context whose
+    cap Q sets, it equals the oracle's at cap 17, field by field."""
+    Q = linear_quiver(9)
+    U = ext_bimodule(Q)
+    assert _algebra_faults(U.algebra, path_algebra(Q)) == []
+    assert _bimodule_faults(U, ext_bimodule_by_reduction(Q, cap=17)) == []
+
+
 def _four_face(name):
     dimer = load_dimer(DATA / "four_face.dimer")
     matchings = FOUR_FACE_GRADINGS[name]
@@ -388,14 +415,15 @@ def test_products_match_the_reduction_oracle(name, a):
 
 def test_products_oracle_catches_an_index_mutant(monkeypatch):
     """An off-by-one in the base offset of _products (the element number
-    of a product's position) is caught in the slice algebras, where A's
-    own check refuses e_P * e_P as not idempotent before the comparison,
-    and by the comparison in the preprojective layer."""
+    of a product's position) is caught in the slice algebras and in kQ,
+    which the preprojective layer multiplies with _products too: the
+    algebra's own check refuses an idempotent before any comparison."""
     _mutant(monkeypatch, slice_algebras._products,
             "{b + k: Fraction(c)", "{b + k - 1: Fraction(c)")
     with pytest.raises(ValueError, match="is not idempotent"):
         _slice_faults(load("skew_3.pres"), 2)
-    assert _layer_faults(load_presentation(DATA / "kronecker.quiver").quiver)
+    with pytest.raises(ValueError, match="is not idempotent"):
+        _layer_faults(load_presentation(DATA / "kronecker.quiver").quiver)
 
 
 # ---------------------------------------------------------------------------
