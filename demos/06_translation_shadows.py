@@ -40,6 +40,10 @@ weighted = load_presentation(DATA / "k_xy_23.pres")
 print("twenty-step root check (a = 5):",
       verify_root(weighted, 5, 20, cap=32).passed)
 
+beilinson = load_presentation(DATA / "k_xyz.pres")
+print("twenty-step root check (a = 3, 3-CY, A with relations):",
+      verify_root(beilinson, 3, 20, cap=30).passed)
+
 for name, a, d in (("k_x.pres", 1, 1), ("k_xy.pres", 2, 1),
                    ("k_xyz.pres", 3, 2)):
     p = load_presentation(DATA / name)

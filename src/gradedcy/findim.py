@@ -89,18 +89,17 @@ def gabriel_quiver(alg: FDAlgebra) -> Quiver:
 
     # J is the direct sum of the e_i J e_j and J^2 splits the same way, so
     # the rank each pair adds to one span seeded with J^2 is
-    # dim e_i J e_j / e_i J^2 e_j
+    # dim e_i J e_j / e_i J^2 e_j; e_i b is a row of the structure table
     span = rad.powers[1] if len(rad.powers) > 1 else SparseEliminator()
     nverts = len(alg.idempotents)
     vertices = [f"v{k}" for k in range(nverts)]
     arrows = []
-    for i in range(nverts):
-        ei = alg.basis_vec(alg.idempotents[i])
-        for j in range(nverts):
-            ej = alg.basis_vec(alg.idempotents[j])
+    for i, ei in enumerate(alg.idempotents):
+        rows = [alg.mult[ei, b] for b in rad.basis if (ei, b) in alg.mult]
+        for j, ej in enumerate(alg.idempotents):
             count = 0
-            for b in rad.basis:
-                v = alg.product(ei, alg.product(alg.basis_vec(b), ej))
+            for row in rows:
+                v = alg.product(row, alg.basis_vec(ej))
                 if v and span.add(v):
                     count += 1
             for m in range(count):

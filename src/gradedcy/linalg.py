@@ -130,13 +130,18 @@ def _sparse_rows(matrix):
             for row in matrix]
 
 
+def _shape(matrix):
+    """(the sorted row lengths of matrix, its shape as refusals name it)."""
+    widths = sorted({len(row) for row in matrix})
+    return widths, f"{len(matrix)} rows of length {'/'.join(map(str, widths))}"
+
+
 def _square(matrix):
     """Refuse a matrix that is not square with a ValueError naming its
     shape: the answers of mat_inv and mat_det would be wrong."""
-    widths = sorted({len(row) for row in matrix})
+    widths, shape = _shape(matrix)
     if widths not in ([], [len(matrix)]):
-        raise ValueError(f"not a square matrix: {len(matrix)} rows of "
-                         f"length {'/'.join(map(str, widths))}")
+        raise ValueError(f"not a square matrix: {shape}")
 
 
 def nullspace_with_free(matrix, ncols=None):
@@ -164,6 +169,10 @@ def nullspace_with_free(matrix, ncols=None):
 
 
 def mat_mul(a, b):
+    """a times b; shapes that do not fit are refused, not truncated."""
+    (wa, sa), (wb, sb) = _shape(a), _shape(b)
+    if wa not in ([], [len(b)]) or len(wb) > 1:
+        raise ValueError(f"cannot multiply {sa} by {sb}")
     n, k = len(a), len(b)
     mcols = len(b[0]) if k else 0
     out = [[Fraction(0)] * mcols for _ in range(n)]
@@ -217,5 +226,10 @@ def mat_det(matrix):
 
 
 def mat_vec(a, v):
+    """a applied to v; a row of another length than v is refused."""
+    widths, shape = _shape(a)
+    if widths not in ([], [len(v)]):
+        raise ValueError(f"cannot apply {shape} to a vector of length "
+                         f"{len(v)}")
     return [sum((a[i][j] * v[j] for j in range(len(v))), Fraction(0))
             for i in range(len(a))]

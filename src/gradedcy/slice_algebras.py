@@ -24,7 +24,7 @@ from .linalg import SparseEliminator
 from .quiver import GradedQuiverPresentation, NCPoly, Path, \
     PathAlgebraContext, Quiver
 from .normalwords import RewriteContext
-from .rewriting import truncated_rewriting
+from .rewriting import CountContext, truncated_rewriting
 
 
 def default_cap(a):
@@ -188,8 +188,7 @@ def cluster_hom_shadow(pres, m, cap=None):
             f"index {m} outside the valid window [{lo}, 0]")
     if cap is None:
         cap = default_cap(-m + 1)
-    rc = RewriteContext(pres, cap)
-    return sum(rc.counts(m).values())
+    return sum(CountContext(pres, cap).counts(m).values())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ Path-keyed bases; kQ by a compose table over every pair of paths; the block
 algebras A~ and U~ by scanning every (block, A element, U~ element)
 triple; relations recovered from structure constants by a dense solve
 for each dependent word; Gabriel quivers with a fresh copy of the J^2
-span for each vertex pair; graded bases by one depth-first walk per degree
+span for each vertex pair, and by two products per vertex pair and
+radical basis element; graded bases by one depth-first walk per degree
 instead of layer by layer, and listings and arrow maps as lists of Paths
 with a (source, arrows) index instead of a trie; eliminator rows by
 reducing every vector,
@@ -367,6 +368,32 @@ def gabriel_quiver_by_pairs(alg):
             for b in jset:
                 v = alg.product(ei, alg.product(alg.basis_vec(b), ej))
                 if v and el.add(v):
+                    count += 1
+            for m in range(count):
+                arrows.append(Arrow(f"a{i}_{j}_{m}", f"v{i}", f"v{j}", 0))
+    return Quiver(vertices, arrows)
+
+
+def gabriel_quiver_by_products(alg):
+    """findim.gabriel_quiver as the package computed it before it read
+    e_i b off the structure table: e_i (b e_j) by two products for every
+    vertex pair (i, j) and radical basis element b, 2 |Q0|^2 |J| in all,
+    each added to one span seeded with J^2."""
+    rad = radical(alg)
+    if len(set(alg.idempotents)) != len(alg.idempotents):
+        raise NotBasic("repeated idempotent in declaration")
+    span = rad.powers[1] if len(rad.powers) > 1 else SparseEliminator()
+    nverts = len(alg.idempotents)
+    vertices = [f"v{k}" for k in range(nverts)]
+    arrows = []
+    for i in range(nverts):
+        ei = alg.basis_vec(alg.idempotents[i])
+        for j in range(nverts):
+            ej = alg.basis_vec(alg.idempotents[j])
+            count = 0
+            for b in rad.basis:
+                v = alg.product(ei, alg.product(alg.basis_vec(b), ej))
+                if v and span.add(v):
                     count += 1
             for m in range(count):
                 arrows.append(Arrow(f"a{i}_{j}_{m}", f"v{i}", f"v{j}", 0))

@@ -4,7 +4,9 @@ from gradedcy.arshadow import (DimVecOrbit, OrbitLabel, cartan_matrix,
                                coxeter_step, knit_component, mesh_additive,
                                verify_root)
 from gradedcy.errors import NotHereditary, NotUnimodular
+from gradedcy.findim import gabriel_quiver
 from gradedcy.quiver import Arrow, Quiver
+from gradedcy.slice_algebras import build_A
 
 from helpers import load
 
@@ -71,22 +73,38 @@ def test_weighted_knit_mesh_additivity():
     assert mesh_additive(comp)
 
 
+def orbit_cartan(pres, a):
+    """A's Cartan matrix as verify_root reads it: column i is the vector
+    of R(i), since dim e_i A e_l = dim R_{i-l}."""
+    orbit = DimVecOrbit(pres, a)
+    return [list(row) for row in
+            zip(*(orbit.dimvec(OrbitLabel(-i, 0)) for i in range(a)))]
+
+
+def path_cartan(pres, a):
+    """The paths of A's Gabriel quiver, counted as cartan_matrix counts
+    them; A's Cartan matrix only when A is hereditary."""
+    return cartan_matrix(gabriel_quiver(build_A(pres, a)))
+
+
 def test_orbit_dimvecs_match_projectives():
     """Labels 0 .. a-1 carry exactly the projective dimension vectors of
-    the slice algebra, read from the graded pieces."""
-    from gradedcy.findim import gabriel_quiver
-    from gradedcy.slice_algebras import build_A
-
-    for name, a in (("k_xy.pres", 2), ("k_xy_23.pres", 5)):
+    the slice algebra, read from the graded pieces: on the 2-CY corpus,
+    where A is hereditary, they are the path counts of its quiver."""
+    for name, a in (("k_xy.pres", 2), ("k_xy_23.pres", 5),
+                    ("skew_2.pres", 2), ("skew_3.pres", 2),
+                    ("skew_4.pres", 2)):
         pres = load(name)
-        orbit = DimVecOrbit(pres, a)
-        A = build_A(pres, a)
-        C = cartan_matrix(gabriel_quiver(A))
-        for i in range(a):
-            col = tuple(C[l][i] for l in range(a))
-            # the summands of the tilting object are the labels with
-            # nonnegative twist: R(+i) carries the i-th projective
-            assert orbit.dimvec(OrbitLabel(-i, 0)) == col, (name, i)
+        assert orbit_cartan(pres, a) == path_cartan(pres, a), name
+
+
+def test_orbit_cartan_matrix_is_not_the_path_count_when_a_has_relations():
+    """The Beilinson algebra of P^2 (k[x,y,z], a = 3) has three arrows
+    between neighbouring vertices and their commutation relations: the
+    paths 0 -> 2 number 9, but dim R_{-2} = 6."""
+    pres = load("k_xyz.pres")
+    assert orbit_cartan(pres, 3) == [[1, 0, 0], [3, 1, 0], [6, 3, 1]]
+    assert path_cartan(pres, 3) == [[1, 0, 0], [3, 1, 0], [9, 3, 1]]
 
 
 def test_label_level_root():

@@ -1,7 +1,9 @@
+import argparse
 import ast
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tokenize
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import gradedcy
-from gradedcy.cli import main
+from gradedcy.cli import build_parser, main
 from gradedcy.complexes import parse_complex
 from gradedcy.quiver import load_presentation
 
@@ -327,6 +329,30 @@ def test_package_imports_lazily():
         gradedcy.no_such_name
 
 
+def test_readme_cli_block_names_every_option():
+    """Every option of every subcommand (and of gradedcy itself) appears
+    in the README's CLI block on that subcommand's lines: --cap was
+    missing from six of them."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## CLI\n\n```\n")[1].split("```")[0]
+    named, command = {}, None
+    for line in block.splitlines():
+        if not line.startswith("        "):
+            command = line.split()[0] if line.startswith("  ") else None
+        named.setdefault(command, set()).update(
+            re.findall(r"--[a-z-]+", line))
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    missing = [(command, opt)
+               for command, p in [(None, parser), *sub.choices.items()]
+               for act in p._actions for opt in act.option_strings
+               if opt not in ("-h", "--help")
+               and opt not in named.get(command, ())]
+    assert missing == []
+    assert set(named) == {None, *sub.choices}
+
+
 def test_knit_and_verify_root():
     code, out, _ = run("knit", DATA / "kronecker.quiver", "--steps", "4")
     assert code == 0 and "mesh additivity: True" in out
@@ -364,11 +390,10 @@ def test_verify_root_json_orbit():
 
 
 def test_verify_root_reads_its_table_off_the_checked_orbit(monkeypatch):
-    """The orbit table comes from the orbit verify_root built: the orbit
-    and A complete their systems at cap 28 and probe at 30, the Cartan
-    matrix counts the paths of A's two-vertex Gabriel quiver (no
-    relations) through one completion at cap 2, and no second orbit
-    completes two more (a second orbit added 28, 30)."""
+    """The orbit table and A's Cartan matrix come from the one orbit
+    verify_root built: one completion at cap 28 and its probe at 30.
+    Building A and counting the paths of its Gabriel quiver added 28, 2
+    and 30, and a second orbit would add 28, 30."""
     from gradedcy import rewriting
 
     caps, complete = [], rewriting.truncated_rewriting
@@ -381,7 +406,55 @@ def test_verify_root_reads_its_table_off_the_checked_orbit(monkeypatch):
     code, out, _ = run("--format", "json", "verify-root",
                        DATA / "k_xy.pres", "--a", "2")
     assert code == 0 and json.loads(out)["orbit"]["R(-7)"] == [8, 9]
-    assert caps == [28, 28, 30, 2, 30]
+    assert caps == [28, 30]
+
+
+@pytest.mark.parametrize("name,a", [("k_x.pres", "1"), ("k_xyz.pres", "3")])
+def test_verify_root_passes_off_cy_dimension_2(name, a):
+    """k[x] (1-CY) and k[x,y,z] (3-CY, the Beilinson algebra of P^2 as
+    A) exited 1: the prediction left out the sign (-1)^(d+1) of nu_d^-1,
+    and for k[x,y,z] the Cartan matrix counted the paths of A's Gabriel
+    quiver, which is not A's Cartan matrix when A has relations."""
+    code, out, err = run("verify-root", DATA / name, "--a", a)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == \
+        "translation-root check over 20 steps: PASS"
+
+
+def test_verify_root_refuses_what_it_cannot_check(tmp_path):
+    """The orbit's vectors are totals over vertex pairs, so a second
+    vertex is refused (it compared a 4-entry prediction with a 2-entry
+    vector); and the sign needs the CY dimension, so a presentation
+    without [cy] is refused as cy-check refuses it (it passed as 2-CY)."""
+    two = tmp_path / "two.pres"
+    two.write_text("[vertices]\nP\nQ\n[arrows]\nx P Q -1\ny Q P -1\n"
+                   "[cy]\n2 2\n")
+    assert run("verify-root", two, "--a", "2") == (
+        1, "", "error: NotFree: the root check needs a single vertex, "
+               "not 2\n")
+    bare = tmp_path / "bare.pres"
+    bare.write_text((DATA / "k_xy.pres").read_text().split("[cy]")[0])
+    assert run("verify-root", bare, "--a", "2") == (
+        2, "", "error: presentation lacks a [cy] section\n")
+
+
+def test_verify_root_loads_no_algebra_modules():
+    """verify-root reads A's Cartan matrix off its orbit, so neither A
+    nor its Gabriel quiver is built and their modules stay unloaded."""
+    src = str(Path(gradedcy.__file__).resolve().parent.parent)
+    probe = (
+        "import io, sys, contextlib\n"
+        "from gradedcy import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['verify-root', {str(DATA / 'k_xy.pres')!r},"
+        " '--a', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gradedcy.')))\n")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    loaded = {m.split(".")[1] for m in ast.literal_eval(out)}
+    assert not loaded & {"normalwords", "slice_algebras", "fdalgebra",
+                         "findim"}, loaded
 
 
 def test_dot_outputs():

@@ -17,7 +17,8 @@ from gradedcy.preprojective import block_trivial_extension
 from gradedcy.slice_algebras import build_AUB, build_tilde
 
 from helpers import (check_module, dense_dual_of_regular, dense_resolution,
-                     gabriel_quiver_by_pairs, load, random_presentation,
+                     gabriel_quiver_by_pairs, gabriel_quiver_by_products,
+                     linear_quiver, load, random_presentation,
                      sparse_action, unit_pivot_mutant_add)
 
 
@@ -275,6 +276,26 @@ def test_gabriel_quiver_matches_the_per_pair_oracle():
     for name, a, which, alg in algebras:
         assert _arrows(gabriel_quiver(alg)) == \
             _arrows(gabriel_quiver_by_pairs(alg)), (name, a, which)
+
+
+def test_gabriel_quiver_matches_the_product_sweep():
+    """Reading e_i b off the structure table and multiplying only its
+    nonzero rows by each e_j finds the arrows, named in the same order,
+    that two products per vertex pair and radical basis element found: on
+    A and B of the corpus at a = 1, 2 and on `corpi` of A9 and A12."""
+    algebras = []
+    for name in ("k_x.pres", "k_xy.pres", "skew_2.pres", "skew_3.pres",
+                 "skew_4.pres", "k_xy_23.pres", "k_xyz.pres"):
+        for a in (1, 2):
+            A, _, B = build_AUB(load(name), a)
+            algebras += [(name, a, "A", A), (name, a, "B", B)]
+    for n in (9, 12):
+        for layers in (1, 2):
+            alg = block_trivial_extension(linear_quiver(n), layers)
+            algebras.append((f"A{n}", layers, "corpi", alg))
+    for name, a, which, alg in algebras:
+        assert _arrows(gabriel_quiver(alg)) == \
+            _arrows(gabriel_quiver_by_products(alg)), (name, a, which)
 
 
 def _syzygy_actions(M, cap):

@@ -110,6 +110,28 @@ def test_inverse_and_determinant_refuse_a_matrix_that_is_not_square(
         fn(matrix)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: mat_vec([[1, 2]], [1]),
+     "cannot apply 1 rows of length 2 to a vector of length 1"),
+    (lambda: mat_vec([[1], [1, 2]], [1, 2]),
+     "cannot apply 2 rows of length 1/2 to a vector of length 2"),
+    (lambda: mat_mul([[1, 2]], [[1]]),
+     "cannot multiply 1 rows of length 2 by 1 rows of length 1"),
+    (lambda: mat_mul([[1, 2]], [[1, 2], [3]]),
+     "cannot multiply 1 rows of length 2 by 2 rows of length 1/2"),
+    (lambda: mat_mul([[1]], [[1], [2]]),
+     "cannot multiply 1 rows of length 1 by 2 rows of length 1")])
+def test_products_refuse_shapes_that_do_not_fit(call, message):
+    """A product whose shapes do not fit is refused with both shapes
+    named: mat_vec([[1, 2]], [1]) returned [1] and mat_mul([[1, 2]],
+    [[1]]) returned [[1]], each dropping a column."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+    assert mat_vec([[1, 2], [3, 4]], [1, 1]) == [3, 7]
+    assert mat_mul([[1, 2]], [[1], [1]]) == [[3]]
+    assert mat_mul([], [[1]]) == [] and mat_vec([], [1]) == []
+
+
 def leibniz(A):
     n = len(A)
     total = Fraction(0)
