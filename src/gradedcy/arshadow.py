@@ -213,13 +213,18 @@ def verify_root(pres, a, steps, cap=None):
     the one at (i, j), with d+1 the CY dimension.  Column i of A's Cartan
     matrix is the vector at (-i, 0) (dim e_i A e_l = dim R_{i-l}), so
     every vector is read off the orbit's graded pieces, summed over the
-    vertex pairs of a single-vertex presentation.
+    vertex pairs of a single-vertex presentation.  The orbit counts them
+    to the cap, by default steps + 2a + 4, past the deepest degree
+    steps + 2a - 2 that the steps read, so one completion and its probe
+    cover every vector.
     """
     nverts = len(pres.quiver.vertices)
     if nverts != 1:
         raise NotFree(f"the root check needs a single vertex, not {nverts}")
     if pres.cy is None:
         raise ParseError("presentation lacks a [cy] section")
+    if cap is None:
+        cap = steps + 2 * a + 4
     orbit = DimVecOrbit(pres, a, cap=cap)
     C = [list(row) for row in
          zip(*(orbit.dimvec(OrbitLabel(-i, 0)) for i in range(a)))]

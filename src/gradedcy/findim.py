@@ -26,52 +26,40 @@ from .quiver import Arrow, Quiver, _add_into
 # radical
 # ---------------------------------------------------------------------------
 
-# basis: the indices of the basis elements spanning J; powers: the
-# SparseEliminator spans of J, J^2, ... until 0; loewy_length: the least
-# k with J^k = 0
-RadicalData = namedtuple("RadicalData", "basis powers loewy_length")
+def radical(alg: FDAlgebra):
+    """The indices of the basis elements spanning the radical J: the
+    non-idempotent part of the basis, checked in one pass over the
+    structure table to be a nilpotent two-sided ideal (NotSplitBasic
+    otherwise).
 
-
-def radical(alg: FDAlgebra) -> RadicalData:
+    Ideal: no product involving an element of J has a component on a
+    declared idempotent.  Nilpotent: tr(L_b) = sum_i mult[(b, i)][i] is 0
+    for every b in J, where L_b is left multiplication by b.  For x in J
+    every power x^k lies in J, so tr(L_x^k) = tr(L_{x^k}) = 0 for all
+    k >= 1; over Q this makes L_x nilpotent, so x^(m+1) = L_x^m(x) = 0
+    with m = dim A, and a nil ideal of a finite dimensional algebra is
+    nilpotent.  Conversely L_b is nilpotent when J is, so its trace is 0.
+    """
     idem = set(alg.idempotents)
     jbasis = [i for i in range(alg.dim) if i not in idem]
-
-    # the complement of the idempotent span must be a two-sided ideal
-    for i in range(alg.dim):
-        for j in jbasis:
-            for prod in (alg.mult.get((i, j), {}), alg.mult.get((j, i), {})):
-                if any(k in idem and c for k, c in prod.items()):
-                    raise NotSplitBasic(
-                        f"product involving {alg.labels[j]} has a component "
-                        "on a declared idempotent; the declared semisimple "
-                        "quotient is not split")
-
-    # each e.A.e must be k.e plus nilpotents (guaranteed by the above since
-    # everything off the idempotent span is in the candidate ideal)
-    powers = []
-    current = [{j: Fraction(1)} for j in jbasis]
-    span = SparseEliminator()
-    for v in current:
-        span.add(v)
-    if span.rank:
-        powers.append(span)
-    gen_vectors = list(current)
-    while current:
-        nxt = []
-        nspan = SparseEliminator()
-        for v in current:
-            for g in gen_vectors:
-                p = alg.product(v, g)
-                if p and nspan.add(p):
-                    nxt.append(p)
-        if not nxt:
-            break
-        powers.append(nspan)
-        current = nxt
-        if len(powers) > alg.dim + 1:
-            raise NotSplitBasic("candidate radical is not nilpotent")
-    # least k with J^k = 0
-    return RadicalData(jbasis, powers, len(powers) + 1)
+    trace = dict.fromkeys(jbasis, 0)
+    for (b, i), prod in alg.mult.items():
+        if b in idem and i in idem:
+            continue
+        if not idem.isdisjoint(prod):
+            j = i if b in idem else b
+            raise NotSplitBasic(
+                f"product involving {alg.labels[j]} has a component "
+                "on a declared idempotent; the declared semisimple "
+                "quotient is not split")
+        if b not in idem:
+            trace[b] += prod.get(i, 0)
+    for b in jbasis:
+        if trace[b]:
+            raise NotSplitBasic(
+                f"candidate radical is not nilpotent: left multiplication "
+                f"by {alg.labels[b]} has trace {trace[b]}")
+    return jbasis
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +68,7 @@ def radical(alg: FDAlgebra) -> RadicalData:
 
 def gabriel_quiver(alg: FDAlgebra) -> Quiver:
     """Vertices = declared idempotents; dim e_i (J/J^2) e_j arrows i -> j."""
-    rad = radical(alg)
+    jbasis = radical(alg)
 
     # split-basic + k^n quotient means no isomorphic repeats can hide;
     # still, guard against a degenerate declaration.
@@ -89,13 +77,18 @@ def gabriel_quiver(alg: FDAlgebra) -> Quiver:
 
     # J is the direct sum of the e_i J e_j and J^2 splits the same way, so
     # the rank each pair adds to one span seeded with J^2 is
-    # dim e_i J e_j / e_i J^2 e_j; e_i b is a row of the structure table
-    span = rad.powers[1] if len(rad.powers) > 1 else SparseEliminator()
+    # dim e_i J e_j / e_i J^2 e_j; J^2 is spanned by the table rows j k
+    # with j, k in J, and e_i b is a row of the table too
+    jset = set(jbasis)
+    span = SparseEliminator()
+    for (j, k), row in alg.mult.items():
+        if j in jset and k in jset:
+            span.add(row)
     nverts = len(alg.idempotents)
     vertices = [f"v{k}" for k in range(nverts)]
     arrows = []
     for i, ei in enumerate(alg.idempotents):
-        rows = [alg.mult[ei, b] for b in rad.basis if (ei, b) in alg.mult]
+        rows = [alg.mult[ei, b] for b in jbasis if (ei, b) in alg.mult]
         for j, ej in enumerate(alg.idempotents):
             count = 0
             for row in rows:
@@ -227,7 +220,7 @@ def syzygy(M: RightModule, jbasis):
 
 def projective_resolution(M: RightModule, cap) -> Resolution:
     """Minimal resolution to length `cap`; Betti numbers per step."""
-    jbasis = radical(M.alg).basis
+    jbasis = radical(M.alg)
     steps = []
     cur = M
     for k in range(cap + 1):

@@ -13,7 +13,9 @@ algebras A and U and the first preprojective layer the same way, with
 Path-keyed bases; kQ by a compose table over every pair of paths; the block
 algebras A~ and U~ by scanning every (block, A element, U~ element)
 triple; relations recovered from structure constants by a dense solve
-for each dependent word; Gabriel quivers with a fresh copy of the J^2
+for each dependent word; the radical's nilpotency by building the whole
+power tower J, J^2, ... from products instead of reading traces off the
+structure table, and Gabriel quivers with a fresh copy of that J^2
 span for each vertex pair, and by two products per vertex pair and
 radical basis element; graded bases by one depth-first walk per degree
 instead of layer by layer, and listings and arrow maps as lists of Paths
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path as FsPath
 
@@ -344,12 +347,58 @@ def dimension_table_of_algebra(alg):
     return table
 
 
+# basis: the indices of the basis elements spanning J; powers: the
+# SparseEliminator spans of J, J^2, ... until 0; loewy_length: the least
+# k with J^k = 0
+RadicalPowers = namedtuple("RadicalPowers", "basis powers loewy_length")
+
+
+def radical_powers(alg):
+    """findim.radical as the package computed it before it checked
+    nilpotency by traces: the same ideal check by dim x |J| look-ups, then
+    the power tower J, J^2, ... by products of each new vector of J^k with
+    every radical basis element, refused once it outgrows dim + 1 powers."""
+    idem = set(alg.idempotents)
+    jbasis = [i for i in range(alg.dim) if i not in idem]
+    for i in range(alg.dim):
+        for j in jbasis:
+            for prod in (alg.mult.get((i, j), {}), alg.mult.get((j, i), {})):
+                if any(k in idem and c for k, c in prod.items()):
+                    raise NotSplitBasic(
+                        f"product involving {alg.labels[j]} has a component "
+                        "on a declared idempotent; the declared semisimple "
+                        "quotient is not split")
+    powers = []
+    current = [{j: Fraction(1)} for j in jbasis]
+    span = SparseEliminator()
+    for v in current:
+        span.add(v)
+    if span.rank:
+        powers.append(span)
+    gen_vectors = list(current)
+    while current:
+        nxt = []
+        nspan = SparseEliminator()
+        for v in current:
+            for g in gen_vectors:
+                p = alg.product(v, g)
+                if p and nspan.add(p):
+                    nxt.append(p)
+        if not nxt:
+            break
+        powers.append(nspan)
+        current = nxt
+        if len(powers) > alg.dim + 1:
+            raise NotSplitBasic("candidate radical is not nilpotent")
+    return RadicalPowers(jbasis, powers, len(powers) + 1)
+
+
 def gabriel_quiver_by_pairs(alg):
     """findim.gabriel_quiver as the package computed it before one span
     served every vertex pair: the J^2 span copied into a new eliminator
     for each pair (i, j), and the arrows i -> j counted as the rank that
     e_i J e_j adds to it."""
-    rad = radical(alg)
+    rad = radical_powers(alg)
     jset = rad.basis
     j2 = rad.powers[1] if len(rad.powers) > 1 else SparseEliminator()
     if len(set(alg.idempotents)) != len(alg.idempotents):
@@ -379,7 +428,7 @@ def gabriel_quiver_by_products(alg):
     e_i b off the structure table: e_i (b e_j) by two products for every
     vertex pair (i, j) and radical basis element b, 2 |Q0|^2 |J| in all,
     each added to one span seeded with J^2."""
-    rad = radical(alg)
+    rad = radical_powers(alg)
     if len(set(alg.idempotents)) != len(alg.idempotents):
         raise NotBasic("repeated idempotent in declaration")
     span = rad.powers[1] if len(rad.powers) > 1 else SparseEliminator()
@@ -489,7 +538,7 @@ def dense_resolution(alg, dim, mats, cap, modules=None):
     module with sparse action rows `mats`, the conventions of
     findim.projective_resolution.  When `modules` is a list, the action
     rows of each nonzero syzygy are appended to it."""
-    jbasis = radical(alg).basis
+    jbasis = radical(alg)
     steps = []
     for k in range(cap + 1):
         if dim == 0:

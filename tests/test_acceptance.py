@@ -280,7 +280,7 @@ def test_criterion_9_property_suites():
         A, U, B = build_AUB(load(name), a)
         rad_b = radical(B)
         rad_a = radical(A)
-        assert len(rad_b.basis) == len(rad_a.basis) + U.dim
+        assert len(rad_b) == len(rad_a) + U.dim
         n = A.dim
         for i in range(U.dim):
             for j in range(U.dim):

@@ -130,6 +130,24 @@ def test_verify_root_weighted():
     assert report.passed
 
 
+def test_verify_root_default_cap_completes_once(monkeypatch):
+    """Without a cap, verify_root counts to steps + 2a + 4 as the CLI
+    does: one completion and its probe.  Starting at 2 (a + 2) and
+    recompleting past each deeper degree built 12 systems, at caps 10,
+    12, 13, 15, ..., 27, on k[x,y,z] with a = 3 over 20 steps."""
+    from gradedcy import rewriting
+
+    caps, complete = [], rewriting.truncated_rewriting
+
+    def counting(pres, cap):
+        caps.append(cap)
+        return complete(pres, cap)
+
+    monkeypatch.setattr(rewriting, "truncated_rewriting", counting)
+    assert verify_root(load("k_xyz.pres"), 3, 20).passed
+    assert caps == [30, 32]
+
+
 def test_kronecker_band_is_shift_orbit():
     """Moving one place along the band is the one-step shift: the orbit
     dimension vectors walk through the knitted component."""

@@ -18,8 +18,9 @@ from gradedcy.slice_algebras import build_AUB, build_tilde
 
 from helpers import (check_module, dense_dual_of_regular, dense_resolution,
                      gabriel_quiver_by_pairs, gabriel_quiver_by_products,
-                     linear_quiver, load, random_presentation,
-                     sparse_action, unit_pivot_mutant_add)
+                     linear_quiver, load, radical_powers,
+                     random_presentation, sparse_action,
+                     unit_pivot_mutant_add)
 
 
 def dual_numbers():
@@ -29,24 +30,21 @@ def dual_numbers():
 
 def test_radical_dual_numbers():
     B = dual_numbers()
-    rad = radical(B)
-    assert len(rad.basis) == 1
-    assert rad.loewy_length == 2
+    assert len(radical(B)) == 1
+    assert radical_powers(B).loewy_length == 2
 
 
 def test_radical_of_B_xy():
     _, _, B = build_AUB(load("k_xy.pres"), 2)
-    rad = radical(B)
-    assert len(rad.basis) == B.dim - 2 == 10
+    assert len(radical(B)) == B.dim - 2 == 10
     # nilpotency
-    assert rad.loewy_length <= B.dim
+    assert radical_powers(B).loewy_length <= B.dim
 
 
 def test_radical_semisimple():
     alg = FDAlgebra(["e1", "e2"],
                     {(0, 0): {0: 1}, (1, 1): {1: 1}}, [0, 1])
-    rad = radical(alg)
-    assert rad.basis == [] and rad.loewy_length == 1
+    assert radical(alg) == [] and radical_powers(alg).loewy_length == 1
 
 
 def t_squared_one():
@@ -65,6 +63,103 @@ def test_not_split_basic():
 def test_gorenstein_check_not_split_basic():
     with pytest.raises(NotSplitBasic):
         is_iwanaga_gorenstein(t_squared_one(), 1, 3)
+
+
+def idempotent_t():
+    # basis {1, t} with t*t = t: span(t) is an ideal, but not nilpotent
+    return FDAlgebra(["one", "t"],
+                     {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                      (1, 1): {1: 1}}, [0])
+
+
+def traceless_x():
+    # basis {1, x, y} with x*x = y, x*y = y*x = x, y*y = y: span(x, y) is an
+    # ideal and tr(L_x) = 0, yet x^3 = x; only tr(L_y) = 2 shows it
+    return FDAlgebra(["one", "x", "y"],
+                     {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
+                      (1, 0): {1: 1}, (2, 0): {2: 1}, (1, 1): {2: 1},
+                      (1, 2): {1: 1}, (2, 1): {1: 1}, (2, 2): {2: 1}}, [0])
+
+
+def truncated_t():
+    # basis {1, t, s = t^2} with t^3 = 0: the radical span(t, s) is nilpotent
+    return FDAlgebra(["one", "t", "s"],
+                     {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
+                      (1, 0): {1: 1}, (2, 0): {2: 1}, (1, 1): {2: 1}}, [0])
+
+
+@pytest.mark.parametrize("planted,label", [(idempotent_t, "t"),
+                                           (traceless_x, "y")])
+def test_radical_refuses_a_non_nilpotent_ideal(planted, label):
+    """An ideal off the idempotents whose powers never vanish is refused
+    by its trace, through radical and through the Gorenstein check."""
+    match = f"not nilpotent: left multiplication by {label} "
+    with pytest.raises(NotSplitBasic, match=match):
+        radical(planted())
+    with pytest.raises(NotSplitBasic, match=match):
+        is_iwanaga_gorenstein(planted(), 1, 3)
+
+
+def test_radical_passes_a_nilpotent_ideal():
+    alg = truncated_t()
+    assert radical(alg) == [1, 2]
+    assert radical_powers(alg).loewy_length == 3
+
+
+def _radical_or_refusal(fn, alg):
+    try:
+        return fn(alg)
+    except NotSplitBasic:
+        return NotSplitBasic
+
+
+def test_radical_agrees_with_the_power_tower():
+    """radical refuses exactly when the power tower J, J^2, ... does not
+    reach 0 (or the ideal check fails), and returns the same basis
+    otherwise: on the planted algebras, on A, B and B^op of the corpus at
+    a = 1, 2, on their block algebras B~ at n = 2, 3, and on `corpi` of
+    A3 to A12 at n = 1, 2."""
+    algebras = [(f.__name__, 0, "planted", f())
+                for f in (t_squared_one, idempotent_t, traceless_x,
+                          truncated_t)]
+    for name in ("k_x.pres", "k_xy.pres", "skew_2.pres", "skew_3.pres",
+                 "k_xy_23.pres", "k_xyz.pres"):
+        for a in (1, 2):
+            A, U, B = build_AUB(load(name), a)
+            algebras += [(name, a, "A", A), (name, a, "B", B),
+                         (name, a, "B^op", B.opposite())]
+            for n in (2, 3):
+                algebras.append((name, a, f"B~{n}", build_tilde(A, U, n)[2]))
+    for n in range(3, 13):
+        for layers in (1, 2):
+            algebras.append((f"A{n}", layers, "corpi",
+                             block_trivial_extension(linear_quiver(n),
+                                                     layers)))
+    verdicts = []
+    for name, a, which, alg in algebras:
+        got = _radical_or_refusal(radical, alg)
+        want = _radical_or_refusal(lambda x: radical_powers(x).basis, alg)
+        assert got == want, (name, a, which)
+        verdicts.append(got is NotSplitBasic)
+    assert verdicts[:4] == [True, True, True, False] and not any(verdicts[4:])
+
+
+def test_radical_and_gabriel_quiver_count_products(monkeypatch):
+    """On `corpi` of A12 at n = 2 (dim 300) the radical is read off the
+    structure table with no product; the power tower made 337 272.  The
+    Gabriel quiver multiplies only the rows e_i b by each e_j."""
+    alg = block_trivial_extension(linear_quiver(12), 2)
+    calls, product = [0], FDAlgebra.product
+
+    def counting(self, u, v):
+        calls[0] += 1
+        return product(self, u, v)
+
+    monkeypatch.setattr(FDAlgebra, "product", counting)
+    radical(alg)
+    assert calls == [0]
+    gabriel_quiver(alg)
+    assert calls[0] <= 6624
 
 
 def test_gabriel_quiver_engine():
@@ -187,7 +282,8 @@ def test_betti_numbers_basis_independent():
 def test_radical_powers_vanish_on_corpus():
     for name, a in (("k_x.pres", 1), ("k_xy.pres", 2), ("skew_2.pres", 2)):
         _, _, B = build_AUB(load(name), a)
-        rad = radical(B)
+        rad = radical_powers(B)
+        assert radical(B) == rad.basis
         assert rad.loewy_length <= B.dim + 1
         assert rad.powers[-1].rank > 0  # last recorded power nonzero
 
@@ -301,7 +397,7 @@ def test_gabriel_quiver_matches_the_product_sweep():
 def _syzygy_actions(M, cap):
     """The action rows of the nonzero syzygies that
     projective_resolution(M, cap) passes through."""
-    jbasis = radical(M.alg).basis
+    jbasis = radical(M.alg)
     actions = []
     for _ in range(cap + 1):
         _, M = findim.syzygy(M, jbasis)
