@@ -186,34 +186,69 @@ class BimoduleComplex:
                                  rows, row))
         return plan
 
+    def _plans(self, rc: RewriteContext, k, w, src, target):
+        """For each key of the slice src = slots(rc, k + 1, w, ...), in
+        slot order: its entry_plan under diffs[k] with `target`, and an
+        iterator over the positions of its q words that have a slot (not
+        a list: a deep listing would keep an int object per word)."""
+        for (si, pdeg, ip), qslots in src.items():
+            yield self.entry_plan(
+                rc, k, si, pdeg, ip, w - self.terms[k + 1][si].degree - pdeg,
+                target), (i for i, g in enumerate(qslots) if g >= 0)
+
     def images(self, rc: RewriteContext, k, w, src, tgt):
         """The image under diffs[k] of each element of the slice src =
         slots(rc, k + 1, w, ...), in slot order, as a sparse dict over the
         slots of tgt = slots(rc, k, w, ...); terms outside tgt are
         dropped.  One slot look-up per term of a product."""
-        for (si, pdeg, ip), qslots in src.items():
-            plan = self.entry_plan(rc, k, si, pdeg, ip,
-                                   w - self.terms[k + 1][si].degree - pdeg,
-                                   tgt.get)
-            for i, g in enumerate(qslots):
-                if g < 0:
-                    continue
-                vec = {}
-                for tslots, c, rows, row in plan:
-                    if rows is None or (img := rows[i]) < 0:
-                        img = row(i)
-                    # _add_into inline: each term's slot is mapped and
-                    # maybe dropped, on the verdict's hottest loop
-                    for j, cm in ((img, 1),) if type(img) is int else img:
-                        t = tslots[j]
-                        if t < 0:
-                            continue
-                        val = vec.get(t, 0) + c * cm
-                        if val:
-                            vec[t] = val
-                        else:
-                            vec.pop(t, None)
-                yield vec
+        for plan, cols in self._plans(rc, k, w, src, tgt.get):
+            for i in cols:
+                yield _image(plan, i)
+
+    def leads(self, rc: RewriteContext, k, w, src, tgt, misses):
+        """The least slot of each image of images(rc, k, w, src, tgt), in
+        the same order, or -1 for an image that is 0; with `misses` false
+        also -1 for one whose least slot needs a miss product (a row that
+        is not a listed normal word) or a product by a path of several
+        arrows, which is then not computed.
+
+        No image is built.  Each key of tgt owns one interval of slots,
+        the intervals are disjoint and in the order of tgt's keys, and a
+        product's terms have distinct positions and nonzero coefficients.
+        So in a plan whose keys are distinct, once its entries with c = 0
+        are dropped, no two terms meet: the least slot is the least slot
+        in tgt of the first entry, in interval order, that has one.  For a
+        hit that is the slot of its one position.  A plan with a repeated
+        key takes its least slots off its images."""
+        order = {key: r for r, key in enumerate(tgt)}
+        tslots = list(tgt.values())
+        for plan, cols in self._plans(rc, k, w, src, order.get):
+            plan = sorted((e for e in plan if e[1]), key=lambda e: e[0])
+            distinct = len({e[0] for e in plan}) == len(plan)
+            plan = [(tslots[r], c, rows, row) for r, c, rows, row in plan]
+            if not distinct:
+                for i in cols:
+                    vec = _image(plan, i)
+                    yield min(vec) if vec else -1
+                continue
+            for i in cols:
+                for ts, _, rows, row in plan:
+                    if rows is not None and (img := rows[i]) >= 0:
+                        if (t := ts[img]) >= 0:
+                            break
+                        continue
+                    if not misses:
+                        t = -1
+                        break
+                    img = row(i)
+                    got = [ts[j] for j, _ in (
+                        ((img, 1),) if type(img) is int else img)]
+                    t = min((s for s in got if s >= 0), default=-1)
+                    if t >= 0:
+                        break
+                else:
+                    t = -1
+                yield t
 
     def check_complex(self, cap):
         """d_k o d_(k+1) = 0 for every k: the image of each lazy generator
@@ -256,6 +291,19 @@ class BimoduleComplex:
                         f"{self.name}: d o d nonzero from summand {s.label} "
                         f"to {self.terms[k][min(vec)[0]].label}")
         return True
+
+
+def _image(plan, i):
+    """The image of the q word at position i under an entry plan whose
+    targets are slot arrays, as a sparse dict over the slots; terms
+    without a slot are dropped."""
+    vec = {}
+    for tslots, c, rows, row in plan:
+        if rows is None or (img := rows[i]) < 0:
+            img = row(i)
+        _add_into(vec, ((tslots[j], cm) for j, cm in (
+            ((img, 1),) if type(img) is int else img) if tslots[j] >= 0), c)
+    return vec
 
 
 # ---------------------------------------------------------------------------

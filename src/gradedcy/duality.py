@@ -26,6 +26,16 @@ same evaluation with the left factor lazy), which stay small.  The
 exactness probe, the verdict's first step, checks that its input squares
 to zero: the ranks read off leading indices (_homology_dims) are exact
 only on a complex.
+
+Each rank is read in up to three stages, hit columns first: the least
+indices of the images whose least index needs no miss product (a
+product that is not a listed normal word), read straight off the arrow
+maps (BimoduleComplex.leads); then those of every image, miss products
+computed only for the images whose least index needs one; then
+elimination.  Images with distinct least indices, and so any subset of
+them, are independent, so each stage's count bounds the rank from
+below, and a later stage runs only for a map that the bounds so far
+leave loose at both ends.
 """
 
 from __future__ import annotations
@@ -262,38 +272,52 @@ def _cohomology(cplx, rc, degrees, lazy_left):
     for w in degrees:
         slots = [cplx.slots(rc, k, w, lazy_left)
                  for k in range(len(cplx.terms))]
-        _homology_dims(cplx, w, [n for _, n in slots], lambda k: cplx.images(
-            rc, k, w, slots[k + 1][0], slots[k][0]), out)
+        _homology_dims(
+            cplx, w, [n for _, n in slots],
+            lambda k, misses: cplx.leads(rc, k, w, slots[k + 1][0],
+                                         slots[k][0], misses),
+            lambda k: cplx.images(rc, k, w, slots[k + 1][0], slots[k][0]),
+            out)
     return out
 
 
-def _homology_dims(cplx, w, dims, images, out):
+def _homology_dims(cplx, w, dims, leads, images, out):
     """out[(position k, w)] = dims[k] - rank in - rank out, where images(k)
-    gives the images of the differential from term k + 1 to term k.
+    gives the images of the differential from term k + 1 to term k and
+    leads(k, misses) their least indices (BimoduleComplex.leads).
 
-    Images with distinct least indices are independent, so low[k + 1],
-    the number of least indices of map k, bounds its rank from below; and
-    d o d = 0 bounds the two ranks at position j by dims[j] together.
-    Where the lower bounds already add up to dims[j], both ranks at j are
-    exact.  Only a map pinned at neither end is ranked by elimination.
-    So the maps must form a complex (check_complex): otherwise a position
+    One image for each distinct least index gives independent images,
+    so the number of distinct least indices among any subset of a map's
+    images bounds its rank from below; and d o d = 0 bounds the two ranks
+    at position j by dims[j] together.  Where the lower bounds already
+    add up to dims[j], both ranks at j are exact.  Each map is ranked in
+    up to three stages, each stage only for the maps that the bounds so
+    far pin at neither end: (1) the least indices of the images that
+    need no miss product, (2) those of all images, (3) elimination.  So
+    the maps must form a complex (check_complex): otherwise a position
     can read 0 although its true ranks overfill it (it reads negative
     only where even the bounds do)."""
-    low = [0]
-    for k in range(len(dims) - 1):
+    low = [0] * (len(dims) + 1)   # low[k + 1] bounds the rank of map k
+
+    def count(k, misses):
         lead = bytearray(dims[k])
+        for t in leads(k, misses):
+            if t >= 0:
+                lead[t] = 1
+        return lead.count(1)
+
+    def eliminate(k):
+        el = SparseEliminator()
         for vec in images(k):
-            if vec:
-                lead[min(vec)] = 1
-        low.append(lead.count(1))
-    low.append(0)
-    for k in range(len(dims) - 1):
-        if low[k] + low[k + 1] < dims[k] and \
-                low[k + 1] + low[k + 2] < dims[k + 1]:
-            el = SparseEliminator()
-            for vec in images(k):
-                el.add(vec)
-            low[k + 1] = el.rank
+            el.add(vec)
+        return el.rank
+
+    for stage in (lambda k: count(k, False), lambda k: count(k, True),
+                  eliminate):
+        for k in range(len(dims) - 1):
+            if low[k] + low[k + 1] < dims[k] and \
+                    low[k + 1] + low[k + 2] < dims[k + 1]:
+                low[k + 1] = stage(k)
     for k, dim in enumerate(dims):
         out[(cplx.positions[k], w)] = dim - low[k + 1] - low[k]
 

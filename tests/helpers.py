@@ -100,9 +100,10 @@ def solve(matrix, rhs):
     return x
 
 
-def homology_dims_by_elimination(cplx, w, dims, images, out):
+def homology_dims_by_elimination(cplx, w, dims, leads, images, out):
     """duality._homology_dims as the package wrote it before it certified
-    ranks by leading indices: every map is ranked by one eliminator.
+    ranks by leading indices: every map is ranked by one eliminator, and
+    `leads` is taken only to keep its signature and not read.
     out[(position k, w)] = dims[k] - rank in - rank out, where images(k)
     gives the images of the differential from term k + 1 to term k."""
     ranks = [0]
@@ -636,7 +637,7 @@ def one_sided_complex_by_reduction(cplx, rc, degrees):
                     yield vec
 
         homology_dims_by_elimination(cplx, w, [len(b) for b in bases],
-                                     images, dims)
+                                     None, images, dims)
     return dims
 
 

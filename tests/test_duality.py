@@ -252,10 +252,12 @@ def test_all_variants_compose_to_zero_on_slices():
 
 
 def _corpus_complexes():
-    """(presentation, complex, cap, number of degrees) for every corpus
-    complex: the built-in resolutions, the two complex files and the dimer
-    resolutions of hexagonal and four_face (whose entries v have two
-    arrows, and whose Jacobian algebra has degree-0 arrows)."""
+    """(label, presentation, complex, cap, number of degrees) for every
+    corpus complex: the built-in resolutions, the two complex files and
+    the dimer resolutions of hexagonal and four_face (whose entries v have
+    two arrows, and whose Jacobian algebra has degree-0 arrows).  The
+    label is the presentation's file and the complex's name, and for a
+    dimer resolution the dimer and its number of grading matchings."""
     from gradedcy.dimer import (cy3_complex, dual_qp,
                                 grading_from_matchings, jacobian_presentation,
                                 load_dimer, perfect_matchings)
@@ -263,24 +265,28 @@ def _corpus_complexes():
     for name in ("k_x.pres", "k_xy.pres", "k_xyz.pres", "skew_2.pres",
                  "skew_3.pres"):
         pres = load(name)
-        yield pres, builtin_resolution(pres), 8, 6
+        cpx = builtin_resolution(pres)
+        yield (name, cpx.name), pres, cpx, 8, 6
     for name, cpx in (("k_xy.pres", "koszul_xy.cpx"),
                       ("skew_2.pres", "skew2.cpx")):
         pres = load(name)
         with open(DATA / cpx, "r", encoding="utf-8") as fh:
-            yield pres, parse_complex(fh.read(), pres, filename=cpx), 8, 6
+            yield (name, cpx), pres, parse_complex(fh.read(), pres,
+                                                   filename=cpx), 8, 6
     hexagonal = load_dimer(DATA / "hexagonal.dimer")
     ms, _ = perfect_matchings(hexagonal)
     deg = grading_from_matchings(hexagonal, ms, [-1] * 3)
     pres = jacobian_presentation(dual_qp(hexagonal), deg)
-    yield pres, cy3_complex(dual_qp(hexagonal), deg, pres), 8, 5
+    yield ("hexagonal/3", "cy3"), pres, \
+        cy3_complex(dual_qp(hexagonal), deg, pres), 8, 5
     four_face = load_dimer(DATA / "four_face.dimer")
     for matchings, depth in (([("d1", "d2", "om")], 2),
                              ([("d1", "d2", "om"), ("d1", "d2", "h2")], 3)):
         deg = grading_from_matchings(four_face, matchings,
                                      [-1] * len(matchings))
         pres = jacobian_presentation(dual_qp(four_face), deg)
-        yield pres, cy3_complex(dual_qp(four_face), deg, pres), 12, depth
+        yield (f"four_face/{len(matchings)}", "cy3"), pres, \
+            cy3_complex(dual_qp(four_face), deg, pres), 12, depth
 
 
 def test_one_sided_complex_matches_reduction_oracle():
@@ -289,7 +295,7 @@ def test_one_sided_complex_matches_reduction_oracle():
     product from scratch, on every corpus complex and its dual."""
     from gradedcy.duality import one_sided_complex
 
-    for pres, cpx, cap, depth in _corpus_complexes():
+    for _, pres, cpx, cap, depth in _corpus_complexes():
         rc = RewriteContext(pres, cap)
         for c in (cpx, dualize(cpx)):
             top = max(s.degree for t in c.terms for s in t)
@@ -302,33 +308,43 @@ def test_one_sided_complex_matches_reduction_oracle():
 def test_certified_ranks_match_elimination(monkeypatch):
     """duality._homology_dims reads a rank off the distinct least indices
     of a map's images wherever they pin it (their count and the one at
-    the map's other end add up to the dimension between them), and
-    eliminates the rest.  On every corpus presentation with its built-in
-    resolution, both complex files, the hexagonal and both four_face
-    Jacobian gradings, and the dual of each, its homology dims equal those
-    of ranking every map by elimination, at every (position, degree) of
-    the one-sided complex and of the first three slices.  The least
-    index pins every map of the built-in resolutions and files, so no
-    eliminator runs there; four_face's one-sided complexes need it."""
-    from gradedcy import duality
+    the map's other end add up to the dimension between them), first of
+    the images that need no miss product, then of all, and eliminates the
+    rest.  On every corpus presentation with its built-in resolution,
+    both complex files, the hexagonal and both four_face Jacobian
+    gradings, and the dual of each, its homology dims equal those of
+    ranking every map by elimination, at every (position, degree) of the
+    one-sided complex and of the first three slices.  The hit columns
+    alone pin every map of the skew_3, skew_4, k_x and k_xy_23
+    resolutions; the two-variable resolutions and files, k_xyz and the
+    hexagonal grading need every column of some map, and only four_face's
+    two gradings need the eliminator, their one-sided complexes too."""
+    from gradedcy import complexes, duality
 
-    eliminated = []
+    stages, leads = set(), complexes.BimoduleComplex.leads
 
     class Counted(duality.SparseEliminator):
         def __init__(self):
             super().__init__()
-            eliminated.append(name)
+            stages.add(at + (3,))
+
+    def spied(self, rc, k, w, src, tgt, misses):
+        stages.add(at + (2 if misses else 1,))
+        return leads(self, rc, k, w, src, tgt, misses)
 
     monkeypatch.setattr(duality, "SparseEliminator", Counted)
+    monkeypatch.setattr(complexes.BimoduleComplex, "leads", spied)
     corpus = list(_corpus_complexes())
-    corpus += [(load(n), builtin_resolution(load(n)), 8, 6)
-               for n in ("k_xy_23.pres", "skew_4.pres")]
-    for pres, cpx, cap, depth in corpus:
+    for name in ("k_xy_23.pres", "skew_4.pres"):
+        pres = load(name)
+        cpx = builtin_resolution(pres)
+        corpus.append(((name, cpx.name), pres, cpx, 8, 6))
+    for label, pres, cpx, cap, depth in corpus:
         rc = RewriteContext(pres, cap)
         for c in (cpx, dualize(cpx)):
             top = max(s.degree for t in c.terms for s in t)
             for lazy_left, n in ((True, depth + 1), (False, 3)):
-                name = (cpx.name, lazy_left)
+                at = label, lazy_left
                 degrees = range(top, top - n, -1)
                 got = duality._cohomology(c, rc, degrees, lazy_left)
                 with monkeypatch.context() as m:
@@ -336,9 +352,137 @@ def test_certified_ranks_match_elimination(monkeypatch):
                               homology_dims_by_elimination)
                     want = duality._cohomology(c, rc, degrees, lazy_left)
                 assert got == want, (cpx.name, c.kind, lazy_left)
-    assert ("cy3", True) in eliminated
-    assert not any(n in ("koszul", "skew", "koszul_xy.cpx", "skew2.cpx")
-                   for n, _ in eliminated), eliminated
+
+    def reaching(stage):
+        return {label for label, _, s in stages if s == stage}
+
+    assert reaching(1) == {label for label, *_ in corpus}
+    four_face = {("four_face/1", "cy3"), ("four_face/2", "cy3")}
+    assert reaching(2) == {
+        ("k_xy.pres", "koszul"), ("k_xy.pres", "koszul_xy.cpx"),
+        ("k_xyz.pres", "koszul"), ("skew_2.pres", "skew"),
+        ("skew_2.pres", "skew2.cpx"), ("hexagonal/3", "cy3"), *four_face}
+    assert reaching(3) == four_face
+    assert {(label, True, 3) for label in four_face} <= stages
+
+
+def _with_dead_entries(pres):
+    """The skew resolution of a two-arrow presentation with one more
+    summand E first in terms[0], and maps into E that are 0: a
+    zero-coefficient entry from the first arrow's summand, and two
+    entries that cancel (one target key twice) from the second's."""
+    cpx = skew_complex(pres)
+    v = pres.quiver.vertices[0]
+    lazy = pres.ctx.lazy(v)
+    x, y = (pres.ctx.arrow_path(a.name) for a in pres.quiver.arrows)
+    d1 = {(ti + 1, si): es for (ti, si), es in cpx.diffs[0].items()}
+    d1[0, 0] = [(0, x, lazy), (0, lazy, x)]
+    d1[0, 1] = [(1, lazy, y), (-1, lazy, y)]
+    terms = [[FreeSummand(v, v, 0, "E")] + cpx.terms[0], *cpx.terms[1:]]
+    return BimoduleComplex(pres, terms, [d1, cpx.diffs[1]], name="dead")
+
+
+def _leads_faults():
+    """Where BimoduleComplex.leads disagrees with the images: on every
+    corpus complex, _with_dead_entries(skew_2) and the dual of each, over
+    the one-sided and the full slices, leads(..., misses=True) must be
+    min of each image (-1 for 0), and every value of leads(...,
+    misses=False) other than -1 the same.  A list of (complex, kind,
+    lazy_left, degree, map, misses)."""
+    skew_2 = load("skew_2.pres")
+    faults = []
+    for _, pres, cpx, cap, depth in [
+            *_corpus_complexes(),
+            (None, skew_2, _with_dead_entries(skew_2), 8, 4)]:
+        rc = RewriteContext(pres, cap)
+        for c in (cpx, dualize(cpx)):
+            top = max(s.degree for t in c.terms for s in t)
+            for lazy_left, n in ((True, depth + 1), (False, 3)):
+                for w in range(top, top - n, -1):
+                    slots = [c.slots(rc, k, w, lazy_left)[0]
+                             for k in range(len(c.terms))]
+                    for k in range(len(c.diffs)):
+                        args = rc, k, w, slots[k + 1], slots[k]
+                        hits = list(c.leads(*args, False))
+                        full = list(c.leads(*args, True))
+                        want = [min(v) if v else -1 for v in c.images(*args)]
+                        where = (cpx.name, c.kind, lazy_left, w, k)
+                        if full != want:
+                            faults.append(where + (True,))
+                        if len(hits) != len(want) or any(
+                                h not in (-1, f) for h, f in zip(hits, want)):
+                            faults.append(where + (False,))
+    return faults
+
+
+def test_leads_match_least_slots_of_images():
+    """BimoduleComplex.leads gives the least slot of each image without
+    building it (see _leads_faults)."""
+    assert _leads_faults() == []
+
+
+LEADS_MUTANTS = {
+    "a miss passes to the next entry": (
+        "t = -1\n" + " " * 20 + "break", "t = -1\n" + " " * 20 + "continue"),
+    "entries in plan order": (
+        "plan = sorted((e for e in plan if e[1]), key=lambda e: e[0])",
+        "plan = [e for e in plan if e[1]]"),
+    "a repeated key not sent to the images": (
+        "distinct = len({e[0] for e in plan}) == len(plan)",
+        "distinct = True"),
+    "zero entries kept": (
+        "(e for e in plan if e[1])", "(e for e in plan)"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(LEADS_MUTANTS))
+def test_leads_differential_catches_mutants(monkeypatch, mutant):
+    """Each planted fault of BimoduleComplex.leads shows in _leads_faults."""
+    import inspect
+    import textwrap
+
+    from gradedcy import complexes
+
+    old, new = LEADS_MUTANTS[mutant]
+    source = textwrap.dedent(
+        inspect.getsource(complexes.BimoduleComplex.leads))
+    assert source.count(old) == 1
+    namespace = dict(vars(complexes))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(complexes.BimoduleComplex, "leads",
+                        namespace["leads"])
+    assert _leads_faults()
+
+
+def test_verdict_computes_miss_products_only_where_hits_leave_maps_loose(
+        monkeypatch):
+    """The verdict on skew_3 stores at most one miss product at -9..0 and
+    at -12..0 (3 190 and 57 310 when every image was built), since the
+    hit columns pin every map there; on k_xyz at -8..0 some maps need
+    every column, so it still stores some."""
+    from gradedcy import duality
+
+    stored = []
+    store = RewriteContext._store
+
+    def spied(self, vec):
+        stored.append(len(vec))
+        return store(self, vec)
+
+    monkeypatch.setattr(RewriteContext, "_store", spied)
+    for name, lo, most in (("skew_3.pres", -9, 1), ("skew_3.pres", -12, 1),
+                           ("k_xyz.pres", -8, None)):
+        pres = load(name)
+        stored.clear()
+        verdict = duality.check_twisted_cy(
+            pres, builtin_resolution(pres),
+            identity_twist(pres.cy.dimension + pres.cy.a_invariant),
+            window=(0, lo))
+        assert verdict.passed, name
+        if most is None:
+            assert stored, name
+        else:
+            assert len(stored) <= most, (name, lo, len(stored))
 
 
 def test_one_sided_oracle_catches_a_block_offset_mutant(monkeypatch):
@@ -361,7 +505,7 @@ def test_one_sided_oracle_catches_a_block_offset_mutant(monkeypatch):
     monkeypatch.setattr(complexes.BimoduleComplex, "slots",
                         namespace["slots"])
     caught = []
-    for pres, cpx, cap, depth in _corpus_complexes():
+    for _, pres, cpx, cap, depth in _corpus_complexes():
         rc = RewriteContext(pres, cap)
         for c in (cpx, dualize(cpx)):
             top = max(s.degree for t in c.terms for s in t)
@@ -392,7 +536,7 @@ def test_check_complex_on_every_kind():
     to the kind, raised NotComplex on the dg ones); one flipped entry sign
     is caught on each, and on the graded complex the former check
     agrees."""
-    for pres, cpx, cap, _ in _corpus_complexes():
+    for _, pres, cpx, cap, _ in _corpus_complexes():
         rc = RewriteContext(pres, cap)
         for c in _variants(cpx):
             assert c.check_complex(rc), (cpx.name, c.kind)
@@ -409,7 +553,7 @@ def test_construction_checks_entry_degrees():
     """Every corpus complex, its transport, dual and double dual keeps the
     degree rule |u| + |v| = source degree - target degree (construction
     checks it); an entry one degree off is refused with its place."""
-    for _, cpx, _, _ in _corpus_complexes():
+    for _, _, cpx, _, _ in _corpus_complexes():
         for c in _variants(cpx):
             BimoduleComplex(c.pres, c.terms, c.diffs, kind=c.kind,
                             positions=c.positions)
@@ -489,7 +633,7 @@ def test_slice_matrices_match_reduction_oracle():
     those of the former evaluation (Path-keyed bases, its own sign rules,
     every product reduced from scratch) on every corpus complex, its
     transport, dual and double dual."""
-    for pres, cpx, cap, _ in _corpus_complexes():
+    for _, pres, cpx, cap, _ in _corpus_complexes():
         rc = RewriteContext(pres, cap)
         for c in _variants(cpx):
             assert _slices_by_element(c, rc, slice_matrix) == \
@@ -519,7 +663,7 @@ def test_slice_oracle_catches_sign_rule_mutants(monkeypatch, kind, old, new):
     monkeypatch.setattr(complexes.BimoduleComplex, "entry_plan",
                         namespace["entry_plan"])
     caught = []
-    for pres, cpx, cap, _ in _corpus_complexes():
+    for _, pres, cpx, cap, _ in _corpus_complexes():
         rc = RewriteContext(pres, cap)
         for c in _variants(cpx)[:3]:
             if c.kind == kind and _slices_by_element(c, rc, slice_matrix) \
