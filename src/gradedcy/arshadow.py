@@ -214,9 +214,9 @@ def verify_root(pres, a, steps, cap=None):
     matrix is the vector at (-i, 0) (dim e_i A e_l = dim R_{i-l}), so
     every vector is read off the orbit's graded pieces, summed over the
     vertex pairs of a single-vertex presentation.  The orbit counts them
-    to the cap, by default steps + 2a + 4, past the deepest degree
-    steps + 2a - 2 that the steps read, so one completion and its probe
-    cover every vector.
+    to the cap, by default steps + 2a + 4, and at least to the deepest
+    degree steps + 2a - 2 that the steps read, so one completion and its
+    probe cover every vector.
     """
     nverts = len(pres.quiver.vertices)
     if nverts != 1:
@@ -225,7 +225,7 @@ def verify_root(pres, a, steps, cap=None):
         raise ParseError("presentation lacks a [cy] section")
     if cap is None:
         cap = steps + 2 * a + 4
-    orbit = DimVecOrbit(pres, a, cap=cap)
+    orbit = DimVecOrbit(pres, a, cap=max(cap, steps + 2 * a - 2))
     C = [list(row) for row in
          zip(*(orbit.dimvec(OrbitLabel(-i, 0)) for i in range(a)))]
     _, Phi_inv = coxeter_step(C)

@@ -97,39 +97,44 @@ class BimoduleComplex:
         """Numbering of the internal-degree-w slice of terms[k].
 
         Returns a dict (summand index, |p|, position of p in
-        rc.listing(|p|)) -> q slots, an int array that maps each position
-        of rc.listing(|q|) to the number of the element p (x) q, or to -1
-        for a word of another vertex pair; and the number of elements.
-        Each degree's listing is checked for stability as in rc.basis.
-        Graded and dg-right summands take p ending at the left vertex and
-        q starting at the right one, dg-left summands p starting at the
-        left vertex and q ending at the right one.  With `lazy_left`, p is
-        only the lazy word at the left vertex: the slice of the one-sided
-        generator complex, where the left tensor factor is killed.  The q
-        words of one p are whole vertex-pair blocks of the listing.
-        """
-        dg_left, out, n = self.kind == "dg-left", {}, 0
+        rc.listing(|p|)) -> (base, local), and the number of elements.
+        Element p (x) q is base + local[position of q in rc.listing(|q|)]:
+        the q words of one p are whole vertex-pair blocks, so one int
+        array, shared by all keys with the same |q| and vertex, numbers
+        that vertex's words in listing order (-1 for the rest), or is
+        range(len(listing)) where they are the whole listing, as on one
+        vertex.  p runs over the words that such a map at |p| numbers;
+        keys without q words are left out.  Listings are checked for
+        stability as in rc.basis.  Graded and dg-right summands take p
+        ending at the left vertex and q starting at the right one, dg-left
+        summands p starting at the left vertex and q ending at the right
+        one.  With `lazy_left`, p is the lazy word at the left vertex: the
+        slice of the one-sided generator complex (left factor killed)."""
+        dg_left, out, n, maps = self.kind == "dg-left", {}, 0, {}
 
-        def blocks(degree, vertex, at_end):
-            rc.counts(degree)
-            for (a, b), pos, block in rc.listing(degree).blocks:
-                if (b if at_end else a) == vertex:
-                    yield pos, len(block[1])
+        def local(degree, vertex, at_end):
+            key = degree, vertex, at_end
+            if key not in maps:
+                rc.counts(degree)
+                got, j = array("i", [-1]) * len(rc.listing(degree)), 0
+                for (a, b), pos, block in rc.listing(degree).blocks:
+                    if (b if at_end else a) == vertex:
+                        size = len(block[1])
+                        got[pos:pos + size] = array("i", range(j, j + size))
+                        j += size
+                maps[key] = (got if j < len(got) else range(j)), j
+            return maps[key]
 
         for si, s in enumerate(self.terms[k]):
             rest = w - s.degree
             for pdeg in range(0, rest - 1, -1)[:1 if lazy_left else None]:
-                qdeg = rest - pdeg
-                ps = [rc.position(s.left_vertex)] if lazy_left \
-                    else [pos + i for pos, size in
-                          blocks(pdeg, s.left_vertex, not dg_left)
-                          for i in range(size)]
-                for ip in ps:
-                    slots = array("i", [-1]) * len(rc.listing(qdeg))
-                    for pos, size in blocks(qdeg, s.right_vertex, dg_left):
-                        slots[pos:pos + size] = array("i", range(n, n + size))
-                        n += size
-                    out[si, pdeg, ip] = slots
+                ps = [rc.position(s.left_vertex)] if lazy_left else [
+                    i for i, g in enumerate(
+                        local(pdeg, s.left_vertex, not dg_left)[0]) if g >= 0]
+                qs, size = local(rest - pdeg, s.right_vertex, dg_left)
+                for ip in ps if size else ():
+                    out[si, pdeg, ip] = n, qs
+                    n += size
         return out, n
 
     def slice_basis(self, rc: RewriteContext, k, w):
@@ -137,11 +142,11 @@ class BimoduleComplex:
         index, left path, right path), in the order of slots()."""
         slots, n = self.slots(rc, k, w)
         out = [None] * n
-        for (si, pdeg, ip), qslots in slots.items():
+        for (si, pdeg, ip), (base, local) in slots.items():
             p, qdeg = rc.word(pdeg, ip), w - self.terms[k][si].degree - pdeg
-            for iq, g in enumerate(qslots):
+            for iq, g in enumerate(local):
                 if g >= 0:
-                    out[g] = (si, p, rc.word(qdeg, iq))
+                    out[base + g] = (si, p, rc.word(qdeg, iq))
         return out
 
     def entry_plan(self, rc: RewriteContext, k, si, pdeg, ip, qdeg, target):
@@ -188,67 +193,62 @@ class BimoduleComplex:
 
     def _plans(self, rc: RewriteContext, k, w, src, target):
         """For each key of the slice src = slots(rc, k + 1, w, ...), in
-        slot order: its entry_plan under diffs[k] with `target`, and an
-        iterator over the positions of its q words that have a slot (not
-        a list: a deep listing would keep an int object per word)."""
-        for (si, pdeg, ip), qslots in src.items():
+        element order: its entry_plan under diffs[k] with `target`, and an
+        iterator over the positions of its q words (not a list: a deep
+        listing would keep an int object per word)."""
+        for (si, pdeg, ip), (_, local) in src.items():
             yield self.entry_plan(
                 rc, k, si, pdeg, ip, w - self.terms[k + 1][si].degree - pdeg,
-                target), (i for i, g in enumerate(qslots) if g >= 0)
+                target), (i for i, g in enumerate(local) if g >= 0)
 
     def images(self, rc: RewriteContext, k, w, src, tgt):
         """The image under diffs[k] of each element of the slice src =
-        slots(rc, k + 1, w, ...), in slot order, as a sparse dict over the
-        slots of tgt = slots(rc, k, w, ...); terms outside tgt are
-        dropped.  One slot look-up per term of a product."""
+        slots(rc, k + 1, w, ...), in element order, as a sparse dict over
+        the elements of tgt = slots(rc, k, w, ...); terms outside tgt are
+        dropped.  One look-up in a local map per term of a product."""
         for plan, cols in self._plans(rc, k, w, src, tgt.get):
             for i in cols:
                 yield _image(plan, i)
 
     def leads(self, rc: RewriteContext, k, w, src, tgt, misses):
-        """The least slot of each image of images(rc, k, w, src, tgt), in
-        the same order, or -1 for an image that is 0; with `misses` false
-        also -1 for one whose least slot needs a miss product (a row that
-        is not a listed normal word) or a product by a path of several
-        arrows, which is then not computed.
+        """The least element of each image of images(rc, k, w, src, tgt),
+        in the same order, or -1 for an image that is 0; with `misses`
+        false also -1 for one whose least element needs a miss product (a
+        row that is not a listed normal word) or a product by a path of
+        several arrows, which is then not computed.
 
-        No image is built.  Each key of tgt owns one interval of slots,
-        the intervals are disjoint and in the order of tgt's keys, and a
-        product's terms have distinct positions and nonzero coefficients.
-        So in a plan whose keys are distinct, once its entries with c = 0
-        are dropped, no two terms meet: the least slot is the least slot
-        in tgt of the first entry, in interval order, that has one.  For a
-        hit that is the slot of its one position.  A plan with a repeated
-        key takes its least slots off its images."""
-        order = {key: r for r, key in enumerate(tgt)}
-        tslots = list(tgt.values())
-        for plan, cols in self._plans(rc, k, w, src, order.get):
-            plan = sorted((e for e in plan if e[1]), key=lambda e: e[0])
-            distinct = len({e[0] for e in plan}) == len(plan)
-            plan = [(tslots[r], c, rows, row) for r, c, rows, row in plan]
+        No image is built.  The keys of tgt own disjoint runs of elements
+        that start at their bases, and a product's terms have distinct
+        positions and nonzero coefficients.  So in a plan whose keys are
+        distinct, once its entries with c = 0 are dropped and the rest
+        sorted by base, no two terms meet: the least element is the least
+        one of the first entry that has one, for a hit its base plus its
+        one position's local number.  A plan with a repeated key takes
+        its least elements off its images."""
+        for plan, cols in self._plans(rc, k, w, src, tgt.get):
+            plan = sorted((e for e in plan if e[1]), key=lambda e: e[0][0])
+            distinct = len({e[0][0] for e in plan}) == len(plan)
             if not distinct:
                 for i in cols:
                     vec = _image(plan, i)
                     yield min(vec) if vec else -1
                 continue
             for i in cols:
-                for ts, _, rows, row in plan:
+                t = -1
+                for (base, local), _, rows, row in plan:
                     if rows is not None and (img := rows[i]) >= 0:
-                        if (t := ts[img]) >= 0:
+                        if (t := local[img]) >= 0:
                             break
                         continue
                     if not misses:
-                        t = -1
                         break
                     img = row(i)
-                    got = [ts[j] for j, _ in (
+                    got = [local[j] for j, _ in (
                         ((img, 1),) if type(img) is int else img)]
                     t = min((s for s in got if s >= 0), default=-1)
                     if t >= 0:
                         break
-                else:
-                    t = -1
-                yield t
+                yield base + t if t >= 0 else -1
 
     def check_complex(self, cap):
         """d_k o d_(k+1) = 0 for every k: the image of each lazy generator
@@ -295,14 +295,14 @@ class BimoduleComplex:
 
 def _image(plan, i):
     """The image of the q word at position i under an entry plan whose
-    targets are slot arrays, as a sparse dict over the slots; terms
-    without a slot are dropped."""
+    targets are (base, local) values of slots(), as a sparse dict over
+    the elements; terms that local does not number are dropped."""
     vec = {}
-    for tslots, c, rows, row in plan:
+    for (base, local), c, rows, row in plan:
         if rows is None or (img := rows[i]) < 0:
             img = row(i)
-        _add_into(vec, ((tslots[j], cm) for j, cm in (
-            ((img, 1),) if type(img) is int else img) if tslots[j] >= 0), c)
+        _add_into(vec, ((base + local[j], cm) for j, cm in (
+            ((img, 1),) if type(img) is int else img) if local[j] >= 0), c)
     return vec
 
 

@@ -483,9 +483,9 @@ def _twist_action_check(pres, dual, rc, twist, a):
         ix = rc.position(v0, (x,))
 
         def slot(pdeg, ip, iq):
-            qslots = slots.get((zi, pdeg, ip))
-            return None if qslots is None or iq is None or qslots[iq] < 0 \
-                else qslots[iq]
+            base, local = slots.get((zi, pdeg, ip), (0, None))
+            return None if local is None or iq is None or local[iq] < 0 \
+                else base + local[iq]
 
         # left action: x . z0 = (-1)^((l+k)|x| + |x||p|) (p then x) (x) q
         l = a

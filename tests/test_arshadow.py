@@ -134,7 +134,10 @@ def test_verify_root_default_cap_completes_once(monkeypatch):
     """Without a cap, verify_root counts to steps + 2a + 4 as the CLI
     does: one completion and its probe.  Starting at 2 (a + 2) and
     recompleting past each deeper degree built 12 systems, at caps 10,
-    12, 13, 15, ..., 27, on k[x,y,z] with a = 3 over 20 steps."""
+    12, 13, 15, ..., 27, on k[x,y,z] with a = 3 over 20 steps, and so
+    did a cap of 10.  A cap below the deepest degree the steps read,
+    steps + 2a - 2 = 24, is now raised to it: one completion and its
+    probe, and the same report and vectors as the default cap."""
     from gradedcy import rewriting
 
     caps, complete = [], rewriting.truncated_rewriting
@@ -144,8 +147,16 @@ def test_verify_root_default_cap_completes_once(monkeypatch):
         return complete(pres, cap)
 
     monkeypatch.setattr(rewriting, "truncated_rewriting", counting)
-    assert verify_root(load("k_xyz.pres"), 3, 20).passed
+    report = verify_root(load("k_xyz.pres"), 3, 20)
+    assert report.passed
     assert caps == [30, 32]
+    caps.clear()
+    low = verify_root(load("k_xyz.pres"), 3, 20, cap=10)
+    assert caps == [24, 26]
+    assert low[:4] == report[:4]
+    assert [low.orbit.dimvec(OrbitLabel(i, 0)) for i in range(23)] == \
+        [report.orbit.dimvec(OrbitLabel(i, 0)) for i in range(23)]
+    assert caps == [24, 26]
 
 
 def test_kronecker_band_is_shift_orbit():

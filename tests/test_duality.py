@@ -423,12 +423,13 @@ def test_leads_match_least_slots_of_images():
 
 LEADS_MUTANTS = {
     "a miss passes to the next entry": (
-        "t = -1\n" + " " * 20 + "break", "t = -1\n" + " " * 20 + "continue"),
+        "if not misses:\n" + " " * 20 + "break",
+        "if not misses:\n" + " " * 20 + "continue"),
     "entries in plan order": (
-        "plan = sorted((e for e in plan if e[1]), key=lambda e: e[0])",
+        "plan = sorted((e for e in plan if e[1]), key=lambda e: e[0][0])",
         "plan = [e for e in plan if e[1]]"),
     "a repeated key not sent to the images": (
-        "distinct = len({e[0] for e in plan}) == len(plan)",
+        "distinct = len({e[0][0] for e in plan}) == len(plan)",
         "distinct = True"),
     "zero entries kept": (
         "(e for e in plan if e[1])", "(e for e in plan)"),
@@ -495,12 +496,12 @@ def test_one_sided_oracle_catches_a_block_offset_mutant(monkeypatch):
     from gradedcy import complexes
     from gradedcy.duality import one_sided_complex
 
-    old = "range(n, n + size)"
+    old = "out[si, pdeg, ip] = n, qs"
     source = textwrap.dedent(
         inspect.getsource(complexes.BimoduleComplex.slots))
     assert source.count(old) == 1
     namespace = dict(vars(complexes))
-    exec(source.replace(old, "range(max(n - 1, 0), max(n - 1, 0) + size)"),
+    exec(source.replace(old, "out[si, pdeg, ip] = max(n - 1, 0), qs"),
          namespace)
     monkeypatch.setattr(complexes.BimoduleComplex, "slots",
                         namespace["slots"])
@@ -518,6 +519,67 @@ def test_one_sided_oracle_catches_a_block_offset_mutant(monkeypatch):
 
 def _variants(cpx):
     return cpx, dg_transport(cpx), dualize(cpx), dualize(dualize(cpx))
+
+
+def test_slots_number_each_slice_element_once():
+    """In every slice that the tests read, of every corpus complex and its
+    variants (the dg-left duals of four_face and hexagonal among them),
+    one-sided and full: base + local[i] over all keys and all positions
+    i with local[i] >= 0 hits each of 0 .. n-1 once; each key has q
+    words, numbered 0, 1, ... in listing order, so it owns the elements
+    from its base on; and keys with the same |q| and right vertex share
+    one local map object."""
+    for _, pres, cpx, cap, depth in _corpus_complexes():
+        rc = RewriteContext(pres, cap)
+        for c in _variants(cpx):
+            top = max(s.degree for t in c.terms for s in t)
+            for lazy_left, n in ((True, depth + 1), (False, 3)):
+                for w in range(top, top - n, -1):
+                    for k, term in enumerate(c.terms):
+                        slots, size = c.slots(rc, k, w, lazy_left)
+                        where = cpx.name, c.kind, lazy_left, w, k
+                        hit, shared = [], {}
+                        for (si, pdeg, _), (base, local) in slots.items():
+                            own = [g for g in local if g >= 0]
+                            assert own and own == list(range(len(own))), \
+                                where
+                            hit += [base + g for g in own]
+                            s = term[si]
+                            assert shared.setdefault(
+                                (w - s.degree - pdeg, s.right_vertex),
+                                local) is local, where
+                        assert sorted(hit) == list(range(size)), where
+
+
+def test_oracles_catch_an_offset_mutant_past_the_first_block(monkeypatch):
+    """Numbering each vertex-pair block of a local map after the first
+    from one before its place makes two q words share an element.  A
+    single-vertex listing has one block, so only multi-vertex slices
+    change: every other corpus complex keeps its slice matrices, and the
+    slice-matrix oracle sees the fault on both four_face gradings, the
+    only corpus Jacobian algebra with more than one vertex."""
+    import inspect
+    import textwrap
+
+    from gradedcy import complexes
+
+    old = "range(j, j + size)"
+    source = textwrap.dedent(
+        inspect.getsource(complexes.BimoduleComplex.slots))
+    assert source.count(old) == 1
+    namespace = dict(vars(complexes))
+    exec(source.replace(old, "range(max(j - 1, 0), max(j - 1, 0) + size)"),
+         namespace)
+    monkeypatch.setattr(complexes.BimoduleComplex, "slots",
+                        namespace["slots"])
+    caught = set()
+    for (name, _), pres, cpx, cap, _ in _corpus_complexes():
+        rc = RewriteContext(pres, cap)
+        for c in _variants(cpx):
+            if _slices_by_element(c, rc, slice_matrix) != \
+                    _slices_by_element(c, rc, slice_matrix_by_reduction):
+                caught.add(name)
+    assert caught == {"four_face/1", "four_face/2"}
 
 
 def _flipped(cplx):
