@@ -10,7 +10,7 @@ from pathlib import Path
 
 from gradedcy import (build_AUB, build_tilde, cluster_hom_shadow,
                       gabriel_quiver, load_presentation)
-from gradedcy.findim import arrow_multiplicities
+from gradedcy.quiver import arrow_multiplicities
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from gradedcy import (build_A, consistency_check, cy3_complex, dual_qp,
                       gabriel_quiver, grading_from_matchings,
                       jacobian_presentation, load_dimer, perfect_matchings)
-from gradedcy.findim import arrow_multiplicities
+from gradedcy.quiver import arrow_multiplicities
 from gradedcy.normalwords import RewriteContext
 
 DATA = Path(__file__).resolve().parent.parent / "data"

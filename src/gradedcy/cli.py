@@ -14,7 +14,7 @@ import os
 import sys
 
 from .errors import GradedCYError, ParseError
-from .quiver import load_presentation
+from .quiver import arrow_multiplicities, load_presentation
 
 CONVENTIONS = (
     "# conventions: paths compose left-to-right (p*q = first p then q); "
@@ -55,8 +55,7 @@ def cmd_dims(args):
         total = sum(per_pair.values())
         data[str(w)] = {f"{s}->{t}": d for (s, t), d in per_pair.items()}
         data[str(w)]["total"] = total
-        pairs = ", ".join(f"{s}->{t}: {d}" for (s, t), d in
-                          sorted(per_pair.items(), key=lambda kv: str(kv[0])))
+        pairs = ", ".join(f"{s}->{t}: {d}" for (s, t), d in per_pair.items())
         lines.append(f"  degree {w}: total {total}" +
                      (f"  ({pairs})" if len(per_pair) > 1 else ""))
     _emit(args, lines, data)
@@ -223,13 +222,13 @@ def cmd_cy_check(args):
                           identity_twist, sign_twist)
 
     pres = load_presentation(args.file)
+    if pres.cy is None:
+        return _fail("presentation lacks a [cy] section")
     if args.resolution:
         with open(args.resolution, "r", encoding="utf-8") as fh:
             cplx = parse_complex(fh.read(), pres, filename=args.resolution)
     else:
         cplx = builtin_resolution(pres)
-    if pres.cy is None:
-        return _fail("presentation lacks a [cy] section")
     shift = args.shift if args.shift is not None else \
         pres.cy.dimension + pres.cy.a_invariant
     if args.twist == "sigma":
@@ -296,9 +295,7 @@ def cmd_verify_root(args):
     from .arshadow import OrbitLabel, verify_root
 
     pres = load_presentation(args.file)
-    default_cap = args.steps + 2 * args.a + 4
-    report = verify_root(pres, args.a, args.steps,
-                         cap=default_cap if args.cap is None else args.cap)
+    report = verify_root(pres, args.a, args.steps, cap=args.cap)
     orbit = report.orbit
     table = {str(OrbitLabel(i, 0)): list(orbit.dimvec(OrbitLabel(i, 0)))
              for i in range(min(args.steps, 8))}
@@ -334,13 +331,9 @@ def _at_least(low):
 
 
 def _multiplicities(quiver):
-    """The "s->t": m table of a quiver's arrows, in order of first
-    appearance."""
-    mult = {}
-    for a in quiver.arrows:
-        key = f"{a.source}->{a.target}"
-        mult[key] = mult.get(key, 0) + 1
-    return mult
+    """quiver.arrow_multiplicities with "s->t" keys."""
+    return {f"{s}->{t}": m
+            for (s, t), m in arrow_multiplicities(quiver).items()}
 
 
 def _glue_window(argv):

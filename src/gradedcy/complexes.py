@@ -21,11 +21,10 @@ from __future__ import annotations
 import re
 from array import array
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import CapTooSmall, Inhomogeneous, NotComplex, ParseError
 from .normalwords import RewriteContext, as_exact
-from .quiver import _add_into
+from .quiver import _add_into, _once, _product, _signed_terms
 
 
 class FreeSummand(namedtuple("FreeSummand",
@@ -313,9 +312,10 @@ def _image(plan, i):
 def parse_complex(text, pres, filename="<string>") -> BimoduleComplex:
     """Terms as summand lines "left-vertex right-vertex degree"; maps as
     lines "target-index source-index expression", entries written as sums
-    of [coeff*] lpath # rpath with '1' for a lazy path.  [map m] maps
-    [term m] into [term m-1], so m runs from 1 to the last term, and names
-    each target-source pair on one line only."""
+    of lpath # rpath, each side a relation term (quiver._product) or,
+    without arrow names, the lazy path ('1').  [map m] maps [term m]
+    into [term m-1], so m runs from 1 to the last term, and names each
+    target-source pair on one line only."""
     ctx = pres.ctx
     terms, maps = [], {}
     lines = {}      # (m, target, source) -> line of the entry
@@ -374,12 +374,8 @@ def parse_complex(text, pres, filename="<string>") -> BimoduleComplex:
                     or src >= len(terms[map_idx]):
                 raise ParseError("map indices out of range", filename,
                                  lineno)
-            if (map_idx, tgt, src) in lines:
-                raise ParseError(
-                    f"[map {map_idx}] gives entry {tgt} {src} again, first "
-                    f"on line {lines[map_idx, tgt, src]}; write its terms "
-                    f"as one sum", filename, lineno)
-            lines[map_idx, tgt, src] = lineno
+            _once(lines, (map_idx, tgt, src),
+                  f"[map {map_idx}] gives entry {tgt} {src}", filename, lineno)
             maps[map_idx][1][(tgt, src)] = _parse_bitensor(
                 bits[2], ctx, terms[map_idx - 1][tgt], filename, lineno)
         else:
@@ -398,39 +394,17 @@ def parse_complex(text, pres, filename="<string>") -> BimoduleComplex:
 
 
 def _parse_bitensor(expr, ctx, tgt_s, filename, lineno):
+    """The (coefficient, lpath, rpath) triples of an entry: a side
+    without arrow names is the lazy path at the target summand's vertex
+    on that side."""
     out = []
-    for piece in re.split(r"(?=[+-])", expr):
-        piece = piece.strip()
-        if not piece:
-            continue
-        sign = 1
-        if piece[0] in "+-":
-            sign = -1 if piece[0] == "-" else 1
-            piece = piece[1:].strip()
-        if "#" not in piece:
+    for sign, term in _signed_terms(expr):
+        if "#" not in term:
             raise ParseError("entry term needs lpath # rpath", filename,
                              lineno)
-        left, right = piece.split("#", 1)
-        coeff = Fraction(sign)
-        lbits = [b.strip() for b in left.split("*") if b.strip()]
-        if lbits and re.fullmatch(r"\d+(/\d+)?", lbits[0]):
-            try:
-                coeff *= Fraction(lbits[0])
-            except ZeroDivisionError:
-                raise ParseError(f"coefficient {lbits[0]} divides by zero",
-                                 filename, lineno)
-            lbits = lbits[1:]
-        lpath = _parse_side(lbits, ctx, tgt_s.left_vertex, filename, lineno)
-        rbits = [b.strip() for b in right.split("*") if b.strip()]
-        rpath = _parse_side(rbits, ctx, tgt_s.right_vertex, filename, lineno)
-        out.append((coeff, lpath, rpath))
+        left, right = term.split("#", 1)
+        ls, lpath = _product(left, ctx, filename, lineno, tgt_s.left_vertex)
+        rs, rpath = _product(right, ctx, filename, lineno,
+                             tgt_s.right_vertex)
+        out.append((sign * ls * rs, lpath, rpath))
     return out
-
-
-def _parse_side(bits, ctx, lazy_vertex, filename, lineno):
-    if bits == ["1"] or not bits:
-        return ctx.lazy(lazy_vertex)
-    try:
-        return ctx.path_from_names(bits)
-    except (KeyError, ValueError) as e:
-        raise ParseError(f"bad path {'*'.join(bits)}: {e}", filename, lineno)

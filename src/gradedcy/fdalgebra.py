@@ -3,8 +3,9 @@
 An FDAlgebra is an ordered basis with labels, sparse structure constants
 over Q, and a declared complete set of orthogonal idempotents (given as
 indices of basis elements).  Elements are sparse dicts index -> Fraction.
-Products and both bimodule actions run one bilinear loop over their
-structure table.
+Products run one bilinear loop over the structure table.  A bimodule
+only stores its two action tables, which `trivial_extension` copies into
+the structure table of A + U.
 """
 
 from __future__ import annotations
@@ -92,17 +93,11 @@ def trivial_extension(A: FDAlgebra, U: FDBimodule, name="") -> FDAlgebra:
     """A + U with U squaring to zero; basis = A-basis then U-basis."""
     n = A.dim
     labels = [f"a:{l}" for l in A.labels] + [f"u:{l}" for l in U.labels]
-    mult = {}
-    for (i, j), v in A.mult.items():
-        mult[(i, j)] = dict(v)
-    for a in range(A.dim):
-        for u in range(U.dim):
-            w = U.left.get((a, u))
-            if w:
-                mult[(a, n + u)] = {n + k: c for k, c in w.items()}
-            w = U.right.get((u, a))
-            if w:
-                mult[(n + u, a)] = {n + k: c for k, c in w.items()}
+    mult = {(i, j): dict(v) for (i, j), v in A.mult.items()}
+    for (a, u), w in U.left.items():
+        mult[a, n + u] = {n + k: c for k, c in w.items()}
+    for (u, a), w in U.right.items():
+        mult[n + u, a] = {n + k: c for k, c in w.items()}
     return FDAlgebra(labels, mult, list(A.idempotents),
                      name=name or (f"triv_ext({A.name})" if A.name else ""))
 

@@ -100,14 +100,6 @@ def gabriel_quiver(alg: FDAlgebra) -> Quiver:
     return Quiver(vertices, arrows)
 
 
-def arrow_multiplicities(quiver: Quiver):
-    out = {}
-    for a in quiver.arrows:
-        key = (a.source, a.target)
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # right modules
 # ---------------------------------------------------------------------------

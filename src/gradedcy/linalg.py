@@ -2,10 +2,10 @@
 
 Sparse vectors are dicts index -> exact number (int or Fraction) with
 zero entries absent.  `quiver._add_into` is the one routine that adds
-them; only the two hot loops that also map or queue indices
-(`BimoduleComplex.images`, `SparseEliminator.reduce`) add inline.  All
-elimination goes through one kernel, `SparseEliminator`; where the
-package needs a kernel it reads it off tag coordinates in one eliminator
+them; only `SparseEliminator.reduce`, whose loop also pushes each new
+entry at a pivot index on its heap, adds inline.  All elimination goes
+through one kernel, `SparseEliminator`; where the package needs a
+kernel it reads it off tag coordinates in one eliminator
 (`findim.syzygy`, `slice_algebras.relations_from_structure`).  The
 duality verdict reads most of its ranks off distinct leading indices
 (`duality._homology_dims`) and eliminates only the maps those cannot

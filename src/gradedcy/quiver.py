@@ -80,6 +80,16 @@ class Quiver:
                 f"{len(self.arrows)} arrows)")
 
 
+def arrow_multiplicities(quiver):
+    """(source, target) -> number of arrows, in order of first
+    appearance."""
+    out = {}
+    for a in quiver.arrows:
+        key = (a.source, a.target)
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
 class Path:
     """A composable arrow sequence, or the lazy path at a vertex.
 
@@ -304,48 +314,57 @@ class GradedQuiverPresentation:
 # presentation file format
 # ---------------------------------------------------------------------------
 
-def _parse_relation(text, ctx, filename, lineno):
-    """Grammar: term (('+'|'-') term)*; term: [coeff '*'] name ('*' name)*."""
-    text = text.strip()
-    pieces = re.split(r"(?=[+-])", text)
-    poly = NCPoly()
-    for piece in pieces:
+def _signed_terms(text):
+    """Yield (sign, term) for each term of a sum term (('+'|'-') term)*,
+    the term stripped of its sign and of blanks."""
+    for piece in re.split(r"(?=[+-])", text):
         piece = piece.strip()
-        if not piece:
-            continue
-        sign = 1
-        if piece[0] in "+-":
-            sign = -1 if piece[0] == "-" else 1
-            piece = piece[1:].strip()
-        factors = [f.strip() for f in piece.split("*") if f.strip()]
-        if not factors:
-            raise ParseError("empty term in relation", filename, lineno)
-        coeff = Fraction(sign)
-        names = []
-        for j, f in enumerate(factors):
-            if re.fullmatch(r"\d+(/\d+)?", f):
-                if names:
-                    raise ParseError(
-                        f"scalar {f} must precede arrow names", filename,
-                        lineno)
-                try:
-                    coeff *= Fraction(f)
-                except ZeroDivisionError:
-                    raise ParseError(f"coefficient {f} divides by zero",
-                                     filename, lineno)
-            else:
-                if f not in ctx.quiver.arrow_index:
-                    raise ParseError(f"unknown arrow {f!r}", filename, lineno)
-                names.append(f)
-        if not names:
-            raise ParseError("term without arrows", filename, lineno)
-        try:
-            path = ctx.path_from_names(names)
-        except ValueError:
-            raise ParseError(
-                f"term {'*'.join(names)} is not a composable path "
-                "(composition is left to right)", filename, lineno)
-        poly = poly + NCPoly.monomial(path, coeff)
+        if piece[:1] in ("+", "-"):
+            yield (-1 if piece[0] == "-" else 1), piece[1:].strip()
+        elif piece:
+            yield 1, piece
+
+
+def _product(term, ctx, filename, lineno, lazy=None):
+    """(scalar, path) of a term [scalar '*']* name ('*' name)*: the
+    scalars multiplied, the arrow names composed left to right.  A term
+    without arrow names is the lazy path at vertex `lazy`, refused when
+    `lazy` is None.  The one term grammar of the .pres and .cpx files."""
+    factors = [f.strip() for f in term.split("*") if f.strip()]
+    scalar, names = Fraction(1), []
+    for f in factors:
+        if re.fullmatch(r"\d+(/\d+)?", f):
+            if names:
+                raise ParseError(f"scalar {f} must precede arrow names",
+                                 filename, lineno)
+            try:
+                scalar *= Fraction(f)
+            except ZeroDivisionError:
+                raise ParseError(f"coefficient {f} divides by zero",
+                                 filename, lineno)
+        elif f not in ctx.quiver.arrow_index:
+            raise ParseError(f"unknown arrow {f!r}", filename, lineno)
+        else:
+            names.append(f)
+    if not names:
+        if lazy is not None:
+            return scalar, ctx.lazy(lazy)
+        raise ParseError("term without arrows" if factors
+                         else "empty term in relation", filename, lineno)
+    try:
+        return scalar, ctx.path_from_names(names)
+    except ValueError:
+        raise ParseError(
+            f"term {'*'.join(names)} is not a composable path "
+            "(composition is left to right)", filename, lineno)
+
+
+def _parse_relation(text, ctx, filename, lineno):
+    """A sum of terms (see _product), each with at least one arrow."""
+    poly = NCPoly()
+    for sign, term in _signed_terms(text):
+        scalar, path = _product(term, ctx, filename, lineno)
+        poly = poly + NCPoly.monomial(path, sign * scalar)
     return poly
 
 

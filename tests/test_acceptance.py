@@ -16,13 +16,13 @@ from gradedcy.dimer import (consistency_check, cy3_complex, dual_qp,
                             load_dimer, perfect_matchings)
 from gradedcy.duality import (builtin_resolution, check_twisted_cy,
                               identity_twist, sign_twist)
-from gradedcy.findim import (arrow_multiplicities, gabriel_quiver,
-                             injective_dimension, is_iwanaga_gorenstein,
-                             radical)
+from gradedcy.findim import (gabriel_quiver, injective_dimension,
+                             is_iwanaga_gorenstein, radical)
 from gradedcy.preprojective import (block_arrow_images,
                                     block_trivial_extension,
                                     layered_presentation)
-from gradedcy.quiver import Arrow, GradedQuiverPresentation, NCPoly, Quiver
+from gradedcy.quiver import (Arrow, GradedQuiverPresentation, NCPoly, Quiver,
+                             arrow_multiplicities)
 from gradedcy.normalwords import RewriteContext
 from gradedcy.rewriting import length_table
 from gradedcy.slice_algebras import (build_AUB, build_tilde,

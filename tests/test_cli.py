@@ -9,6 +9,7 @@ import sys
 import tokenize
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,8 @@ import pytest
 import gradedcy
 from gradedcy.cli import build_parser, main
 from gradedcy.complexes import parse_complex
-from gradedcy.quiver import load_presentation
+from gradedcy.errors import ParseError
+from gradedcy.quiver import load_presentation, parse_presentation
 
 from helpers import DATA, dimer_text, honeycomb_torus, matchings_json
 
@@ -515,6 +517,57 @@ def test_complex_file_entries_are_checked(tmp_path, old, new, line, message):
                          "--resolution", path, "--window=-4..0")
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}:{line}: ") and message in err, err
+
+
+@pytest.mark.parametrize("entry,relation,message", [
+    ("z#1 - 1#x", "z*y - y*x", "unknown arrow 'z'"),
+    ("x*2#1 - 1#x", "x*2*y - y*x", "scalar 2 must precede arrow names"),
+    ("1/0*x#1 - 1#x", "1/0*x*y - y*x", "coefficient 1/0 divides by zero"),
+    ("x - 1#x", None, "entry term needs lpath # rpath"),
+])
+def test_complex_entries_use_the_relation_term_grammar(entry, relation,
+                                                       message):
+    """Each side of an entry's '#' is read as a relation term, so a fault
+    in it is refused with the file, the line and the message the
+    relation reader gives for the same fault."""
+    cpx = (DATA / "koszul_xy.cpx").read_text(encoding="utf-8")
+    pres_text = (DATA / "k_xy.pres").read_text(encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        parse_complex(cpx.replace("0 0 x#1 - 1#x", f"0 0 {entry}"),
+                      parse_presentation(pres_text), filename="bad.cpx")
+    assert str(err.value) == f"bad.cpx:11: {message}"
+    if relation is not None:
+        with pytest.raises(ParseError) as err:
+            parse_presentation(pres_text.replace("x*y - y*x", relation),
+                               filename="bad.pres")
+        assert str(err.value) == f"bad.pres:8: {message}"
+
+
+def test_complex_entry_scalars_may_stand_on_either_side():
+    """A scalar on the right of '#' multiplies the entry like one on the
+    left, and a side without arrow names is the lazy path."""
+    pres = load_presentation(DATA / "k_xy.pres")
+    head = "[term 0]\nP P 0\n[term 1]\nP P -2\nP P -1\n[map 1]\n"
+    right, left = (parse_complex(head + body, pres).diffs for body in (
+        "0 0 x # 2*y\n0 1 1/2 # x\n", "0 0 2*x # y\n0 1 1/2*1 # x\n"))
+    assert right == left
+    ctx = pres.ctx
+    assert right == [{(0, 0): [(2, ctx.arrow_path("x"), ctx.arrow_path("y"))],
+                      (0, 1): [(Fraction(1, 2), ctx.lazy("P"),
+                                ctx.arrow_path("x"))]}]
+
+
+@pytest.mark.parametrize("relation", ["x*y - y*x", "x*y"])
+def test_cy_check_reads_cy_before_the_resolution(tmp_path, relation):
+    """Without [cy] cy-check has no verdict to give, and says so before it
+    builds a resolution: the x*y copy, which has no built-in resolution,
+    used to exit 1 with NotFree."""
+    path = tmp_path / "bare.pres"
+    text = (DATA / "k_xy.pres").read_text(encoding="utf-8").split("[cy]")[0]
+    assert text.count("x*y - y*x") == 1
+    path.write_text(text.replace("x*y - y*x", relation), encoding="utf-8")
+    assert run("cy-check", path) == (
+        2, "", "error: presentation lacks a [cy] section\n")
 
 
 @pytest.mark.parametrize("old,new,line,message", [

@@ -511,7 +511,8 @@ def test_four_face_slice_algebra_quivers():
     """The degree-zero part under the single-matching grading is the
     four-vertex algebra from the display, and the layer on top adds the
     triple wrapping arrow."""
-    from gradedcy.findim import arrow_multiplicities, gabriel_quiver
+    from gradedcy.findim import gabriel_quiver
+    from gradedcy.quiver import arrow_multiplicities
     from gradedcy.linalg import SparseEliminator
     from gradedcy.quiver import NCPoly
     from gradedcy.slice_algebras import build_A
@@ -707,7 +708,8 @@ def test_four_face_second_grading_slice_quiver():
     eight vertices, the six degree-zero arrows per layer, and the two
     degree -1 arrows crossing layers; the extension layer adds the four
     downward idempotent arrows plus the doubled wrap."""
-    from gradedcy.findim import arrow_multiplicities, gabriel_quiver
+    from gradedcy.findim import gabriel_quiver
+    from gradedcy.quiver import arrow_multiplicities
     from gradedcy.linalg import SparseEliminator
     from gradedcy.slice_algebras import build_A, build_U
 
@@ -752,7 +754,8 @@ def test_four_face_second_grading_slice_quiver():
 
 
 def test_four_face_second_grading_full_extension_quiver():
-    from gradedcy.findim import arrow_multiplicities, gabriel_quiver
+    from gradedcy.findim import gabriel_quiver
+    from gradedcy.quiver import arrow_multiplicities
     from gradedcy.slice_algebras import build_A, build_B, build_U
 
     di = four_face()

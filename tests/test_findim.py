@@ -8,12 +8,12 @@ import pytest
 from gradedcy import findim
 from gradedcy.errors import Inconclusive, NotBasic, NotSplitBasic
 from gradedcy.fdalgebra import FDAlgebra
-from gradedcy.findim import (RightModule, arrow_multiplicities,
-                             gabriel_quiver, injective_dimension,
-                             is_iwanaga_gorenstein, projective_resolution,
-                             radical)
+from gradedcy.findim import (RightModule, gabriel_quiver,
+                             injective_dimension, is_iwanaga_gorenstein,
+                             projective_resolution, radical)
 from gradedcy.linalg import SparseEliminator
 from gradedcy.preprojective import block_trivial_extension
+from gradedcy.quiver import arrow_multiplicities
 from gradedcy.slice_algebras import build_AUB, build_tilde
 
 from helpers import (check_module, dense_dual_of_regular, dense_resolution,

@@ -9,13 +9,14 @@ from gradedcy.dimer import (dual_qp, grading_from_matchings,
                             jacobian_presentation, load_dimer)
 from gradedcy.errors import (NonStabilizing, NotSurjective, PositiveDegree,
                              WindowViolation)
-from gradedcy.findim import arrow_multiplicities, gabriel_quiver, radical
+from gradedcy.findim import gabriel_quiver, radical
 from gradedcy.normalwords import RewriteContext
 from gradedcy.preprojective import (block_arrow_images,
                                     block_trivial_extension, ext_bimodule,
                                     path_algebra)
 from gradedcy.quiver import (Arrow, GradedQuiverPresentation, Quiver,
-                             load_presentation, parse_presentation)
+                             arrow_multiplicities, load_presentation,
+                             parse_presentation)
 from gradedcy.slice_algebras import (build_A, build_AUB, build_tilde,
                                      build_U, cluster_hom_shadow,
                                      multiply_grading,
