@@ -7,14 +7,14 @@ the basis, verified to be a nilpotent ideal (NotSplitBasic otherwise);
 this matches computing the kernel of the projection onto the declared
 semisimple quotient.
 
-Modules are right modules given by sparse action rows; right-sided
-injective dimensions go through the opposite algebra.
+Modules are right modules given by sparse action rows.  A resolution
+step walks only the structure table's nonzero products, grouped by left
+factor.  Right-sided injective dimensions go through the opposite algebra.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import Inconclusive, NotBasic, NotSplitBasic
 from .fdalgebra import FDAlgebra
@@ -152,17 +152,14 @@ def projective_cover_data(M: RightModule, jbasis):
     """
     # M J = span of e_r . j, the rows of the radical's actions
     covered = SparseEliminator()
-    for r in range(M.dim):
-        for j in jbasis:
-            w = M.action[j].get(r)
-            if w:
-                covered.add(w)
-    # choose top representatives per idempotent slot
+    for j in jbasis:
+        for w in M.action[j].values():
+            covered.add(w)
+    # choose top representatives per idempotent slot, in ascending r
     slots, lifts = [], []
     for k, e in enumerate(M.alg.idempotents):
-        for r in range(M.dim):
-            me = M.action[e].get(r)
-            if me and covered.add(me):
+        for r, me in sorted(M.action[e].items()):
+            if covered.add(me):
                 slots.append(k)
                 lifts.append(me)
     return slots, lifts
@@ -173,13 +170,13 @@ def syzygy(M: RightModule, jbasis):
     as in projective_cover_data."""
     alg = M.alg
     slots, lifts = projective_cover_data(M, jbasis)
+    # the nonzero products of the table by left factor, b ascending in each
+    rows = {}
+    for (a, b), prod in sorted(alg.mult.items()):
+        rows.setdefault(a, []).append((b, prod))
     # basis of P: pairs (r, b) with b in e_{slots[r]} . A  (b = e b)
-    pbasis = []
-    for r, k in enumerate(slots):
-        e = alg.idempotents[k]
-        for b in range(alg.dim):
-            if alg.mult.get((e, b), {}) == {b: Fraction(1)}:
-                pbasis.append((r, b))
+    pbasis = [(r, b) for r, k in enumerate(slots) for b, prod in
+              rows.get(alg.idempotents[k], ()) if prod == {b: 1}]
     # each element i of P gets a tag coordinate M.dim + i next to its
     # image; an element whose image reduces to 0 leaves its kernel vector
     # in the tags, with 1 at its own (free) column and 0 at every other
@@ -197,14 +194,15 @@ def syzygy(M: RightModule, jbasis):
     # The kernel basis is echelon over its free columns, so coordinates of
     # an action image are its values at the free columns.
     action = [{} for _ in range(alg.dim)]
-    for b in range(alg.dim):
-        for col, v in enumerate(kern):
-            w = {}
-            for i, c in v.items():
-                r, pb = pbasis[i]
-                _add_into(w, ((coord[r, k2], c2) for k2, c2 in
-                              alg.mult.get((pb, b), {}).items()
-                              if (r, k2) in coord), c)
+    for col, v in enumerate(kern):
+        ws = {}
+        for i, c in v.items():
+            r, pb = pbasis[i]
+            for b, prod in rows.get(pb, ()):
+                _add_into(ws.setdefault(b, {}),
+                          ((coord[r, k2], c2) for k2, c2 in prod.items()
+                           if (r, k2) in coord), c)
+        for b, w in ws.items():
             if w:
                 action[b][col] = w
     return slots, RightModule(alg, len(kern), action)

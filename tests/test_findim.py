@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gradedcy import findim
+from gradedcy.cli import main
 from gradedcy.errors import Inconclusive, NotBasic, NotSplitBasic
 from gradedcy.fdalgebra import FDAlgebra
 from gradedcy.findim import (RightModule, gabriel_quiver,
@@ -16,10 +17,10 @@ from gradedcy.preprojective import block_trivial_extension
 from gradedcy.quiver import arrow_multiplicities
 from gradedcy.slice_algebras import build_AUB, build_tilde
 
-from helpers import (check_module, dense_dual_of_regular, dense_resolution,
-                     gabriel_quiver_by_pairs, gabriel_quiver_by_products,
-                     linear_quiver, load, radical_powers,
-                     random_presentation, sparse_action,
+from helpers import (DATA, check_module, dense_dual_of_regular,
+                     dense_resolution, gabriel_quiver_by_pairs,
+                     gabriel_quiver_by_products, linear_quiver, load,
+                     radical_powers, random_presentation, sparse_action,
                      unit_pivot_mutant_add)
 
 
@@ -451,7 +452,12 @@ def test_resolutions_match_dense_oracle_on_random_presentations():
     # against it, so the kernel basis is no longer echelon over the free
     # columns (the Betti tables alone do not show this one)
     ("        else:\n", "        else:\n            span.add(v)\n"),
-], ids=["off-by-one", "kernel-row"])
+    # an action row that cancels to zero is kept as an empty row
+    ("if w:", "if True:"),
+    # each left factor's row of the table keeps only its first product
+    ("rows.setdefault(a, []).append((b, prod))",
+     "rows.setdefault(a, [(b, prod)])"),
+], ids=["off-by-one", "kernel-row", "empty-row", "first-product"])
 def test_resolution_oracle_catches_tag_mutants(monkeypatch, old, new):
     source = textwrap.dedent(inspect.getsource(findim.syzygy))
     assert source.count(old) == 1
@@ -481,3 +487,61 @@ def test_corpus_oracle_catches_the_unit_pivot_mutant(monkeypatch):
     skew_3's resolutions at a = 2: the corpus comparison sees both sides."""
     monkeypatch.setattr(SparseEliminator, "add", unit_pivot_mutant_add())
     assert _resolution_faults(load("skew_3.pres"), 2) == ["right", "left"]
+
+
+class _CountingTable(dict):
+    """A structure table that counts its keyed reads."""
+
+    reads = 0
+
+    def get(self, *args):
+        self.reads += 1
+        return super().get(*args)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+
+def test_resolutions_walk_the_table_without_keyed_reads():
+    """Resolving D(B) and D(B^op) on skew_3 at a = 2 to length 3 reads
+    the structure tables only by their items: no `get`, `[]` or `in`."""
+    _, _, B = build_AUB(load("skew_3.pres"), 2)
+    tables = []
+    for alg in (B.opposite(), B):
+        alg.mult = _CountingTable(alg.mult)
+        tables.append(alg.mult)
+        res = projective_resolution(RightModule.dual_of_regular(alg), 3)
+        assert res.finished_at == 1
+    assert [t.reads for t in tables] == [0, 0]
+
+
+def test_skew_4_at_a_3_resolves_to_the_cap(monkeypatch, capsys):
+    """The scale input: ig-check on skew_4 at a = 3, d = 2 resolves each
+    side of D(B) through the same (module dim, cover rank) steps, finds
+    no injective dimension within the cap 4 and exits 1 Inconclusive."""
+    syzygy, injdim, sides = findim.syzygy, findim.injective_dimension, []
+
+    def recording_syzygy(M, jbasis):
+        slots, nxt = syzygy(M, jbasis)
+        sides[-1][1].append((M.dim, len(slots)))
+        return slots, nxt
+
+    def recording_injdim(alg, side, cap):
+        sides.append([(side, cap), []])
+        dim = injdim(alg, side, cap)
+        sides[-1].append(dim)
+        return dim
+
+    monkeypatch.setattr(findim, "syzygy", recording_syzygy)
+    monkeypatch.setattr(findim, "injective_dimension", recording_injdim)
+    code = main(["ig-check", str(DATA / "skew_4.pres"), "--a", "3",
+                 "--d", "2"])
+    steps = [(126, 75), (6999, 280), (1, 1), (5, 1), (20, 1)]
+    assert sides == [[("right", 4), steps, None], [("left", 4), steps, None]]
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: Inconclusive: ")
