@@ -10,7 +10,6 @@ derived functor is ever computed.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import NotFree, NotHereditary, NotUnimodular, ParseError
 from .linalg import mat_det, mat_inv, mat_mul, mat_vec
@@ -93,7 +92,7 @@ def knit_component(Q: Quiver, steps):
             break
         nxt = {}
         for v, d in current.items():
-            vec = mat_vec(Phi_inv, [Fraction(x) for x in d])
+            vec = mat_vec(Phi_inv, d)
             w = tuple(int(x) for x in vec)
             # a vector leaving the positive cone means the translate
             # vanished: the component closes up (finite type)
@@ -242,8 +241,7 @@ def verify_root(pres, a, steps, cap=None):
     for k in range(steps):
         v1 = orbit.dimvec(OrbitLabel(k + a, 0))
         v0 = orbit.dimvec(OrbitLabel(k, 0))
-        pred = tuple(sign * int(x) for x in
-                     mat_vec(Phi_inv, [Fraction(t) for t in v0]))
+        pred = tuple(sign * int(x) for x in mat_vec(Phi_inv, v0))
         if pred != v1:
             failures.append((k, v0, pred, v1))
     return RootReport(steps, label_ok, not failures, failures, orbit)

@@ -23,8 +23,8 @@ from array import array
 from collections import namedtuple
 
 from .errors import CapTooSmall, Inhomogeneous, NotComplex, ParseError
-from .normalwords import RewriteContext, as_exact
-from .quiver import _add_into, _once, _product, _signed_terms
+from .normalwords import RewriteContext
+from .quiver import _add_into, _once, _product, _signed_terms, as_exact
 
 
 class FreeSummand(namedtuple("FreeSummand",

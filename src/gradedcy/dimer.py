@@ -19,7 +19,6 @@ stream in blocks of `_BLOCK` matchings, byte for byte the text that
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
@@ -399,10 +398,10 @@ def cy3_complex(qp: QuiverWithPotential, deg: DegreeFunction,
     d1, d3 = {}, {}
     for j, a in enumerate(quiver.arrows):
         ap, s, t = ctx.arrow_path(a.name), vidx[a.source], vidx[a.target]
-        d1.setdefault((t, j), []).append((Fraction(1), ap, lazy(a.target)))
-        d1.setdefault((s, j), []).append((Fraction(-1), lazy(a.source), ap))
-        d3.setdefault((j, s), []).append((Fraction(1), ap, lazy(a.source)))
-        d3.setdefault((j, t), []).append((Fraction(-1), lazy(a.target), ap))
+        d1.setdefault((t, j), []).append((1, ap, lazy(a.target)))
+        d1.setdefault((s, j), []).append((-1, lazy(a.source), ap))
+        d3.setdefault((j, s), []).append((1, ap, lazy(a.source)))
+        d3.setdefault((j, t), []).append((-1, lazy(a.target), ap))
 
     # d2: P2 -> P1: g'_a -> sum over cycles through a of the splittings
     d2 = {}
@@ -413,7 +412,7 @@ def cy3_complex(qp: QuiverWithPotential, deg: DegreeFunction,
                 lpath = ctx.path_from_names(left) if left else lazy(a.target)
                 rpath = ctx.path_from_names(right) if right else lazy(a.source)
                 d2.setdefault((quiver.arrow_index[mid], j), []).append(
-                    (Fraction(sign), lpath, rpath))
+                    (sign, lpath, rpath))
 
     return BimoduleComplex(pres, terms, [d1, d2, d3], name="cy3")
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from fractions import Fraction
 
 from .complexes import BimoduleComplex, FreeSummand
 from .errors import CapTooSmall, NotFree, WindowTooSmall
@@ -56,13 +55,14 @@ from .quiver import _add_into
 # ---------------------------------------------------------------------------
 
 class TwistSpec(namedtuple("TwistSpec", "scalars shift")):
-    """A diagonal automorphism (`scalars`: arrow name -> Fraction) and the
-    claimed total shift (the CY dimension of the dual)."""
+    """A diagonal automorphism (`scalars`: arrow name -> exact number,
+    1 where absent) and the claimed total shift (the CY dimension of the
+    dual)."""
 
     __slots__ = ()
 
     def scalar(self, name):
-        return self.scalars.get(name, Fraction(1))
+        return self.scalars.get(name, 1)
 
 
 def identity_twist(shift):
@@ -71,7 +71,7 @@ def identity_twist(shift):
 
 def sign_twist(pres, shift):
     """x -> (-1)^{|x|} x on arrows."""
-    return TwistSpec({a.name: Fraction((-1) ** (a.degree % 2))
+    return TwistSpec({a.name: (-1) ** (a.degree % 2)
                       for a in pres.quiver.arrows}, shift)
 
 
@@ -110,7 +110,7 @@ def koszul_complex(pres) -> BimoduleComplex:
                 rest = tuple(x for x in T if x != var)
                 ti = index[k][rest]
                 ap = ctx.arrow_path(names[var])
-                sign = Fraction((-1) ** j)
+                sign = (-1) ** j
                 dk.setdefault((ti, si), []).extend([
                     (sign, ap, ctx.lazy(v)),
                     (-sign, ctx.lazy(v), ap),
@@ -136,13 +136,11 @@ def skew_complex(pres) -> BimoduleComplex:
     d1 = {}
     for i, nm in enumerate(names):
         ap = ctx.arrow_path(nm)
-        d1[(0, i)] = [(Fraction(1), ap, ctx.lazy(v)),
-                      (Fraction(-1), ctx.lazy(v), ap)]
+        d1[(0, i)] = [(1, ap, ctx.lazy(v)), (-1, ctx.lazy(v), ap)]
     d2 = {}
     for i, nm in enumerate(names):
         ap = ctx.arrow_path(nm)
-        d2[(i, 0)] = [(Fraction(1), ap, ctx.lazy(v)),
-                      (Fraction(1), ctx.lazy(v), ap)]
+        d2[(i, 0)] = [(1, ap, ctx.lazy(v)), (1, ctx.lazy(v), ap)]
     return BimoduleComplex(pres, terms, [d1, d2], name="skew")
 
 
@@ -188,7 +186,7 @@ def dg_transport(cplx: BimoduleComplex) -> BimoduleComplex:
         for (ti, si), entries in dk.items():
             lt = -cplx.terms[k][ti].degree
             new[(ti, si)] = [
-                (c * Fraction((-1) ** ((lt * ctx.degree(u)) % 2)), u, v)
+                (c * (-1) ** ((lt * ctx.degree(u)) % 2), u, v)
                 for (c, u, v) in entries]
         diffs.append(new)
     return BimoduleComplex(cplx.pres, cplx.terms, diffs,
@@ -222,7 +220,7 @@ def dualize(cplx: BimoduleComplex) -> BimoduleComplex:
         for (ti, si), entries in old.items():
             ls = -cplx.terms[n - j][si].degree
             lt = -cplx.terms[n - j - 1][ti].degree
-            sgn = Fraction((-1) ** (((ls + lt) * lt) % 2))
+            sgn = (-1) ** (((ls + lt) * lt) % 2)
             # component: dual(term[n-j-1], ti) -> dual(term[n-j], si)
             # in the new indexing: source index ti at new term j+1,
             # target index si at new term j
@@ -490,7 +488,7 @@ def _twist_action_check(pres, dual, rc, twist, a):
         # left action: x . z0 = (-1)^((l+k)|x| + |x||p|) (p then x) (x) q
         l = a
         k = n_pos
-        sgn_left = Fraction((-1) ** (((l + k) * xdeg) % 2))
+        sgn_left = (-1) ** (((l + k) * xdeg) % 2)
         xz = {}
         g = slot(xdeg, ix, lazy)
         if g is not None:
@@ -498,11 +496,11 @@ def _twist_action_check(pres, dual, rc, twist, a):
         zx = {}
         g = slot(0, lazy, ix)
         if g is not None:
-            zx[g] = Fraction(1)
+            zx[g] = 1
         # the claimed shift itself twists left actions by the usual
         # suspension sign, so the comparison scalar absorbs it
         eps = twist.scalar(arrow.name) \
-            * Fraction((-1) ** ((twist.shift * xdeg) % 2))
+            * (-1) ** ((twist.shift * xdeg) % 2)
         # z0.x - eps x.z0 lies in the image
         results[arrow.name] = el.contains(_add_into(zx, xz.items(), -eps))
     return results

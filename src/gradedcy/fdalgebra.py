@@ -2,17 +2,19 @@
 
 An FDAlgebra is an ordered basis with labels, sparse structure constants
 over Q, and a declared complete set of orthogonal idempotents (given as
-indices of basis elements).  Elements are sparse dicts index -> Fraction.
-Products run one bilinear loop over the structure table.  A bimodule
-only stores its two action tables, which `trivial_extension` copies into
-the structure table of A + U.
+indices of basis elements).  Elements are sparse dicts index -> exact
+number: an int where integral, a Fraction only where a division or a
+parsed p/q makes one (`quiver.as_exact`).  Products run one bilinear
+loop over the structure table.  A bimodule only stores its two action
+tables, which `trivial_extension` copies into the structure table of
+A + U.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .quiver import _add_into
+from .quiver import _add_into, as_exact
 
 
 def _bilinear(table, u, v):
@@ -28,9 +30,10 @@ def _bilinear(table, u, v):
 
 
 def _exact(table):
-    """A structure table with Fraction coefficients, zero entries and
-    zero vectors dropped."""
-    return {k: {i: Fraction(c) for i, c in v.items() if c}
+    """A structure table with exact coefficients (ints where integral),
+    zero entries and zero vectors dropped; a coefficient may be anything
+    Fraction reads, a float or a string included."""
+    return {k: {i: as_exact(Fraction(c)) for i, c in v.items() if c}
             for k, v in table.items() if v}
 
 
@@ -47,7 +50,7 @@ class FDAlgebra:
     # -- basics ---------------------------------------------------------
 
     def basis_vec(self, i):
-        return {i: Fraction(1)}
+        return {i: 1}
 
     def product(self, u, v):
         return _bilinear(self.mult, u, v)
@@ -55,7 +58,7 @@ class FDAlgebra:
     def _validate_idempotents(self):
         for i in self.idempotents:
             sq = self.mult.get((i, i), {})
-            if sq != {i: Fraction(1)}:
+            if sq != {i: 1}:
                 raise ValueError(f"declared idempotent {self.labels[i]} "
                                  "is not idempotent")
         for i in self.idempotents:

@@ -18,7 +18,9 @@ map of x follows x * (q * y) = (x * q) * y along those child links.  Only
 misses, products q * x where a tip fires, go through the rules (a miss
 of x * q is a right product of a shorter one), and a product that is a
 normal word longer than the cap raises CapTooSmall; misses are kept in
-one flat store of compressed sparse rows, not as a dict each.  Paths are
+one flat store of compressed sparse rows, not as a dict each.  The
+rules' coefficients enter the maps through `quiver.as_exact`, so
+products carry ints where integral and Fractions elsewhere.  Paths are
 rebuilt from the parent chain only at the API: `basis` and `word`, which
 the slice algebras use for their labels and products.
 """
@@ -29,7 +31,7 @@ from array import array
 from bisect import bisect_right
 
 from .errors import CapTooSmall
-from .quiver import Path, _add_into
+from .quiver import Path, _add_into, as_exact
 from .rewriting import CountContext
 
 
@@ -64,12 +66,6 @@ class Listing:
 
     def __len__(self):
         return self.size
-
-
-def as_exact(c):
-    """c as an int when it is an integer, else unchanged (a Fraction): the
-    arrow maps carry integer coefficients as ints."""
-    return c.numerator if c.denominator == 1 else c
 
 
 class RewriteContext(CountContext):

@@ -10,8 +10,6 @@ graded and the degree -k piece is the k-th preprojective layer.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import Cyclic
 from .fdalgebra import FDAlgebra, FDBimodule
 from .quiver import Arrow, GradedQuiverPresentation, NCPoly, Path, \
@@ -119,7 +117,7 @@ def block_arrow_images(Q: Quiver, n, B: FDAlgebra):
     label_pos = {l: i for i, l in enumerate(B.labels)}
 
     def bvec(label):
-        return {label_pos[label]: Fraction(1)}
+        return {label_pos[label]: 1}
 
     images = {}
     for a in Q.arrows:
@@ -183,7 +181,7 @@ def layered_presentation(Q: Quiver, n) -> GradedQuiverPresentation:
             lhs = ctx.path_from_names([f"v_{a.source}^{l}", f"{a.name}^{l}"])
             rhs = ctx.path_from_names([f"{a.name}^{l+1}",
                                        f"v_{a.target}^{l}"])
-            rels.append(NCPoly({lhs: Fraction(1), rhs: Fraction(-1)}))
+            rels.append(NCPoly({lhs: 1, rhs: -1}))
     # (ii) mesh relations through the wrap arrows
     for i in Q.vertices:
         poly = NCPoly()

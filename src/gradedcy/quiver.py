@@ -171,6 +171,13 @@ class PathAlgebraContext:
         return "*".join(self.quiver.arrows[i].name for i in p.arrows)
 
 
+def as_exact(c):
+    """c as an int when it is an integer, else unchanged (a Fraction): the
+    one normaliser of exact coefficients, which are ints where integral
+    and Fractions only where a division or a parsed p/q makes one."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _add_into(out, terms, c):
     """out += c * (sum of x * k over the (k, x) in terms), for a sparse
     dict out, dropping the entries that cancel; returns out.  The one
@@ -251,7 +258,7 @@ class TwistData(namedtuple("TwistData", "scalars")):
     __slots__ = ()
 
     def scalar(self, name):
-        return self.scalars.get(name, Fraction(1))
+        return self.scalars.get(name, 1)
 
 
 # dimension is the "d+1" of a (d+1)-Calabi-Yau presentation

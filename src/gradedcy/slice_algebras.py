@@ -16,8 +16,6 @@ normal word longer than the cap raises CapTooSmall.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import NotSurjective, PositiveDegree, WindowViolation
 from .fdalgebra import FDAlgebra, FDBimodule, trivial_extension
 from .linalg import SparseEliminator
@@ -75,7 +73,7 @@ def _products(rc, lefts, rights, base):
                 vec = rc.times(ip, dp, words[j])
                 if vec:
                     b = base[s, u]
-                    out[i, j] = {b + k: Fraction(c) for k, c in vec.items()}
+                    out[i, j] = {b + k: c for k, c in vec.items()}
     return out
 
 
@@ -219,7 +217,7 @@ def relations_from_structure(alg: FDAlgebra, guess: Quiver, arrow_images,
         a = guess.arrow(name)
         between = alg.product(idem_vec[a.source],
                               alg.product(vec, idem_vec[a.target]))
-        if between != {k: Fraction(c) for k, c in vec.items()}:
+        if between != {k: c for k, c in vec.items() if c}:
             raise ValueError(
                 f"image of {name} is not concentrated between e_{a.source} "
                 f"and e_{a.target}")

@@ -545,3 +545,53 @@ def test_skew_4_at_a_3_resolves_to_the_cap(monkeypatch, capsys):
     assert sides == [[("right", 4), steps, None], [("left", 4), steps, None]]
     assert code == 1
     assert capsys.readouterr().err.startswith("error: Inconclusive: ")
+
+
+def _not_exact(table):
+    """The coefficients of a structure table that are neither an int nor
+    a Fraction with a denominator other than 1."""
+    return [c for vec in table.values() for c in vec.values()
+            if type(c) is not int
+            and not (type(c) is Fraction and c.denominator != 1)]
+
+
+def test_coefficients_are_ints_where_integral(monkeypatch, capsys):
+    """Structure constants are ints where integral and Fractions only
+    where they are not: A, U and B on the corpus at a = 1 and 2, B~ at
+    n = 2, and the block trivial extension of A3 at n = 1 and 2. Action
+    rows along both resolutions of ig-check skew_3 at a = 2 are never
+    floats, and FDAlgebra reads Fraction(2) as 2 and keeps 1/2."""
+    tables = []
+    for path in sorted(DATA.glob("*.pres")):
+        for a in (1, 2):
+            A, U, B = build_AUB(load(path.name), a)
+            At, Ut, Bt = build_tilde(A, U, 2)
+            tables += [A.mult, U.left, U.right, B.mult,
+                       At.mult, Ut.left, Ut.right, Bt.mult]
+    for n in (1, 2):
+        tables.append(block_trivial_extension(linear_quiver(3), n).mult)
+    assert [c for t in tables for c in _not_exact(t)] == []
+
+    syzygy, modules = findim.syzygy, []
+
+    def recording_syzygy(M, jbasis):
+        slots, nxt = syzygy(M, jbasis)
+        modules.extend([M, nxt] if nxt else [M])
+        return slots, nxt
+
+    monkeypatch.setattr(findim, "syzygy", recording_syzygy)
+    assert main(["ig-check", str(DATA / "skew_3.pres"), "--a", "2",
+                 "--d", "2"]) == 0
+    capsys.readouterr()
+    values = {type(c) for M in modules for row in M.action
+              for w in row.values() for c in w.values()}
+    assert len(modules) >= 4 and values and values <= {int, Fraction}
+
+    labels, idem = ["e", "x", "y"], {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                     (1, 0): {1: 1}, (0, 2): {2: 1},
+                                     (2, 0): {2: 1}}
+    for c, stored in ((Fraction(2), 2), (2.0, 2), ("1/2", Fraction(1, 2)),
+                      (Fraction(1, 2), Fraction(1, 2))):
+        alg = FDAlgebra(labels, {**idem, (1, 1): {2: c}}, [0])
+        assert alg.mult[1, 1] == {2: stored}
+        assert type(alg.mult[1, 1][2]) is type(stored)

@@ -163,6 +163,20 @@ def test_layered_matches_blocks(Q, qname, n):
     assert all(not r for r in reduce_mod(stated, found, lq, 6))
 
 
+def test_relations_ignore_an_explicit_zero_in_an_arrow_image():
+    """An arrow image with an explicit zero entry is the same element of
+    B, so it gives the same relations as the image without the entry."""
+    B = block_trivial_extension(A2, 1)
+    lq, images, videm = block_arrow_images(A2, 1, B)
+    name, vec = next(iter(images.items()))
+    other = next(i for i in range(B.dim) if i not in vec)
+    padded = {**images, name: {**vec, other: 0}}
+    plain, found = [[r.terms for r in relations_from_structure(
+        B, lq, imgs, cap=6, vertex_idempotents=videm)]
+        for imgs in (images, padded)]
+    assert plain and found == plain
+
+
 def test_block_dimensions():
     assert block_trivial_extension(KRONECKER, 1).dim == 16
     assert block_trivial_extension(KRONECKER, 2).dim == 24
