@@ -19,7 +19,7 @@ _EXPORTS = {
         "PositiveDegree", "WindowTooSmall", "WindowViolation"),
     "quiver": (
         "Arrow", "CYData", "GradedQuiverPresentation", "NCPoly", "Path",
-        "Quiver", "TwistData", "load_presentation", "parse_presentation"),
+        "Quiver", "load_presentation", "parse_presentation"),
     "rewriting": (
         "CountContext", "RewritingSystem", "dimension_table",
         "graded_dimension", "length_table", "truncated_rewriting"),

@@ -22,15 +22,20 @@ CONVENTIONS = (
     "fixed by the two-variable worked example"
 )
 
+# the subcommands, and the dimer actions, that print a graph for --format dot
+DOT_RENDERERS = ("build-abc", "qhat", "corpi", "knit", "dimer qp")
+
 
 def _fail(msg, code=2):
     print(f"error: {msg}", file=sys.stderr)
     return code
 
 
-def _emit(args, text_lines, data):
+def _emit(args, text_lines, data, dot=None):
     if args.format == "json":
         print(json.dumps(data, indent=2, sort_keys=True, default=str))
+    elif args.format == "dot":
+        print(dot)
     else:
         print(CONVENTIONS)
         for line in text_lines:
@@ -70,9 +75,6 @@ def cmd_build_abc(args):
     A, U, B = build_AUB(pres, args.a, cap=args.cap)
     qa = gabriel_quiver(A)
     qb = gabriel_quiver(B)
-    if args.format == "dot":
-        print(qb.to_dot("B"))
-        return 0
     data = {
         "dim_A": A.dim, "dim_U": U.dim, "dim_B": B.dim,
         "quiver_A": _multiplicities(qa),
@@ -82,7 +84,7 @@ def cmd_build_abc(args):
              f"  dim A = {A.dim}, dim U = {U.dim}, dim B = {B.dim}",
              f"  Gabriel quiver of A: {data['quiver_A']}",
              f"  Gabriel quiver of B: {data['quiver_B']}"]
-    _emit(args, lines, data)
+    _emit(args, lines, data, dot=qb.to_dot("B"))
     return 0
 
 
@@ -118,10 +120,7 @@ def cmd_qhat(args):
              f"{data['relations']} relations",
              f"  total dimension (paths up to length {cap}): "
              f"{total}"]
-    if args.format == "dot":
-        print(lq.quiver.to_dot("Qhat"))
-        return 0
-    _emit(args, lines, data)
+    _emit(args, lines, data, dot=lq.quiver.to_dot("Qhat"))
     return 0
 
 
@@ -134,11 +133,9 @@ def cmd_corpi(args):
     gq = gabriel_quiver(B)
     data = {"dim_B": B.dim,
             "quiver_B": _multiplicities(gq)}
-    if args.format == "dot":
-        print(gq.to_dot("B"))
-        return 0
     _emit(args, [f"block trivial extension at n = {args.n}: dim {B.dim}",
-                 f"  Gabriel quiver: {data['quiver_B']}"], data)
+                 f"  Gabriel quiver: {data['quiver_B']}"], data,
+          dot=gq.to_dot("B"))
     return 0
 
 
@@ -148,24 +145,24 @@ def cmd_dimer(args):
                         load_dimer, perfect_matchings, rcharge_json,
                         write_matchings_json)
 
-    dimer = load_dimer(args.file)
     sub = args.action
+    if sub != "jacobian" and (args.matchings or args.coeffs):
+        return _fail("--matchings and --coeffs belong to dimer jacobian; "
+                     f"dimer {sub} takes neither")
+    dimer = load_dimer(args.file)
     if sub == "validate":
         faces, report = dimer.validate()
         _emit(args, [f"valid dimer on the torus: {report}"], report)
         return 0
     if sub == "qp":
         qp = dual_qp(dimer)
-        if args.format == "dot":
-            print(qp.quiver.to_dot("Q"))
-            return 0
         mult = _multiplicities(qp.quiver)
         data = {"vertices": list(qp.quiver.vertices),
                 "arrow_multiplicities": mult,
                 "potential": [{"sign": s, "cycle": list(c), "at": str(v)}
                               for s, c, v in qp.potential]}
         _emit(args, [f"dual quiver: {data['vertices']}, arrows {mult}"],
-              data)
+              data, dot=qp.quiver.to_dot("Q"))
         return 0
     if sub == "consistency":
         res = consistency_check(dimer)
@@ -175,55 +172,55 @@ def cmd_dimer(args):
         ms, truncated = perfect_matchings(dimer)
         write_matchings_json(sys.stdout, ms, truncated)
         return 0
-    if sub == "jacobian":
-        ms, _ = perfect_matchings(dimer)
-        if args.matchings:
-            try:
-                picks = [int(i) for i in args.matchings.split(",")]
-                coeffs = [int(c) for c in args.coeffs.split(",")] \
-                    if args.coeffs else [-1] * len(picks)
-            except ValueError:
-                return _fail("--matchings and --coeffs take comma "
-                             "separated integers")
-            for i in picks:
-                if not 0 <= i < len(ms):
-                    return _fail(f"--matchings index {i} is out of range: "
-                                 f"{args.file} has {len(ms)} perfect "
-                                 f"matchings, numbered from 0")
-            if len(coeffs) != len(picks):
-                return _fail(f"--coeffs needs one coefficient per index "
-                             f"in --matchings: got {len(coeffs)} for "
-                             f"{len(picks)} ({args.file} has {len(ms)} "
-                             f"perfect matchings)")
-            chosen = [ms[i] for i in picks]
-        elif args.coeffs:
-            return _fail("--coeffs needs --matchings: give the indices of "
-                         "the matchings the coefficients belong to")
-        else:
-            chosen = ms
-            coeffs = [-1] * len(ms)
-        deg = grading_from_matchings(dimer, chosen, coeffs)
-        qp = dual_qp(dimer)
-        pres = jacobian_presentation(qp, deg)
-        data = {"a_invariant": deg.a_invariant,
-                "relations": len(pres.relations),
-                "degrees": dict(sorted(deg.degrees.items()))}
-        _emit(args, [f"graded quotient by the potential derivatives; "
-                     f"a-invariant {deg.a_invariant}, "
-                     f"{len(pres.relations)} relations",
-                     degree_function_json(deg)], data)
-        return 0
-    return _fail(f"unknown dimer action {sub}")
+    ms, _ = perfect_matchings(dimer)
+    if args.matchings:
+        try:
+            picks = [int(i) for i in args.matchings.split(",")]
+            coeffs = [int(c) for c in args.coeffs.split(",")] \
+                if args.coeffs else [-1] * len(picks)
+        except ValueError:
+            return _fail("--matchings and --coeffs take comma "
+                         "separated integers")
+        for i in picks:
+            if not 0 <= i < len(ms):
+                return _fail(f"--matchings index {i} is out of range: "
+                             f"{args.file} has {len(ms)} perfect "
+                             f"matchings, numbered from 0")
+        if len(coeffs) != len(picks):
+            return _fail(f"--coeffs needs one coefficient per index "
+                         f"in --matchings: got {len(coeffs)} for "
+                         f"{len(picks)} ({args.file} has {len(ms)} "
+                         f"perfect matchings)")
+        chosen = [ms[i] for i in picks]
+    elif args.coeffs:
+        return _fail("--coeffs needs --matchings: give the indices of "
+                     "the matchings the coefficients belong to")
+    else:
+        chosen = ms
+        coeffs = [-1] * len(ms)
+    deg = grading_from_matchings(dimer, chosen, coeffs)
+    qp = dual_qp(dimer)
+    pres = jacobian_presentation(qp, deg)
+    data = {"a_invariant": deg.a_invariant,
+            "relations": len(pres.relations),
+            "degrees": dict(sorted(deg.degrees.items()))}
+    _emit(args, [f"graded quotient by the potential derivatives; "
+                 f"a-invariant {deg.a_invariant}, "
+                 f"{len(pres.relations)} relations",
+                 degree_function_json(deg)], data)
+    return 0
 
 
 def cmd_cy_check(args):
     from .complexes import parse_complex
-    from .duality import (builtin_resolution, check_twisted_cy,
+    from .duality import (TwistSpec, builtin_resolution, check_twisted_cy,
                           identity_twist, sign_twist)
 
     pres = load_presentation(args.file)
     if pres.cy is None:
         return _fail("presentation lacks a [cy] section")
+    if args.twist == "file" and pres.twist is None:
+        return _fail("presentation has no [twist] section")
     if args.resolution:
         with open(args.resolution, "r", encoding="utf-8") as fh:
             cplx = parse_complex(fh.read(), pres, filename=args.resolution)
@@ -234,10 +231,7 @@ def cmd_cy_check(args):
     if args.twist == "sigma":
         twist = sign_twist(pres, shift)
     elif args.twist == "file":
-        from .duality import TwistSpec
-        if pres.twist is None:
-            return _fail("presentation has no [twist] section")
-        twist = TwistSpec(dict(pres.twist.scalars), shift)
+        twist = TwistSpec(dict(pres.twist), shift)
     else:
         twist = identity_twist(shift)
     window = None
@@ -276,9 +270,6 @@ def cmd_knit(args):
 
     pres = load_presentation(args.file)
     comp = knit_component(pres.quiver, args.steps)
-    if args.format == "dot":
-        print(comp.to_dot())
-        return 0
     lines = [f"knitted component, {args.steps} steps"
              + (" (closed up: finite type)" if comp.closed else "")]
     for key in sorted(comp.nodes, key=str):
@@ -287,7 +278,7 @@ def cmd_knit(args):
     lines.append(f"  mesh additivity: {mesh_additive(comp)}")
     data = {f"{k}:{v}": list(comp.nodes[(k, v)].dimvec)
             for (k, v) in comp.nodes}
-    _emit(args, lines, data)
+    _emit(args, lines, data, dot=comp.to_dot())
     return 0
 
 
@@ -435,6 +426,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(
         _glue_window(sys.argv[1:] if argv is None else argv))
+    name = args.command if args.command != "dimer" else f"dimer {args.action}"
+    if args.format == "dot" and name not in DOT_RENDERERS:
+        return _fail(f"{name} draws no graph: use --format text or json")
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -446,10 +440,8 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except ParseError as e:
-        return _fail(str(e), 2)
-    except FileNotFoundError as e:
-        return _fail(str(e), 2)
+    except (ParseError, FileNotFoundError) as e:
+        return _fail(str(e))
     except GradedCYError as e:
         return _fail(f"{type(e).__name__}: {e}", 1)
 

@@ -32,9 +32,14 @@ def _bilinear(table, u, v):
 def _exact(table):
     """A structure table with exact coefficients (ints where integral),
     zero entries and zero vectors dropped; a coefficient may be anything
-    Fraction reads, a float or a string included."""
-    return {k: {i: as_exact(Fraction(c)) for i, c in v.items() if c}
-            for k, v in table.items() if v}
+    Fraction reads, a float or a string included, and is read before it
+    is tested for zero ('0' is a zero entry)."""
+    out = {}
+    for k, v in table.items():
+        w = {i: x for i, c in v.items() if (x := as_exact(Fraction(c)))}
+        if w:
+            out[k] = w
+    return out
 
 
 class FDAlgebra:

@@ -251,22 +251,14 @@ def _offending_term(r, ctx):
             return ctx.format_path(p)
 
 
-class TwistData(namedtuple("TwistData", "scalars")):
-    """Diagonal graded automorphism: each arrow scales by a nonzero scalar
-    (`scalars`: arrow name -> Fraction)."""
-
-    __slots__ = ()
-
-    def scalar(self, name):
-        return self.scalars.get(name, 1)
-
-
 # dimension is the "d+1" of a (d+1)-Calabi-Yau presentation
 CYData = namedtuple("CYData", "dimension a_invariant")
 
 
 class GradedQuiverPresentation:
-    """A quiver with integer arrow degrees and homogeneous relations."""
+    """A quiver with integer arrow degrees and homogeneous relations;
+    `twist` is the [twist] section, arrow name -> nonzero Fraction (a
+    diagonal graded automorphism, 1 on arrows it does not name), or None."""
 
     def __init__(self, quiver, relations, twist=None, cy=None, name=""):
         self.quiver = quiver
@@ -283,7 +275,7 @@ class GradedQuiverPresentation:
                     f"offending term {bad}")
             self.relations.append(r)
         if twist is not None:
-            for nm, c in twist.scalars.items():
+            for nm, c in twist.items():
                 if nm not in quiver.arrow_index:
                     raise ValueError(f"twist names unknown arrow {nm}")
                 if not Fraction(c):
@@ -491,8 +483,8 @@ def parse_presentation(text, filename="<string>"):
                 f"relation is not homogeneous; offending term {bad}",
                 filename, lineno)
         relations.append(r)
-    twist = TwistData(twist_scalars) if twist_scalars else None
-    return GradedQuiverPresentation(quiver, relations, twist=twist, cy=cy,
+    return GradedQuiverPresentation(quiver, relations,
+                                    twist=twist_scalars or None, cy=cy,
                                     name=filename)
 
 

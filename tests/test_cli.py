@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import gradedcy
-from gradedcy.cli import build_parser, main
+from gradedcy.cli import DOT_RENDERERS, build_parser, main
 from gradedcy.complexes import parse_complex
 from gradedcy.errors import ParseError
 from gradedcy.quiver import load_presentation, parse_presentation
@@ -108,6 +108,19 @@ def test_dimer_subcommands():
     code, out, _ = run("dimer", "jacobian", DATA / "four_face.dimer",
                        "--matchings", "0", "--coeffs", "-1")
     assert code == 0
+
+
+@pytest.mark.parametrize("action", ["validate", "qp", "consistency",
+                                    "matchings"])
+@pytest.mark.parametrize("flags", [["--matchings", "0"], ["--coeffs", "5"],
+                                   ["--matchings", "0", "--coeffs", "5"]])
+def test_dimer_matching_flags_belong_to_jacobian(action, flags, tmp_path):
+    """Only dimer jacobian reads --matchings and --coeffs; every other
+    action refuses them, before it opens its file, instead of ignoring
+    them and exiting 0."""
+    assert run("dimer", action, tmp_path / "missing.dimer", *flags) == (
+        2, "", f"error: --matchings and --coeffs belong to dimer jacobian; "
+               f"dimer {action} takes neither\n")
 
 
 def test_dimer_jacobian_input_errors_exit_2():
@@ -469,6 +482,51 @@ def test_dot_outputs():
     code, out, _ = run("--format", "dot", "qhat", DATA / "kronecker.quiver",
                        "--n", "2")
     assert code == 0 and out.startswith("digraph Qhat")
+    code, out, _ = run("--format", "dot", "corpi", DATA / "kronecker.quiver",
+                       "--n", "1")
+    assert code == 0 and out.startswith("digraph B")
+    code, out, _ = run("--format", "dot", "knit", DATA / "kronecker.quiver",
+                       "--steps", "4")
+    assert code == 0 and out.startswith("digraph knit")
+
+
+def _commands():
+    """Every subcommand, with each dimer action as "dimer ACTION"."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = next(a for a in sub.choices["dimer"]._actions
+                   if a.dest == "action").choices
+    return [name for name in sub.choices if name != "dimer"] + [
+        f"dimer {a}" for a in actions]
+
+
+# an input each renderer draws, and the flags the other commands require
+DOT_RUNS = {"build-abc": ["k_xy.pres", "--a", "2"],
+            "qhat": ["kronecker.quiver", "--n", "2"],
+            "corpi": ["kronecker.quiver", "--n", "1"],
+            "knit": ["kronecker.quiver", "--steps", "4"],
+            "dimer qp": ["four_face.dimer"]}
+REQUIRED_FLAGS = {"tilde": ["--a", "1", "--n", "1"],
+                  "ig-check": ["--a", "1", "--d", "0"],
+                  "verify-root": ["--a", "1"]}
+
+
+@pytest.mark.parametrize("name", _commands())
+def test_format_dot_is_drawn_or_refused_before_any_work(name, tmp_path):
+    """The five renderers draw a graph; every other subcommand and dimer
+    action exits 2 naming text and json, before it opens its input (the
+    path given does not exist): it used to print its text report."""
+    if name in DOT_RENDERERS:
+        first, *flags = DOT_RUNS[name]
+        code, out, err = run("--format", "dot", *name.split(),
+                             DATA / first, *flags)
+        assert (code, err) == (0, "") and out.startswith("digraph ")
+        assert set(DOT_RUNS) == set(DOT_RENDERERS)
+    else:
+        assert run("--format", "dot", *name.split(), tmp_path / "missing",
+                   *REQUIRED_FLAGS.get(name, [])) == (
+            2, "", f"error: {name} draws no graph: use --format text or "
+                   f"json\n")
 
 
 @pytest.mark.parametrize("old,new,line,message", [
@@ -568,6 +626,23 @@ def test_cy_check_reads_cy_before_the_resolution(tmp_path, relation):
     path.write_text(text.replace("x*y - y*x", relation), encoding="utf-8")
     assert run("cy-check", path) == (
         2, "", "error: presentation lacks a [cy] section\n")
+
+
+@pytest.mark.parametrize("relation,resolution", [("x*y", False),
+                                                 ("x*y - y*x", True)])
+def test_cy_check_twist_file_reads_twist_before_the_resolution(
+        tmp_path, relation, resolution):
+    """--twist file without [twist] is refused before a resolution is
+    built or read: the x*y copy, which has no built-in resolution, used
+    to exit 1 with NotFree, and a missing --resolution file exit 2 with
+    FileNotFoundError."""
+    path = tmp_path / "k_xy.pres"
+    text = (DATA / "k_xy.pres").read_text(encoding="utf-8")
+    assert text.count("x*y - y*x") == 1 and "[twist]" not in text
+    path.write_text(text.replace("x*y - y*x", relation), encoding="utf-8")
+    extra = ["--resolution", tmp_path / "missing.cpx"] if resolution else []
+    assert run("cy-check", path, "--twist", "file", *extra) == (
+        2, "", "error: presentation has no [twist] section\n")
 
 
 @pytest.mark.parametrize("old,new,line,message", [

@@ -8,7 +8,7 @@ import pytest
 from gradedcy import findim
 from gradedcy.cli import main
 from gradedcy.errors import Inconclusive, NotBasic, NotSplitBasic
-from gradedcy.fdalgebra import FDAlgebra
+from gradedcy.fdalgebra import FDAlgebra, FDBimodule
 from gradedcy.findim import (RightModule, gabriel_quiver,
                              injective_dimension, is_iwanaga_gorenstein,
                              projective_resolution, radical)
@@ -595,3 +595,17 @@ def test_coefficients_are_ints_where_integral(monkeypatch, capsys):
         alg = FDAlgebra(labels, {**idem, (1, 1): {2: c}}, [0])
         assert alg.mult[1, 1] == {2: stored}
         assert type(alg.mult[1, 1][2]) is type(stored)
+
+
+@pytest.mark.parametrize("zero", ["0", "0/1", 0.0])
+def test_zero_coefficients_are_dropped_whatever_their_spelling(zero):
+    """A coefficient is read before it is tested for zero: '0', '0/1' and
+    0.0 are zero entries, so a product they alone make is no entry at all
+    (x*x used to be stored as {0: 0}, and radical raised NotSplitBasic)."""
+    table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+             (1, 1): {0: zero}}
+    alg = FDAlgebra(["e", "x"], table, [0])
+    assert (1, 1) not in alg.mult and radical(alg) == [1]
+    U = FDBimodule(alg, ["u"], {(0, 0): {0: 1}, (1, 0): {0: zero}},
+                   {(0, 0): {0: 1}, (0, 1): {0: zero}})
+    assert U.left == U.right == {(0, 0): {0: 1}}

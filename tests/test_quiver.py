@@ -71,7 +71,7 @@ def test_parser_line_numbers():
 def test_twist_and_cy_sections():
     pres = load("skew_2.pres")
     assert pres.twist is not None
-    assert pres.twist.scalar("x1") == -1
+    assert pres.twist["x1"] == -1
     assert pres.cy.dimension == 2 and pres.cy.a_invariant == 2
 
 
