@@ -178,15 +178,15 @@ class DimVecOrbit:
 
     def dimvec(self, label: OrbitLabel):
         """Entry at slot l is dim Hom(R(l), R(-i)) = dim R_{-(i+l)}; the
-        shift [j] acts trivially on dimension-vector shadows."""
+        shift [j] acts trivially on dimension-vector shadows.  Reading past
+        the cap raises it once, to the deepest degree read plus 2."""
         i = label.i
         if i not in self._cache:
-            vec = []
-            for w in range(-i, -i - self.a, -1):
-                if -w > self.rc.cap:
-                    self.rc = CountContext(self.pres, -w + 2)
-                vec.append(0 if w > 0 else sum(self.rc.counts(w).values()))
-            self._cache[i] = tuple(vec)
+            if i + self.a - 1 > self.rc.cap:
+                self.rc = CountContext(self.pres, i + self.a + 1)
+            self._cache[i] = tuple(
+                0 if w > 0 else sum(self.rc.counts(w).values())
+                for w in range(-i, -i - self.a, -1))
         return self._cache[i]
 
 

@@ -152,12 +152,12 @@ class BimoduleComplex:
         """How diffs[k] acts on the elements p (x) q of summand si of
         terms[k+1] with p at position ip of rc.listing(pdeg) and |q| =
         qdeg: a list of (target((ti, |p'|, position of p')), c, rows, row),
-        one for each term c * (ti, p', q') of the image, where q' is row(i)
-        for q at position i of rc.listing(qdeg) (a position, or the
-        (position, coefficient) terms of a vector over rc.listing(qdeg +
-        |v|)); rows is the arrow map (-1 for a row that row computes) when v
-        is one arrow, else None.  Terms whose target(...) is None are left
-        out.
+        one for each term c * (ti, p', q') of the image, where q' is row(i),
+        the (position, coefficient) terms of a vector over
+        rc.listing(qdeg + |v|), for q at position i of rc.listing(qdeg);
+        rows is the arrow map (below 0 for a row that only row gives) when
+        v is one arrow, else None.  Terms whose target(...) is None are
+        left out.
 
         The sign rule, for an entry (c, u, v) from summand s to summand t:
         p (x) q goes to (-1)^e c p.u (x) v.q, or to (-1)^e c u.p (x) q.v
@@ -209,12 +209,13 @@ class BimoduleComplex:
             for i in cols:
                 yield _image(plan, i)
 
-    def leads(self, rc: RewriteContext, k, w, src, tgt, misses):
-        """The least element of each image of images(rc, k, w, src, tgt),
-        in the same order, or -1 for an image that is 0; with `misses`
-        false also -1 for one whose least element needs a miss product (a
-        row that is not a listed normal word) or a product by a path of
-        several arrows, which is then not computed.
+    def leads(self, rc: RewriteContext, k, w, src, tgt, misses, lead):
+        """Mark in the bytearray `lead` the least element of each nonzero
+        image of images(rc, k, w, src, tgt), and return it; with `misses`
+        false leave unmarked an image whose least element needs a miss
+        product (a row that is not a listed normal word) or a product by a
+        path of several arrows, which is then not computed.  A rank reads
+        only the set of marks: lead.count(1).
 
         No image is built.  The keys of tgt own disjoint runs of elements
         that start at their bases, and a product's terms have distinct
@@ -229,25 +230,24 @@ class BimoduleComplex:
             distinct = len({e[0][0] for e in plan}) == len(plan)
             if not distinct:
                 for i in cols:
-                    vec = _image(plan, i)
-                    yield min(vec) if vec else -1
+                    if vec := _image(plan, i):
+                        lead[min(vec)] = 1
                 continue
             for i in cols:
-                t = -1
                 for (base, local), _, rows, row in plan:
                     if rows is not None and (img := rows[i]) >= 0:
                         if (t := local[img]) >= 0:
+                            lead[base + t] = 1
                             break
                         continue
                     if not misses:
                         break
-                    img = row(i)
-                    got = [local[j] for j, _ in (
-                        ((img, 1),) if type(img) is int else img)]
-                    t = min((s for s in got if s >= 0), default=-1)
+                    t = min((local[j] for j, _ in row(i) if local[j] >= 0),
+                            default=-1)
                     if t >= 0:
+                        lead[base + t] = 1
                         break
-                yield base + t if t >= 0 else -1
+        return lead
 
     def check_complex(self, cap):
         """d_k o d_(k+1) = 0 for every k: the image of each lazy generator
@@ -280,10 +280,8 @@ class BimoduleComplex:
                         qdeg = s.degree - self.terms[j + 1][ti].degree - pdeg
                         for key, c, _, row in self.entry_plan(
                                 rc, j, ti, pdeg, ip, qdeg, lambda key: key):
-                            img = row(iq)
-                            _add_into(image, ((key + (jq,), cq) for jq, cq in (
-                                ((img, 1),) if type(img) is int else img)),
-                                c0 * c)
+                            _add_into(image, ((key + (jq,), cq)
+                                              for jq, cq in row(iq)), c0 * c)
                     vec = image
                 if vec:
                     raise NotComplex(
@@ -297,11 +295,9 @@ def _image(plan, i):
     targets are (base, local) values of slots(), as a sparse dict over
     the elements; terms that local does not number are dropped."""
     vec = {}
-    for (base, local), c, rows, row in plan:
-        if rows is None or (img := rows[i]) < 0:
-            img = row(i)
-        _add_into(vec, ((base + local[j], cm) for j, cm in (
-            ((img, 1),) if type(img) is int else img) if local[j] >= 0), c)
+    for (base, local), c, _, row in plan:
+        _add_into(vec, ((base + local[j], cm) for j, cm in row(i)
+                        if local[j] >= 0), c)
     return vec
 
 

@@ -30,12 +30,13 @@ only on a complex.
 Each rank is read in up to three stages, hit columns first: the least
 indices of the images whose least index needs no miss product (a
 product that is not a listed normal word), read straight off the arrow
-maps (BimoduleComplex.leads); then those of every image, miss products
-computed only for the images whose least index needs one; then
-elimination.  Images with distinct least indices, and so any subset of
-them, are independent, so each stage's count bounds the rank from
-below, and a later stage runs only for a map that the bounds so far
-leave loose at both ends.
+maps and marked in one bytearray per map (BimoduleComplex.leads), whose
+marks are counted; then those of every image, miss products computed
+only for the images whose least index needs one; then elimination.
+Images with distinct least indices, and so any subset of them, are
+independent, so each stage's count bounds the rank from below, and a
+later stage runs only for a map that the bounds so far leave loose at
+both ends.
 """
 
 from __future__ import annotations
@@ -272,8 +273,8 @@ def _cohomology(cplx, rc, degrees, lazy_left):
                  for k in range(len(cplx.terms))]
         _homology_dims(
             cplx, w, [n for _, n in slots],
-            lambda k, misses: cplx.leads(rc, k, w, slots[k + 1][0],
-                                         slots[k][0], misses),
+            lambda k, misses, lead: cplx.leads(
+                rc, k, w, slots[k + 1][0], slots[k][0], misses, lead),
             lambda k: cplx.images(rc, k, w, slots[k + 1][0], slots[k][0]),
             out)
     return out
@@ -282,7 +283,8 @@ def _cohomology(cplx, rc, degrees, lazy_left):
 def _homology_dims(cplx, w, dims, leads, images, out):
     """out[(position k, w)] = dims[k] - rank in - rank out, where images(k)
     gives the images of the differential from term k + 1 to term k and
-    leads(k, misses) their least indices (BimoduleComplex.leads).
+    leads(k, misses, lead) marks their least indices in the bytearray
+    `lead` of dims[k] zeros, and returns it (BimoduleComplex.leads).
 
     One image for each distinct least index gives independent images,
     so the number of distinct least indices among any subset of a map's
@@ -297,20 +299,14 @@ def _homology_dims(cplx, w, dims, leads, images, out):
     only where even the bounds do)."""
     low = [0] * (len(dims) + 1)   # low[k + 1] bounds the rank of map k
 
-    def count(k, misses):
-        lead = bytearray(dims[k])
-        for t in leads(k, misses):
-            if t >= 0:
-                lead[t] = 1
-        return lead.count(1)
-
     def eliminate(k):
         el = SparseEliminator()
         for vec in images(k):
             el.add(vec)
         return el.rank
 
-    for stage in (lambda k: count(k, False), lambda k: count(k, True),
+    for stage in (lambda k: leads(k, False, bytearray(dims[k])).count(1),
+                  lambda k: leads(k, True, bytearray(dims[k])).count(1),
                   eliminate):
         for k in range(len(dims) - 1):
             if low[k] + low[k + 1] < dims[k] and \

@@ -19,8 +19,8 @@ misses, products q * x where a tip fires, go through the rules (a miss
 of x * q is a right product of a shorter one), and a product that is a
 normal word longer than the cap raises CapTooSmall; misses are kept in
 one flat store of compressed sparse rows, not as a dict each.  The
-rules' coefficients enter the maps through `quiver.as_exact`, so
-products carry ints where integral and Fractions elsewhere.  Paths are
+rules keep NCPoly's coefficients, ints where integral, so products
+carry ints where integral and Fractions elsewhere.  Paths are
 rebuilt from the parent chain only at the API: `basis` and `word`, which
 the slice algebras use for their labels and products.
 """
@@ -31,7 +31,7 @@ from array import array
 from bisect import bisect_right
 
 from .errors import CapTooSmall
-from .quiver import Path, _add_into, as_exact
+from .quiver import Path, _add_into
 from .rewriting import CountContext
 
 
@@ -88,7 +88,7 @@ class RewriteContext(CountContext):
             self._out.setdefault(a.degree, {}).setdefault(a.source, []) \
                 .append(x)
         self._rules = {lhs: (pres.ctx.degree(Path(src, lhs)),
-                             [(q, as_exact(c)) for q, c in rhs.terms.items()])
+                             list(rhs.terms.items()))
                        for lhs, src, rhs in self.rs.rules}
 
     def basis(self, degree):
@@ -232,8 +232,7 @@ class RewriteContext(CountContext):
         the arrow maps."""
         out = {}
         for j, c in terms:
-            row = self.arrow_row(degree, x, j, left)
-            _add_into(out, ((row, 1),) if type(row) is int else row, c)
+            _add_into(out, self.arrow_row(degree, x, j, left), c)
         return out
 
     def arrow_map(self, degree, x, left=False):
@@ -303,23 +302,23 @@ class RewriteContext(CountContext):
         return rows
 
     def arrow_row(self, degree, x, i, left=False):
-        """Row i of arrow_map(degree, x, left): a position, or the
-        (position, coefficient) terms of a miss (see _row), read from copies
+        """Row i of arrow_map(degree, x, left) as (position, coefficient)
+        terms: (position, 1) alone, or a miss's (see _row), read from copies
         of the store's slices, so the store may grow while they are read."""
         rows = self._rows.get((degree, x, left))
         if rows is None or (row := rows[i]) == -1:
             row = self._row(degree, x, i, left)
         if row >= 0:
-            return row
+            return ((row, 1),)
         a, b = self._ends[-2 - row], self._ends[-1 - row]
         return zip(self._keys[a:b], self._coeffs[a:b])
 
     def _row(self, degree, x, i, left=False):
-        """The code of row i of arrow_map(degree, x, left): a position, or
-        -2 - k for product k of the store, computed on first use.  A miss
-        needs rows of strictly smaller products only (in the monomial
-        order), so a map may be asked for its own rows while its misses
-        are computed."""
+        """The code of row i of arrow_map(degree, x, left), whose terms
+        arrow_row reads: a position, or -2 - k for product k of the store,
+        computed on first use.  A miss needs rows of strictly smaller
+        products only (in the monomial order), so a map may be asked for
+        its own rows while its misses are computed."""
         rows = self._rows.get((degree, x, left))
         if rows is None:
             rows = self.arrow_map(degree, x, left)
@@ -350,12 +349,12 @@ class RewriteContext(CountContext):
             return self._row(0, x, self.position(arrows[x].source))
         if left:
             d = degree - arrows[y].degree
-            prod = self.arrow_row(d, x, self.listing(d).starts[
-                s, arrows[y].source] + block[0][j], True)
-            if type(prod) is int:   # a miss of the right map, shared
+            parent = self.listing(d).starts[s, arrows[y].source] + block[0][j]
+            prod = self._row(d, x, parent, True)
+            if prod >= 0:   # a miss of the right map, shared
                 return self._row(d + arrows[x].degree, y, prod)
-            return self._store(self._times_arrow(prod, d + arrows[x].degree,
-                                                 y))
+            return self._store(self._times_arrow(
+                self.arrow_row(d, x, parent, True), d + arrows[x].degree, y))
         state, tip = self._states[block[2][j]], None
         if self.rs._step(state, x) is None:
             end = state + (x,)

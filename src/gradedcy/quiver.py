@@ -192,7 +192,7 @@ def _add_into(out, terms, c):
 
 
 class NCPoly:
-    """Finite Q-linear combination of paths; zero coefficients dropped."""
+    """Finite Q-linear sum of paths; zeros dropped, the rest as_exact."""
 
     __slots__ = ("terms",)
 
@@ -203,11 +203,11 @@ class NCPoly:
                 if type(c) is not Fraction:
                     c = Fraction(c)
                 if c:
-                    self.terms[p] = c
+                    self.terms[p] = as_exact(c)
 
     @classmethod
     def monomial(cls, path, coeff=1):
-        return cls({path: Fraction(coeff)})
+        return cls({path: coeff})
 
     def __bool__(self):
         return bool(self.terms)

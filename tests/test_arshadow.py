@@ -137,7 +137,8 @@ def test_verify_root_default_cap_completes_once(monkeypatch):
     12, 13, 15, ..., 27, on k[x,y,z] with a = 3 over 20 steps, and so
     did a cap of 10.  A cap below the deepest degree the steps read,
     steps + 2a - 2 = 24, is now raised to it: one completion and its
-    probe, and the same report and vectors as the default cap."""
+    probe, and the same report and vectors as the default cap.  A direct
+    DimVecOrbit caller past its cap completes once more per vector."""
     from gradedcy import rewriting
 
     caps, complete = [], rewriting.truncated_rewriting
@@ -157,6 +158,13 @@ def test_verify_root_default_cap_completes_once(monkeypatch):
     assert [low.orbit.dimvec(OrbitLabel(i, 0)) for i in range(23)] == \
         [report.orbit.dimvec(OrbitLabel(i, 0)) for i in range(23)]
     assert caps == [24, 26]
+    # a direct caller reading past the cap: the vector at 10 reads degrees
+    # -10..-14, and the cap is raised once, to 16 (its probe at 18), where
+    # it regrew at -10 and again at -13 (caps 4, 12, 14, 15, 17)
+    caps.clear()
+    orbit = DimVecOrbit(load("k_xy_23.pres"), 5, cap=4)
+    assert orbit.dimvec(OrbitLabel(10, 0)) == (2, 2, 3, 2, 3)
+    assert caps == [4, 16, 18]
 
 
 def test_kronecker_band_is_shift_orbit():

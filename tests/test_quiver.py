@@ -213,10 +213,11 @@ y P P -1
 
 
 def test_ncpoly_stores_fractions():
-    """Coefficients are stored as Fractions, an exact one as it is, and
-    zeros are dropped."""
+    """Coefficients are stored through as_exact: an integral one as an
+    int, a Fraction that is not integral as it is, and zeros are
+    dropped."""
     p, q = Path("P", ()), Path("P", (0,))
     half = Fraction(1, 2)
     poly = NCPoly({p: 2, q: half, Path("P", (1,)): Fraction(0)})
     assert poly.terms == {p: 2, q: half}
-    assert type(poly.terms[p]) is Fraction and poly.terms[q] is half
+    assert type(poly.terms[p]) is int and poly.terms[q] is half
